@@ -4,10 +4,10 @@ strong-regularity monitoring, saddle feedback synthesis, and verification by
 algebraic residuals, a discrete-time oracle, and Monte-Carlo simulation."""
 
 from .core import (
-    COND_LIMIT, SYM_RTOL, AssembledBlocks, CoefficientPath, ContractViolation,
-    CostWeights, DomainError, GameProblem, LqgError, SingularBlockError,
-    StateDynamics, TimeGrid, as_path, assemble_blocks, block_inverse,
-    check_symmetric, eval_coeff, stack_blocks, sym, sym_eig_extremes,
+    COND_LIMIT, SYM_RTOL, CoefficientPath, ContractViolation, CostWeights,
+    DomainError, GameProblem, LqgError, SingularBlockError, StateDynamics,
+    TimeGrid, as_path, assemble_blocks, block_inverse, check_symmetric,
+    coefficients, eval_coeff, sym, sym_eig_extremes,
 )
 from .riccati import (
     BlowUpError, CertificateReport, ComparisonReport, PartialPath,

@@ -1,13 +1,20 @@
-"""Coefficient containers and small dense linear-algebra kernels.
+"""Coefficient containers, the coefficient table, and small dense
+linear-algebra kernels.
 
 Everything downstream (Riccati integration, feedback synthesis, simulation)
-consumes the types defined here.  All containers are immutable after
-construction and every function is pure.
+consumes the types defined here.  This module is the only one that knows how
+the two players' coefficients are laid out as blocks -- B = [B1|B2],
+D = [D1|D2], S = [S1;S2], R = [[R11,R12],[R21,R22]] -- and how a path is
+sampled in time: ``coefficients`` evaluates every path of a problem once for
+a whole array of times, and ``interpolate`` is the one linear interpolator of
+node values.  All containers are immutable after construction and every
+function is pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,6 +135,26 @@ class CoefficientPath:
         return not np.any(self.values)
 
 
+def interpolate(values: np.ndarray, span: float, times) -> np.ndarray:
+    """Linear interpolation of node values ``values[0..k]``, taken at the
+    uniform times ``j * span / k``, at every entry of ``times``.
+
+    Returns one value per time, stacked on a leading axis; a time that hits
+    a node returns that node's value exactly.  Raises DomainError for a
+    time outside [0, span].
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    outside = ~((times >= -1e-14) & (times <= span * (1 + 1e-14)))
+    if outside.any():
+        raise DomainError(f"t={times[outside][0]} outside [0, {span}]")
+    k = values.shape[0] - 1
+    s = np.clip(times / span, 0.0, 1.0) * k
+    i = np.minimum(np.floor(s).astype(int), k - 1)
+    w = (s - i).reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.where(w == 0.0, values[i],
+                    (1.0 - w) * values[i] + w * values[i + 1])
+
+
 def eval_coeff(path: CoefficientPath, t: float) -> np.ndarray:
     """Evaluate a coefficient path at time t.
 
@@ -136,15 +163,7 @@ def eval_coeff(path: CoefficientPath, t: float) -> np.ndarray:
     """
     if path.kind == "constant":
         return path.values
-    if t < -1e-14 or t > path.span * (1 + 1e-14):
-        raise DomainError(f"t={t} outside [0, {path.span}]")
-    k = path.values.shape[0] - 1
-    s = np.clip(t / path.span, 0.0, 1.0) * k
-    i = min(int(np.floor(s)), k - 1)
-    w = s - i
-    if w == 0.0:
-        return path.values[i]
-    return (1.0 - w) * path.values[i] + w * path.values[i + 1]
+    return interpolate(path.values, path.span, t)[0]
 
 
 def as_path(x) -> CoefficientPath:
@@ -296,34 +315,54 @@ class GameProblem:
         return dyn.C.is_zero() and dyn.D1.is_zero() and dyn.D2.is_zero()
 
 
-@dataclass(frozen=True, eq=False)
-class AssembledBlocks:
-    """Concatenated coefficients at a fixed time: B=[B1|B2], D=[D1|D2],
-    S=[S1;S2], R = [[R11,R12],[R21,R22]]."""
+class CoefficientTable(NamedTuple):
+    """Every coefficient of a game sampled at an array of times, stacked on
+    a leading time axis (m = m1 + m2):
 
+    A, C, Q (k, n, n); B = [B1|B2] and D = [D1|D2] (k, n, m);
+    S = [S1;S2] (k, m, n); R = [[R11, R12], [R21, R22]] (k, m, m).
+    """
+
+    A: np.ndarray
     B: np.ndarray
+    C: np.ndarray
     D: np.ndarray
+    Q: np.ndarray
     S: np.ndarray
     R: np.ndarray
-    m1: int
-    m2: int
-
-    def __post_init__(self):
-        for name in ("B", "D", "S", "R"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
-def stack_blocks(problem: GameProblem, t: float) -> AssembledBlocks:
-    """Evaluate and concatenate the two players' coefficients at time t."""
+def _sample(path: CoefficientPath, times: np.ndarray) -> np.ndarray:
+    if path.kind == "constant":
+        return np.broadcast_to(path.values, (times.shape[0],) + path.shape)
+    return interpolate(path.values, path.span, times)
+
+
+def coefficients(problem: GameProblem, times) -> CoefficientTable:
+    """Evaluate every coefficient path once at each of ``times`` and stack
+    the two players' blocks.
+
+    Row j of each array equals ``eval_coeff`` of the paths at ``times[j]``,
+    bit for bit.  Raises DomainError for a time outside the span of a
+    sampled path.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     dyn, cost = problem.dynamics, problem.cost
-    B = np.hstack([eval_coeff(dyn.B1, t), eval_coeff(dyn.B2, t)])
-    D = np.hstack([eval_coeff(dyn.D1, t), eval_coeff(dyn.D2, t)])
-    S = np.vstack([eval_coeff(cost.S1, t), eval_coeff(cost.S2, t)])
-    R = np.block([
-        [eval_coeff(cost.R11, t), eval_coeff(cost.R12, t)],
-        [eval_coeff(cost.R21, t), eval_coeff(cost.R22, t)],
-    ])
-    return AssembledBlocks(B=B, D=D, S=S, R=R, m1=problem.m1, m2=problem.m2)
+
+    def at(*rows):
+        # np.block lays out a join of broadcast constants time-fastest; rows
+        # must stay contiguous matrices, as BLAS results depend on layout
+        return np.ascontiguousarray(
+            np.block([[_sample(p, times) for p in row] for row in rows]))
+
+    table = CoefficientTable(
+        A=_sample(dyn.A, times), B=at([dyn.B1, dyn.B2]),
+        C=_sample(dyn.C, times), D=at([dyn.D1, dyn.D2]),
+        Q=_sample(cost.Q, times), S=at([cost.S1], [cost.S2]),
+        R=at([cost.R11, cost.R12], [cost.R21, cost.R22]))
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 def sym_eig_extremes(M: np.ndarray) -> tuple[float, float]:
@@ -363,20 +402,24 @@ def block_inverse(M: np.ndarray, L: np.ndarray, N: np.ndarray,
     return np.block([[top_left, top_right], [top_right.T, Phi_inv]])
 
 
-def assemble_blocks(problem: GameProblem, P: np.ndarray,
-                    t: float) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    """Form R_P = R + D^T P D and S_P = B^T P + D^T P C + S at time t.
+def assemble_at(table: CoefficientTable, j: int, P: np.ndarray,
+                m1: int) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Form R_P = R + D^T P D and S_P = B^T P + D^T P C + S from row j of a
+    coefficient table.
 
     Returns (R_P, S_P, margins) where margins = (lambda_min of the player-1
     diagonal block of R_P, lambda_max of the player-2 diagonal block).
     """
-    P = np.atleast_2d(P)
     check_symmetric(P, "P", rtol=1e-10)
-    blk = stack_blocks(problem, t)
-    C = eval_coeff(problem.dynamics.C, t)
-    R_P = blk.R + blk.D.T @ P @ blk.D
-    S_P = blk.B.T @ P + blk.D.T @ P @ C + blk.S
-    m1 = problem.m1
+    B, C, D = table.B[j], table.C[j], table.D[j]
+    R_P = table.R[j] + D.T @ P @ D
+    S_P = B.T @ P + D.T @ P @ C + table.S[j]
     margin1 = sym_eig_extremes(sym(R_P[:m1, :m1]))[0]
     margin2 = sym_eig_extremes(sym(R_P[m1:, m1:]))[1]
     return R_P, S_P, (margin1, margin2)
+
+
+def assemble_blocks(problem: GameProblem, P: np.ndarray,
+                    t: float) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Form R_P and S_P and the margins at time t, as ``assemble_at`` does."""
+    return assemble_at(coefficients(problem, t), 0, np.atleast_2d(P), problem.m1)

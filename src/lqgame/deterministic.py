@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    GameProblem, LqgError, TimeGrid, block_inverse, eval_coeff, sym,
-    sym_eig_extremes,
+    GameProblem, LqgError, TimeGrid, block_inverse, coefficients, interpolate,
+    sym, sym_eig_extremes,
 )
 from .riccati import (
     BlowUpError, CertificateReport, RegularityError, RiccatiSolution,
@@ -41,10 +41,7 @@ class HamiltonianPath:
     H_nodes: np.ndarray
 
     def H_at(self, t: float) -> np.ndarray:
-        s = np.clip(t / self.grid.horizon_T, 0.0, 1.0) * self.grid.n_steps
-        i = min(int(np.floor(s)), self.grid.n_steps - 1)
-        w = s - i
-        return (1.0 - w) * self.H_nodes[i] + w * self.H_nodes[i + 1]
+        return interpolate(self.H_nodes, self.grid.horizon_T, t)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,23 +72,18 @@ def hamiltonian(problem: GameProblem, n_steps: int = 2000) -> HamiltonianPath:
     if not problem.is_deterministic():
         raise NotDeterministicError("problem has nonzero C or D coefficients")
     grid = TimeGrid(problem.horizon_T, n_steps)
+    table = coefficients(problem, grid.nodes)
+    m1 = problem.m1
     H = []
-    for t in grid.nodes:
-        R11 = eval_coeff(problem.cost.R11, t)
-        R12 = eval_coeff(problem.cost.R12, t)
-        R22 = eval_coeff(problem.cost.R22, t)
+    for t, A, B, Q, S, R in zip(grid.nodes, table.A, table.B, table.Q,
+                                table.S, table.R):
+        R11, R12, R22 = R[:m1, :m1], R[:m1, m1:], R[m1:, m1:]
         lo = sym_eig_extremes(R11)[0]
         hi = sym_eig_extremes(R22)[1]
         if lo <= 0:
             raise RegularityError(t, 1, lo)
         if hi >= 0:
             raise RegularityError(t, 2, hi)
-        A = eval_coeff(problem.dynamics.A, t)
-        B = np.hstack([eval_coeff(problem.dynamics.B1, t),
-                       eval_coeff(problem.dynamics.B2, t)])
-        Q = eval_coeff(problem.cost.Q, t)
-        S = np.vstack([eval_coeff(problem.cost.S1, t),
-                       eval_coeff(problem.cost.S2, t)])
         R_inv = block_inverse(R11, R12, R22)
         Adj = A - B @ R_inv @ S
         H.append(np.block([

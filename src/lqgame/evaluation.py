@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ContractViolation, GameProblem, LqgError, TimeGrid, eval_coeff, sym,
-    sym_eig_extremes,
+    ContractViolation, GameProblem, LqgError, TimeGrid, coefficients,
+    interpolate, sym, sym_eig_extremes,
 )
 from .riccati import RiccatiSolution
 from .synthesis import FeedbackLaw, game_value
@@ -52,10 +52,7 @@ class ControlLaw:
         """Extract one player's rows, resampled onto the simulation grid."""
         if player not in (1, 2):
             raise ContractViolation("player must be 1 or 2")
-        s = np.clip(grid.nodes / law.grid.horizon_T, 0.0, 1.0) * law.grid.n_steps
-        i = np.minimum(np.floor(s).astype(int), law.grid.n_steps - 1)
-        w = (s - i)[:, None, None]
-        gains = (1.0 - w) * law.theta_nodes[i] + w * law.theta_nodes[i + 1]
+        gains = interpolate(law.theta_nodes, law.grid.horizon_T, grid.nodes)
         rows = gains[:, :law.m1, :] if player == 1 else gains[:, law.m1:, :]
         return cls(kind="feedback", gains=rows)
 
@@ -149,21 +146,13 @@ def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
     (step, states) -> per-path control matrices."""
     n_paths = increments.shape[0]
     x = np.atleast_1d(np.asarray(x, float))
-    nodes = grid.nodes
     dt = grid.dt
     n_nodes = grid.n_steps + 1
     n, m1, m2 = problem.n, problem.m1, problem.m2
 
     # combined step matrix: (drift; diffusion) = K_k (x; u1; u2)
-    dyn = problem.dynamics
-    K = np.empty((grid.n_steps, 2 * n, n + m1 + m2))
-    for k, t in enumerate(nodes[:-1]):
-        K[k, :n, :n] = eval_coeff(dyn.A, t)
-        K[k, :n, n:n + m1] = eval_coeff(dyn.B1, t)
-        K[k, :n, n + m1:] = eval_coeff(dyn.B2, t)
-        K[k, n:, :n] = eval_coeff(dyn.C, t)
-        K[k, n:, n:n + m1] = eval_coeff(dyn.D1, t)
-        K[k, n:, n + m1:] = eval_coeff(dyn.D2, t)
+    table = coefficients(problem, grid.nodes[:-1])
+    K = np.block([[table.A, table.B], [table.C, table.D]])
 
     X = np.broadcast_to(x, (n_paths, n)).copy()
     # time-major histories keep each step's write contiguous; swap back at
@@ -208,26 +197,11 @@ def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
 def _per_path_costs(problem: GameProblem, grid: TimeGrid, X, U1, U2) -> np.ndarray:
     """Terminal cost plus trapezoid quadrature of the running integrand,
     one value per path."""
-    nodes = grid.nodes
     n_nodes = grid.n_steps + 1
-    n, m1, m2 = problem.n, problem.m1, problem.m2
-    d = n + m1 + m2
     # one symmetric block matrix per node turns the integrand into a single
     # quadratic form in z = (x, u1, u2)
-    M = np.empty((n_nodes, d, d))
-    for k, t in enumerate(nodes):
-        Q = eval_coeff(problem.cost.Q, t)
-        S1 = eval_coeff(problem.cost.S1, t)
-        S2 = eval_coeff(problem.cost.S2, t)
-        M[k, :n, :n] = Q
-        M[k, n:n + m1, :n] = S1
-        M[k, :n, n:n + m1] = S1.T
-        M[k, n + m1:, :n] = S2
-        M[k, :n, n + m1:] = S2.T
-        M[k, n:n + m1, n:n + m1] = eval_coeff(problem.cost.R11, t)
-        M[k, n:n + m1, n + m1:] = eval_coeff(problem.cost.R12, t)
-        M[k, n + m1:, n:n + m1] = eval_coeff(problem.cost.R21, t)
-        M[k, n + m1:, n + m1:] = eval_coeff(problem.cost.R22, t)
+    table = coefficients(problem, grid.nodes)
+    M = np.block([[table.Q, table.S.swapaxes(1, 2)], [table.S, table.R]])
     # batched quadratic form z'Mz, chunked over time to bound memory
     Z = np.concatenate([X, U1, U2], axis=2).swapaxes(0, 1)   # (k, p, d)
     ell = np.empty((n_nodes, X.shape[0]))
@@ -325,26 +299,13 @@ def discrete_oracle(problem: GameProblem, x, N: int):
     T = problem.horizon_T
     dt = T / N
     nodes = np.linspace(0.0, T, N + 1)
-
-    def coeffs(t):
-        dyn, cost = problem.dynamics, problem.cost
-        A = eval_coeff(dyn.A, t)
-        B = np.hstack([eval_coeff(dyn.B1, t), eval_coeff(dyn.B2, t)])
-        C = eval_coeff(dyn.C, t)
-        D = np.hstack([eval_coeff(dyn.D1, t), eval_coeff(dyn.D2, t)])
-        Q = eval_coeff(cost.Q, t)
-        S = np.vstack([eval_coeff(cost.S1, t), eval_coeff(cost.S2, t)])
-        R = np.block([
-            [eval_coeff(cost.R11, t), eval_coeff(cost.R12, t)],
-            [eval_coeff(cost.R21, t), eval_coeff(cost.R22, t)],
-        ])
-        return A, B, C, D, Q, S, R
+    table = coefficients(problem, nodes)
 
     P = np.array(problem.cost.G)
     gains: list[np.ndarray] = [None] * N
     for k in range(N - 1, -1, -1):
-        A0, B0, C0, D0, Q0, S0, R0 = coeffs(nodes[k])
-        _, _, _, _, Q1, S1, R1 = coeffs(nodes[k + 1])
+        A0, B0, C0, D0, Q0, S0, R0 = (c[k] for c in table)
+        Q1, S1, R1 = table.Q[k + 1], table.S[k + 1], table.R[k + 1]
         M = np.eye(n) + dt * A0
         Nu = dt * B0
         W = P + 0.5 * dt * Q1

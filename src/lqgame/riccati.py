@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    CoefficientPath, ContractViolation, CostWeights, GameProblem, LqgError,
-    TimeGrid, assemble_blocks, eval_coeff, sym, sym_eig_extremes, _sample_stack,
+    CoefficientPath, CoefficientTable, ContractViolation, CostWeights,
+    GameProblem, LqgError, TimeGrid, assemble_at, coefficients, interpolate,
+    sym, sym_eig_extremes, _sample_stack,
 )
 
 KINDS = ("game", "player1", "player2")
@@ -89,10 +90,7 @@ class RiccatiSolution:
 
     def P_at(self, t: float) -> np.ndarray:
         """Linear interpolation of the node values."""
-        s = np.clip(t / self.grid.horizon_T, 0.0, 1.0) * self.grid.n_steps
-        i = min(int(np.floor(s)), self.grid.n_steps - 1)
-        w = s - i
-        return (1.0 - w) * self.P_nodes[i] + w * self.P_nodes[i + 1]
+        return interpolate(self.P_nodes, self.grid.horizon_T, t)[0]
 
 
 def _margin_check(kind: str, t: float, margin1: float, margin2: float,
@@ -102,6 +100,27 @@ def _margin_check(kind: str, t: float, margin1: float, margin2: float,
         raise RegularityError(t, 1, margin1)
     if kind in ("game", "player2") and margin2 >= -eps_reg:
         raise RegularityError(t, 2, margin2)
+
+
+def _field(table: CoefficientTable, j: int, P: np.ndarray, R_P: np.ndarray,
+           S_P: np.ndarray, kind: str, m1: int) -> np.ndarray:
+    """dP/dt at row j of a coefficient table, given R_P and S_P there."""
+    if kind == "player1":
+        Rk, Sk = R_P[:m1, :m1], S_P[:m1, :]
+    elif kind == "player2":
+        Rk, Sk = R_P[m1:, m1:], S_P[m1:, :]
+    else:
+        Rk, Sk = R_P, S_P
+    A, C, Q = table.A[j], table.C[j], table.Q[j]
+    F = -(P @ A + A.T @ P + C.T @ P @ C + Q - Sk.T @ np.linalg.solve(Rk, Sk))
+    return sym(F)
+
+
+def _rhs(table: CoefficientTable, j: int, t: float, P: np.ndarray, kind: str,
+         m1: int, eps_reg: float) -> np.ndarray:
+    R_P, S_P, margins = assemble_at(table, j, P, m1)
+    _margin_check(kind, t, *margins, eps_reg)
+    return _field(table, j, P, R_P, S_P, kind, m1)
 
 
 def riccati_rhs(problem: GameProblem, t: float, P: np.ndarray, kind: str,
@@ -115,26 +134,8 @@ def riccati_rhs(problem: GameProblem, t: float, P: np.ndarray, kind: str,
     """
     if kind not in KINDS:
         raise ContractViolation(f"unknown kind {kind!r}")
-    P = np.atleast_2d(P)
-    R_P, S_P, (margin1, margin2) = assemble_blocks(problem, P, t)
-    _margin_check(kind, t, margin1, margin2, eps_reg)
-    m1 = problem.m1
-    if kind == "player1":
-        Rk, Sk = R_P[:m1, :m1], S_P[:m1, :]
-    elif kind == "player2":
-        Rk, Sk = R_P[m1:, m1:], S_P[m1:, :]
-    else:
-        Rk, Sk = R_P, S_P
-    A = eval_coeff(problem.dynamics.A, t)
-    C = eval_coeff(problem.dynamics.C, t)
-    Q = eval_coeff(problem.cost.Q, t)
-    F = -(P @ A + A.T @ P + C.T @ P @ C + Q - Sk.T @ np.linalg.solve(Rk, Sk))
-    return sym(F)
-
-
-def _node_margins(problem: GameProblem, P: np.ndarray, t: float) -> tuple[float, float]:
-    _, _, margins = assemble_blocks(problem, P, t)
-    return margins
+    return _rhs(coefficients(problem, t), 0, t, np.atleast_2d(P), kind,
+                problem.m1, eps_reg)
 
 
 def solve_riccati(problem: GameProblem, config: SolverConfig,
@@ -149,12 +150,24 @@ def solve_riccati(problem: GameProblem, config: SolverConfig,
     grid = TimeGrid(problem.horizon_T, config.n_steps)
     nodes = grid.nodes
     h = grid.dt
-    G = problem.cost.G
     eps = config.eps_reg
+    m1 = problem.m1
 
+    # stage times: node t_k in row 2k, midpoint of [t_k, t_k+1] in row 2k+1
+    times = np.empty(2 * grid.n_steps + 1)
+    times[0::2] = nodes
+    times[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    table = coefficients(problem, times)
+
+    def rhs(j, P):
+        return _rhs(table, j, times[j], P, kind, m1, eps)
+
+    # a node's assembly serves both its margin check and the next step's k1
+    P = np.array(problem.cost.G)
+    R_P, S_P, margins = assemble_at(table, 2 * grid.n_steps, P, m1)
     times_done = [nodes[-1]]
-    P_done = [np.array(G)]
-    m_done = [_node_margins(problem, G, nodes[-1])]
+    P_done = [P]
+    m_done = [margins]
 
     def partial() -> PartialPath:
         return PartialPath(
@@ -164,24 +177,19 @@ def solve_riccati(problem: GameProblem, config: SolverConfig,
             margin2_nodes=np.array([m[1] for m in m_done[::-1]]),
         )
 
-    def rhs(t, P):
-        return riccati_rhs(problem, t, P, kind, eps)
-
-    P = np.array(G)
     try:
-        _margin_check(kind, nodes[-1], *m_done[0], eps)
+        _margin_check(kind, nodes[-1], *margins, eps)
         for k in range(grid.n_steps, 0, -1):
-            t1, t0 = nodes[k], nodes[k - 1]
-            tm = 0.5 * (t0 + t1)
-            k1 = rhs(t1, P)
-            k2 = rhs(tm, sym(P - 0.5 * h * k1))
-            k3 = rhs(tm, sym(P - 0.5 * h * k2))
-            k4 = rhs(t0, sym(P - h * k3))
+            t0 = nodes[k - 1]
+            k1 = _field(table, 2 * k, P, R_P, S_P, kind, m1)
+            k2 = rhs(2 * k - 1, sym(P - 0.5 * h * k1))
+            k3 = rhs(2 * k - 1, sym(P - 0.5 * h * k2))
+            k4 = rhs(2 * k - 2, sym(P - h * k3))
             P = sym(P - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
             norm = float(np.linalg.norm(P))
             if not np.isfinite(norm) or norm > config.blowup_cap:
                 raise BlowUpError(t0, norm)
-            margins = _node_margins(problem, P, t0)
+            R_P, S_P, margins = assemble_at(table, 2 * k - 2, P, m1)
             _margin_check(kind, t0, *margins, eps)
             times_done.append(t0)
             P_done.append(P)

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ContractViolation, GameProblem, TimeGrid, assemble_blocks, block_inverse,
-    eval_coeff,
+    ContractViolation, GameProblem, TimeGrid, assemble_at, block_inverse,
+    coefficients, interpolate,
 )
 from .riccati import RiccatiSolution
 
@@ -38,10 +38,7 @@ class FeedbackLaw:
 
     def theta_at(self, t: float) -> np.ndarray:
         """Linear interpolation between node gains."""
-        s = np.clip(t / self.grid.horizon_T, 0.0, 1.0) * self.grid.n_steps
-        i = min(int(np.floor(s)), self.grid.n_steps - 1)
-        w = s - i
-        return (1.0 - w) * self.theta_nodes[i] + w * self.theta_nodes[i + 1]
+        return interpolate(self.theta_nodes, self.grid.horizon_T, t)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,10 +50,7 @@ class ClosedLoopSystem:
     diffusion_nodes: np.ndarray
 
     def drift_at(self, t: float) -> np.ndarray:
-        s = np.clip(t / self.grid.horizon_T, 0.0, 1.0) * self.grid.n_steps
-        i = min(int(np.floor(s)), self.grid.n_steps - 1)
-        w = s - i
-        return (1.0 - w) * self.drift_nodes[i] + w * self.drift_nodes[i + 1]
+        return interpolate(self.drift_nodes, self.grid.horizon_T, t)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +70,10 @@ def feedback_gain(problem: GameProblem, sol: RiccatiSolution) -> FeedbackLaw:
     if sol.margin1_nodes.min() <= 0 or sol.margin2_nodes.max() >= 0:
         raise ContractViolation("Riccati solution has non-regular nodes")
     m1 = problem.m1
+    table = coefficients(problem, sol.grid.nodes)
     thetas = []
-    for t, P in zip(sol.grid.nodes, sol.P_nodes):
-        R_P, S_P, _ = assemble_blocks(problem, P, t)
+    for j, P in enumerate(sol.P_nodes):
+        R_P, S_P, _ = assemble_at(table, j, P, m1)
         R_inv = block_inverse(R_P[:m1, :m1], R_P[:m1, m1:], R_P[m1:, m1:])
         thetas.append(-R_inv @ S_P)
     return FeedbackLaw(grid=sol.grid, theta_nodes=np.array(thetas),
@@ -95,14 +90,10 @@ def game_value(sol: RiccatiSolution, x) -> float:
 
 def closed_loop(problem: GameProblem, law: FeedbackLaw) -> ClosedLoopSystem:
     """Form A + B Theta and C + D Theta at every node of the law's grid."""
+    table = coefficients(problem, law.grid.nodes)
     drift, diffusion = [], []
-    for t, Th in zip(law.grid.nodes, law.theta_nodes):
-        A = eval_coeff(problem.dynamics.A, t)
-        C = eval_coeff(problem.dynamics.C, t)
-        B = np.hstack([eval_coeff(problem.dynamics.B1, t),
-                       eval_coeff(problem.dynamics.B2, t)])
-        D = np.hstack([eval_coeff(problem.dynamics.D1, t),
-                       eval_coeff(problem.dynamics.D2, t)])
+    for A, B, C, D, Th in zip(table.A, table.B, table.C, table.D,
+                              law.theta_nodes):
         drift.append(A + B @ Th)
         diffusion.append(C + D @ Th)
     return ClosedLoopSystem(grid=law.grid, drift_nodes=np.array(drift),
@@ -137,11 +128,10 @@ def adjoint_from_state(problem: GameProblem, sol: RiccatiSolution,
     X_path = np.atleast_2d(np.asarray(X_path, dtype=float))
     if X_path.shape[0] != sol.grid.n_steps + 1:
         raise ContractViolation("state path must live on the solution grid")
+    table = coefficients(problem, sol.grid.nodes)
     Y, Z = [], []
-    for t, P, Th, X in zip(sol.grid.nodes, sol.P_nodes, law.theta_nodes, X_path):
-        C = eval_coeff(problem.dynamics.C, t)
-        D = np.hstack([eval_coeff(problem.dynamics.D1, t),
-                       eval_coeff(problem.dynamics.D2, t)])
+    for C, D, P, Th, X in zip(table.C, table.D, sol.P_nodes, law.theta_nodes,
+                              X_path):
         u = Th @ X
         Y.append(P @ X)
         Z.append(P @ (C @ X + D @ u))
@@ -156,19 +146,11 @@ def fbsde_residual(problem: GameProblem, sol: RiccatiSolution,
     if not sol.grid.same_as(law.grid):
         raise ContractViolation("solution and law grids differ")
     triple = adjoint_from_state(problem, sol, law, X_path)
+    table = coefficients(problem, sol.grid.nodes)
     out = []
-    for t, Th, X, Y, Z in zip(sol.grid.nodes, law.theta_nodes,
-                              triple.X_nodes, triple.Y_nodes, triple.Z_nodes):
-        B = np.hstack([eval_coeff(problem.dynamics.B1, t),
-                       eval_coeff(problem.dynamics.B2, t)])
-        D = np.hstack([eval_coeff(problem.dynamics.D1, t),
-                       eval_coeff(problem.dynamics.D2, t)])
-        S = np.vstack([eval_coeff(problem.cost.S1, t),
-                       eval_coeff(problem.cost.S2, t)])
-        R = np.block([
-            [eval_coeff(problem.cost.R11, t), eval_coeff(problem.cost.R12, t)],
-            [eval_coeff(problem.cost.R21, t), eval_coeff(problem.cost.R22, t)],
-        ])
+    for B, D, S, R, Th, X, Y, Z in zip(
+            table.B, table.D, table.S, table.R, law.theta_nodes,
+            triple.X_nodes, triple.Y_nodes, triple.Z_nodes):
         u = Th @ X
         out.append(float(np.linalg.norm(B.T @ Y + D.T @ Z + S @ X + R @ u)))
     return np.array(out)

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lqgame import (
-    CoefficientPath, ContractViolation, CostWeights, DomainError,
+    CoefficientPath, ContractViolation, CostWeights, DomainError, GameProblem,
     SingularBlockError, StateDynamics, TimeGrid, assemble_blocks,
-    block_inverse, check_symmetric, eval_coeff, stack_blocks, sym,
+    block_inverse, check_symmetric, coefficients, eval_coeff, sym,
     sym_eig_extremes,
 )
 from conftest import scalar_game
@@ -126,8 +126,10 @@ class TestBlockInverse:
            N=finite_matrices(2, 2))
     @settings(max_examples=80)
     def test_multiplies_back_to_identity(self, M, L, N):
-        M = sym(M) + 4.0 * np.eye(2)
-        N = sym(N) - 8.0 * np.eye(2)
+        # entries in [-5, 5] keep the eigenvalues of sym(.) in [-10, 10],
+        # so M > 0 and N < 0 (hence the Schur complement < 0) for every draw
+        M = sym(M) + 11.0 * np.eye(2)
+        N = sym(N) - 11.0 * np.eye(2)
         full = np.block([[M, L], [L.T, N]])
         inv = block_inverse(M, L, N)
         assert np.abs(full @ inv - np.eye(4)).max() < 1e-10
@@ -155,13 +157,97 @@ class TestBlockInverse:
             assert np.abs(full @ inv - np.eye(4)).max() < 1e-10
 
 
-class TestAssembleBlocks:
-    def test_stack_blocks_ex4_5(self, ex4_5):
-        blk = stack_blocks(ex4_5, 0.5)
-        assert np.array_equal(blk.B, [[1.0, 1.0]])
-        assert np.array_equal(blk.D, [[0.0, 0.0]])
-        assert np.allclose(blk.R, np.diag([1.0, -2.0 / 3.0]))
+def eval_reference(path: CoefficientPath, t: float) -> np.ndarray:
+    """One coefficient at one time, by the scalar formula the table must
+    reproduce bit for bit."""
+    if path.kind == "constant":
+        return path.values
+    k = path.values.shape[0] - 1
+    s = np.clip(t / path.span, 0.0, 1.0) * k
+    i = min(int(np.floor(s)), k - 1)
+    w = s - i
+    if w == 0.0:
+        return path.values[i]
+    return (1.0 - w) * path.values[i] + w * path.values[i + 1]
 
+
+SHAPES = {"A": "nn", "B1": "na", "B2": "nb", "C": "nn", "D1": "na",
+          "D2": "nb", "Q": "nn", "S1": "an", "S2": "bn", "R11": "aa",
+          "R12": "ab", "R22": "bb"}
+
+
+def mixed_game(seed: int, dims: tuple[int, int, int], samples: list[int],
+               T: float) -> GameProblem:
+    """A random game whose i-th path in SHAPES is constant when
+    samples[i] == 0 and sampled on samples[i] uniform nodes otherwise."""
+    rng = np.random.default_rng(seed)
+    size = dict(zip("nab", dims))
+    paths = {}
+    for (name, shape), k in zip(SHAPES.items(), samples):
+        stack = (k,) if k else ()
+        v = rng.uniform(-2.0, 2.0, stack + tuple(size[c] for c in shape))
+        if name in ("Q", "R11", "R22"):
+            v = 0.5 * (v + np.swapaxes(v, -1, -2))
+        paths[name] = CoefficientPath.sampled(v, T) if k else CoefficientPath.constant(v)
+    R12 = paths["R12"]
+    paths["R21"] = CoefficientPath(R12.kind, np.swapaxes(R12.values, -1, -2), R12.span)
+    dyn = StateDynamics(**{k: paths[k] for k in ("A", "B1", "B2", "C", "D1", "D2")})
+    cost = CostWeights(G=np.eye(dims[0]), **{
+        k: paths[k] for k in ("Q", "S1", "S2", "R11", "R12", "R21", "R22")})
+    return GameProblem(dynamics=dyn, cost=cost, horizon_T=T)
+
+
+def bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+class TestCoefficientTable:
+    def test_ex4_5_blocks(self, ex4_5):
+        table = coefficients(ex4_5, [0.5])
+        assert np.array_equal(table.B[0], [[1.0, 1.0]])
+        assert np.array_equal(table.D[0], [[0.0, 0.0]])
+        assert np.allclose(table.R[0], np.diag([1.0, -2.0 / 3.0]))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           dims=st.tuples(*[st.integers(1, 3)] * 3),
+           samples=st.lists(st.sampled_from([0, 2, 3, 7]), min_size=12,
+                            max_size=12),
+           T=st.sampled_from([0.3, 1.0, 2.5]),
+           extra=st.lists(st.floats(0.0, 1.0), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_per_time_evaluation(self, seed, dims, samples, T, extra):
+        p = mixed_game(seed, dims, samples, T)
+        times = [0.0, T] + [e * T for e in extra]
+        for k in {2, 3, 7} & set(samples):
+            nodes = np.linspace(0.0, T, k)
+            times += list(nodes) + list(0.5 * (nodes[:-1] + nodes[1:]))
+        table = coefficients(p, times)
+        paths = {name: path for holder in (p.dynamics, p.cost)
+                 for name, path in vars(holder).items()
+                 if isinstance(path, CoefficientPath)}
+        for j, t in enumerate(times):
+            ev = {name: eval_reference(path, t) for name, path in paths.items()}
+            expected = {
+                "A": ev["A"], "C": ev["C"], "Q": ev["Q"],
+                "B": np.hstack([ev["B1"], ev["B2"]]),
+                "D": np.hstack([ev["D1"], ev["D2"]]),
+                "S": np.vstack([ev["S1"], ev["S2"]]),
+                "R": np.block([[ev["R11"], ev["R12"]], [ev["R21"], ev["R22"]]]),
+            }
+            for name, want in expected.items():
+                row = getattr(table, name)[j]
+                assert bits(row) == bits(want), (name, t)
+                assert row.flags.c_contiguous, name
+            for name, path in paths.items():
+                assert bits(eval_coeff(path, t)) == bits(ev[name])
+        if any(samples):
+            for t in (-0.01 * T, 1.01 * T):
+                with pytest.raises(DomainError):
+                    coefficients(p, [0.5 * T, t])
+
+
+class TestAssembleBlocks:
     def test_margins_without_noise_are_R_blocks(self, ex4_5):
         R_P, S_P, (m1, m2) = assemble_blocks(ex4_5, np.array([[7.0]]), 0.2)
         assert m1 == pytest.approx(1.0)
