@@ -139,9 +139,10 @@ def interpolate(values: np.ndarray, span: float, times) -> np.ndarray:
     """Linear interpolation of node values ``values[0..k]``, taken at the
     uniform times ``j * span / k``, at every entry of ``times``.
 
-    Returns one value per time, stacked on a leading axis; a time that hits
-    a node returns that node's value exactly.  Raises DomainError for a
-    time outside [0, span].
+    Returns one value per time, stacked on a leading axis; a time within a
+    few ulps of a node, such as every entry of ``np.linspace(0, span, k+1)``,
+    returns that node's value exactly.  Raises DomainError for a time
+    outside [0, span].
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     outside = ~((times >= -1e-14) & (times <= span * (1 + 1e-14)))
@@ -149,6 +150,10 @@ def interpolate(values: np.ndarray, span: float, times) -> np.ndarray:
         raise DomainError(f"t={times[outside][0]} outside [0, {span}]")
     k = values.shape[0] - 1
     s = np.clip(times / span, 0.0, 1.0) * k
+    # j * span / k divided back by span/k can miss j by a few ulps; a node
+    # must still return its own value, not a blend with a neighbour
+    s_node = np.rint(s)
+    s = np.where(np.abs(s - s_node) <= 16 * np.finfo(float).eps * k, s_node, s)
     i = np.minimum(np.floor(s).astype(int), k - 1)
     w = (s - i).reshape((-1,) + (1,) * (values.ndim - 1))
     return np.where(w == 0.0, values[i],

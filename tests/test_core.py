@@ -10,6 +10,7 @@ from lqgame import (
     block_inverse, check_symmetric, coefficients, eval_coeff, sym,
     sym_eig_extremes,
 )
+from lqgame.core import interpolate
 from conftest import scalar_game
 
 
@@ -53,6 +54,17 @@ class TestCoefficientPath:
         p = CoefficientPath.sampled(np.array([a, b]).reshape(2, 1, 1), 1.0)
         v = eval_coeff(p, t)[0, 0]
         assert min(a, b) - 1e-12 <= v <= max(a, b) + 1e-12
+
+    # spans reach down to 1e-290: below that span/k can be subnormal, and
+    # np.linspace itself no longer places the nodes to double precision
+    @given(span=st.floats(1e-290, 10.0), k=st.integers(1, 3000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_interpolate_returns_node_values_at_linspace_nodes(self, span, k,
+                                                               seed):
+        v = np.random.default_rng(seed).uniform(-1.0, 1.0, (k + 1, 1, 2))
+        got = interpolate(v, span, np.linspace(0.0, span, k + 1))
+        assert got.tobytes() == v.tobytes()
 
     def test_outside_span_is_domain_error(self):
         p = CoefficientPath.sampled(np.zeros((2, 1, 1)), 1.0)
@@ -164,6 +176,8 @@ def eval_reference(path: CoefficientPath, t: float) -> np.ndarray:
         return path.values
     k = path.values.shape[0] - 1
     s = np.clip(t / path.span, 0.0, 1.0) * k
+    if abs(s - round(s)) <= 16 * np.finfo(float).eps * k:
+        s = float(round(s))
     i = min(int(np.floor(s)), k - 1)
     w = s - i
     if w == 0.0:
