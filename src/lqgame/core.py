@@ -7,8 +7,9 @@ the two players' coefficients are laid out as blocks -- B = [B1|B2],
 D = [D1|D2], S = [S1;S2], R = [[R11,R12],[R21,R22]] -- and how a path is
 sampled in time: ``coefficients`` evaluates every path of a problem once for
 a whole array of times, and ``interpolate`` is the one linear interpolator of
-node values.  All containers are immutable after construction and every
-function is pure.
+node values.  The matrix kernels also take stacks over leading (time) axes,
+so one call handles every node of a grid.  All containers are immutable
+after construction and every function is pure.
 """
 
 from __future__ import annotations
@@ -43,9 +44,14 @@ class SingularBlockError(LqgError):
         super().__init__(f"block {block!r} is numerically singular (cond~{cond:.3e})")
 
 
+def _T(M: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack (the last two axes)."""
+    return np.swapaxes(M, -1, -2)
+
+
 def sym(M: np.ndarray) -> np.ndarray:
-    """Symmetric part (M + M^T)/2."""
-    return 0.5 * (M + M.T)
+    """Symmetric part (M + M^T)/2 of a matrix or of each matrix in a stack."""
+    return 0.5 * (M + _T(M))
 
 
 def _frozen(a) -> np.ndarray:
@@ -55,8 +61,10 @@ def _frozen(a) -> np.ndarray:
 
 
 def check_symmetric(M: np.ndarray, name: str, rtol: float = SYM_RTOL) -> None:
-    scale = max(1.0, float(np.abs(M).max())) if M.size else 1.0
-    if np.abs(M - M.T).max(initial=0.0) > rtol * scale:
+    """Raise ContractViolation unless M, or every matrix of a stack, is
+    symmetric within rtol relative to its own largest entry."""
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1), initial=0.0))
+    if np.any(np.abs(M - _T(M)).max(axis=(-2, -1), initial=0.0) > rtol * scale):
         raise ContractViolation(f"{name} is not symmetric within {rtol:g} relative")
 
 
@@ -336,6 +344,10 @@ class CoefficientTable(NamedTuple):
     S: np.ndarray
     R: np.ndarray
 
+    def row(self, j: int) -> "CoefficientTable":
+        """The coefficients at ``times[j]`` alone, without a time axis."""
+        return CoefficientTable(*(a[j] for a in self))
+
 
 def _sample(path: CoefficientPath, times: np.ndarray) -> np.ndarray:
     if path.kind == "constant":
@@ -370,61 +382,93 @@ def coefficients(problem: GameProblem, times) -> CoefficientTable:
     return table
 
 
-def sym_eig_extremes(M: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a symmetric matrix."""
+def _eig_extremes(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of each matrix of a stack that is
+    symmetric by construction (no check); scalars for a single matrix."""
+    w = S[..., 0] if S.shape[-2:] == (1, 1) else np.linalg.eigvalsh(S)
+    return w[..., 0][()], w[..., -1][()]
+
+
+def sym_eig_extremes(M: np.ndarray):
+    """Smallest and largest eigenvalue of a symmetric matrix, or of each
+    matrix of a stack as arrays over its leading axes."""
     M = np.atleast_2d(M)
     check_symmetric(M, "sym_eig_extremes argument")
-    if M.shape == (1, 1):
-        v = float(M[0, 0])
-        return (v, v)
-    w = np.linalg.eigvalsh(sym(M))
-    return (float(w[0]), float(w[-1]))
+    return _eig_extremes(sym(M))
 
 
 def block_inverse(M: np.ndarray, L: np.ndarray, N: np.ndarray,
                   cond_limit: float = COND_LIMIT) -> np.ndarray:
-    """Inverse of the 2x2 block matrix [[M, L], [L^T, N]].
+    """Inverse of the 2x2 block matrix [[M, L], [L^T, N]], or of each one in
+    a stack (M, L and N share their leading axes).
 
     Uses the Schur complement Phi = N - L^T M^-1 L:
 
         [[M^-1 + (M^-1 L) Phi^-1 (M^-1 L)^T,  -(M^-1 L) Phi^-1],
          [-Phi^-1 (M^-1 L)^T,                  Phi^-1          ]]
 
-    Raises SingularBlockError naming the failing block when M or Phi is
-    numerically singular.
+    Raises SingularBlockError naming the failing block ("M" or "Phi") of the
+    first matrix of the stack where M or Phi is numerically singular.
     """
     M, L, N = np.atleast_2d(M), np.atleast_2d(L), np.atleast_2d(N)
-    if np.linalg.cond(M) > cond_limit:
-        raise SingularBlockError("M", float(np.linalg.cond(M)))
+    cond_M = np.ravel(np.linalg.cond(M))
+    bad = np.flatnonzero(cond_M > cond_limit)
+    if bad.size:
+        # a singular Phi in a matrix before the first singular M fails first
+        j = bad[0]
+        block_inverse(*(X.reshape((-1,) + X.shape[-2:])[:j] for X in (M, L, N)),
+                      cond_limit)
+        raise SingularBlockError("M", float(cond_M[j]))
     Minv_L = np.linalg.solve(M, L)
-    Phi = N - L.T @ Minv_L
-    if np.linalg.cond(Phi) > cond_limit:
-        raise SingularBlockError("Phi", float(np.linalg.cond(Phi)))
+    Phi = N - _T(L) @ Minv_L
+    cond_Phi = np.ravel(np.linalg.cond(Phi))
+    bad = np.flatnonzero(cond_Phi > cond_limit)
+    if bad.size:
+        raise SingularBlockError("Phi", float(cond_Phi[bad[0]]))
     Phi_inv = np.linalg.inv(Phi)
     M_inv = np.linalg.inv(M)
-    top_left = M_inv + Minv_L @ Phi_inv @ Minv_L.T
+    top_left = M_inv + Minv_L @ Phi_inv @ _T(Minv_L)
     top_right = -Minv_L @ Phi_inv
-    return np.block([[top_left, top_right], [top_right.T, Phi_inv]])
+    return np.block([[top_left, top_right], [_T(top_right), Phi_inv]])
 
 
-def assemble_at(table: CoefficientTable, j: int, P: np.ndarray,
-                m1: int) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    """Form R_P = R + D^T P D and S_P = B^T P + D^T P C + S from row j of a
-    coefficient table.
+def assemble(table: CoefficientTable, P: np.ndarray,
+             m1: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Form R_P = R + D^T P D and S_P = B^T P + D^T P C + S from one row of
+    a coefficient table and one P, or from stacks of both.
 
     Returns (R_P, S_P, margins) where margins = (lambda_min of the player-1
     diagonal block of R_P, lambda_max of the player-2 diagonal block).
     """
     check_symmetric(P, "P", rtol=1e-10)
-    B, C, D = table.B[j], table.C[j], table.D[j]
-    R_P = table.R[j] + D.T @ P @ D
-    S_P = B.T @ P + D.T @ P @ C + table.S[j]
-    margin1 = sym_eig_extremes(sym(R_P[:m1, :m1]))[0]
-    margin2 = sym_eig_extremes(sym(R_P[m1:, m1:]))[1]
+    Dt = _T(table.D)
+    R_P = table.R + Dt @ P @ table.D
+    S_P = _T(table.B) @ P + Dt @ P @ table.C + table.S
+    margin1 = _eig_extremes(sym(R_P[..., :m1, :m1]))[0]
+    margin2 = _eig_extremes(sym(R_P[..., m1:, m1:]))[1]
     return R_P, S_P, (margin1, margin2)
 
 
 def assemble_blocks(problem: GameProblem, P: np.ndarray,
                     t: float) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    """Form R_P and S_P and the margins at time t, as ``assemble_at`` does."""
-    return assemble_at(coefficients(problem, t), 0, np.atleast_2d(P), problem.m1)
+    """Form R_P and S_P and the margins at time t, as ``assemble`` does."""
+    return assemble(coefficients(problem, t).row(0), np.atleast_2d(P), problem.m1)
+
+
+def linear_flow(F_nodes: np.ndarray, span: float, X0: np.ndarray) -> np.ndarray:
+    """Classical fourth-order Runge--Kutta for X' = F(t) X, X(0) = X0 (a
+    vector or a matrix), with F given at the nodes of a uniform grid on
+    [0, span]; returns X at every node."""
+    n_steps = F_nodes.shape[0] - 1
+    nodes = np.linspace(0.0, span, n_steps + 1)
+    F_mid = interpolate(F_nodes, span, 0.5 * (nodes[:-1] + nodes[1:]))
+    h = span / n_steps
+    X, path = X0, [X0]
+    for k in range(n_steps):
+        k1 = F_nodes[k] @ X
+        k2 = F_mid[k] @ (X + 0.5 * h * k1)
+        k3 = F_mid[k] @ (X + 0.5 * h * k2)
+        k4 = F_nodes[k + 1] @ (X + h * k3)
+        X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        path.append(X)
+    return np.array(path)

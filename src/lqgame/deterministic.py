@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    GameProblem, LqgError, TimeGrid, block_inverse, coefficients, interpolate,
-    sym, sym_eig_extremes,
+    GameProblem, LqgError, TimeGrid, block_inverse, coefficients, linear_flow,
+    sym, sym_eig_extremes, _T,
 )
 from .riccati import (
     BlowUpError, CertificateReport, RegularityError, RiccatiSolution,
@@ -40,9 +40,6 @@ class HamiltonianPath:
     grid: TimeGrid
     H_nodes: np.ndarray
 
-    def H_at(self, t: float) -> np.ndarray:
-        return interpolate(self.H_nodes, self.grid.horizon_T, t)[0]
-
 
 @dataclass(frozen=True, eq=False)
 class FundamentalMatrix:
@@ -67,51 +64,42 @@ def hamiltonian(problem: GameProblem, n_steps: int = 2000) -> HamiltonianPath:
     """Assemble the Hamiltonian block matrix at every grid node.
 
     Requires C = D1 = D2 = 0, R11 positive definite and R22 negative
-    definite at every node.
+    definite at every node; raises RegularityError at the first node where
+    either fails (player 1 when both do).
     """
     if not problem.is_deterministic():
         raise NotDeterministicError("problem has nonzero C or D coefficients")
     grid = TimeGrid(problem.horizon_T, n_steps)
     table = coefficients(problem, grid.nodes)
     m1 = problem.m1
-    H = []
-    for t, A, B, Q, S, R in zip(grid.nodes, table.A, table.B, table.Q,
-                                table.S, table.R):
-        R11, R12, R22 = R[:m1, :m1], R[:m1, m1:], R[m1:, m1:]
-        lo = sym_eig_extremes(R11)[0]
-        hi = sym_eig_extremes(R22)[1]
-        if lo <= 0:
-            raise RegularityError(t, 1, lo)
-        if hi >= 0:
-            raise RegularityError(t, 2, hi)
-        R_inv = block_inverse(R11, R12, R22)
-        Adj = A - B @ R_inv @ S
-        H.append(np.block([
-            [Adj, -B @ R_inv @ B.T],
-            [-(Q - S.T @ R_inv @ S), -Adj.T],
-        ]))
-    return HamiltonianPath(grid=grid, H_nodes=np.array(H))
+    A, B, Q, S, R = table.A, table.B, table.Q, table.S, table.R
+    R11, R12, R22 = R[:, :m1, :m1], R[:, :m1, m1:], R[:, m1:, m1:]
+    lo = sym_eig_extremes(R11)[0]
+    hi = sym_eig_extremes(R22)[1]
+    bad = np.flatnonzero((lo <= 0) | (hi >= 0))
+    if bad.size:
+        j = bad[0]
+        if lo[j] <= 0:
+            raise RegularityError(grid.nodes[j], 1, float(lo[j]))
+        raise RegularityError(grid.nodes[j], 2, float(hi[j]))
+    R_inv = block_inverse(R11, R12, R22)
+    Adj = A - B @ R_inv @ S
+    H = np.block([
+        [Adj, -B @ R_inv @ _T(B)],
+        [-(Q - _T(S) @ R_inv @ S), -_T(Adj)],
+    ])
+    return HamiltonianPath(grid=grid, H_nodes=H)
 
 
 def fundamental_matrix(h: HamiltonianPath) -> FundamentalMatrix:
-    """Forward fourth-order integration of Psi' = H Psi, Psi(0) = I."""
-    dim = h.H_nodes.shape[-1]
-    nodes = h.grid.nodes
-    dt = h.grid.dt
-    Psi = np.eye(dim)
-    out = [Psi]
-    for k in range(h.grid.n_steps):
-        t0, t1 = nodes[k], nodes[k + 1]
-        Hm = h.H_at(0.5 * (t0 + t1))
-        k1 = h.H_nodes[k] @ Psi
-        k2 = Hm @ (Psi + 0.5 * dt * k1)
-        k3 = Hm @ (Psi + 0.5 * dt * k2)
-        k4 = h.H_nodes[k + 1] @ (Psi + dt * k3)
-        Psi = Psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(Psi)):
-            raise BlowUpError(t1, float("inf"))
-        out.append(Psi)
-    return FundamentalMatrix(grid=h.grid, Psi_nodes=np.array(out))
+    """Forward fourth-order integration of Psi' = H Psi, Psi(0) = I.
+
+    Raises BlowUpError at the first node where Psi is not finite."""
+    Psi = linear_flow(h.H_nodes, h.grid.horizon_T, np.eye(h.H_nodes.shape[-1]))
+    finite = np.isfinite(Psi).all(axis=(1, 2))
+    if not finite.all():
+        raise BlowUpError(h.grid.nodes[np.argmin(finite)], float("inf"))
+    return FundamentalMatrix(grid=h.grid, Psi_nodes=Psi)
 
 
 def representation(problem: GameProblem, psi: FundamentalMatrix,
@@ -128,29 +116,25 @@ def representation(problem: GameProblem, psi: FundamentalMatrix,
     G = np.atleast_2d(problem.cost.G if G is None else np.asarray(G, float))
     Psi_T = psi.Psi_nodes[-1]
     GI = np.hstack([G, -np.eye(n)])
-    lambdas, P_rep, conds, defects = [], [], [], []
-    for t, Psi_t in zip(psi.grid.nodes, psi.Psi_nodes):
-        # Psi(T) Psi(t)^-1 via a linear solve against Psi(t)
-        M = np.linalg.solve(Psi_t.T, Psi_T.T).T
-        edge = GI @ M
-        Lam = edge[:, n:]
-        # conditioning of the solve for P: Lam may shrink toward a singular
-        # matrix while the remaining boundary data stays order one
-        sigma_min = float(np.linalg.svd(Lam, compute_uv=False)[-1])
-        scale = max(float(np.abs(edge).max()), 1.0)
-        cond = scale / sigma_min if sigma_min > 0 else np.inf
-        if cond > cond_limit:
-            raise RepresentationSingularError(float(t), cond)
-        P = -np.linalg.solve(Lam, edge[:, :n])
-        defect = float(np.linalg.norm(P - P.T))
-        lambdas.append(Lam)
-        P_rep.append(sym(P))
-        conds.append(cond)
-        defects.append(defect)
+    # Psi(T) Psi(t)^-1 via a linear solve against Psi(t)
+    edge = GI @ _T(np.linalg.solve(_T(psi.Psi_nodes), Psi_T.T))
+    Lam = edge[:, :, n:]
+    # conditioning of the solve for P: Lam may shrink toward a singular
+    # matrix while the remaining boundary data stays order one
+    sigma_min = np.linalg.svd(Lam, compute_uv=False)[:, -1]
+    scale = np.maximum(np.abs(edge).max(axis=(1, 2)), 1.0)
+    cond = np.divide(scale, sigma_min, out=np.full_like(scale, np.inf),
+                     where=sigma_min > 0)
+    bad = np.flatnonzero(cond > cond_limit)
+    if bad.size:
+        raise RepresentationSingularError(float(psi.grid.nodes[bad[0]]),
+                                          float(cond[bad[0]]))
+    P = -np.linalg.solve(Lam, edge[:, :, :n])
+    # |P - P'|_F as the dot product np.linalg.norm takes of one raveled matrix
+    asym = (P - _T(P)).reshape(len(P), 1, -1)
     return RepresentationResult(
-        grid=psi.grid, Lambda_nodes=np.array(lambdas),
-        P_rep_nodes=np.array(P_rep), condition_numbers=np.array(conds),
-        symmetry_defects=np.array(defects))
+        grid=psi.grid, Lambda_nodes=Lam, P_rep_nodes=sym(P),
+        condition_numbers=cond, symmetry_defects=np.sqrt(asym @ _T(asym))[:, 0, 0])
 
 
 @dataclass

@@ -10,16 +10,14 @@ loss between nodes is caught at the stage time.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     CoefficientPath, CoefficientTable, ContractViolation, CostWeights,
-    GameProblem, LqgError, TimeGrid, assemble_at, coefficients, interpolate,
-    sym, sym_eig_extremes, _sample_stack,
+    GameProblem, LqgError, TimeGrid, assemble, coefficients, interpolate,
+    sym, _eig_extremes, _sample_stack,
 )
 
 KINDS = ("game", "player1", "player2")
@@ -102,25 +100,25 @@ def _margin_check(kind: str, t: float, margin1: float, margin2: float,
         raise RegularityError(t, 2, margin2)
 
 
-def _field(table: CoefficientTable, j: int, P: np.ndarray, R_P: np.ndarray,
+def _field(row: CoefficientTable, P: np.ndarray, R_P: np.ndarray,
            S_P: np.ndarray, kind: str, m1: int) -> np.ndarray:
-    """dP/dt at row j of a coefficient table, given R_P and S_P there."""
+    """dP/dt at one row of a coefficient table, given R_P and S_P there."""
     if kind == "player1":
         Rk, Sk = R_P[:m1, :m1], S_P[:m1, :]
     elif kind == "player2":
         Rk, Sk = R_P[m1:, m1:], S_P[m1:, :]
     else:
         Rk, Sk = R_P, S_P
-    A, C, Q = table.A[j], table.C[j], table.Q[j]
+    A, C, Q = row.A, row.C, row.Q
     F = -(P @ A + A.T @ P + C.T @ P @ C + Q - Sk.T @ np.linalg.solve(Rk, Sk))
     return sym(F)
 
 
-def _rhs(table: CoefficientTable, j: int, t: float, P: np.ndarray, kind: str,
+def _rhs(row: CoefficientTable, t: float, P: np.ndarray, kind: str,
          m1: int, eps_reg: float) -> np.ndarray:
-    R_P, S_P, margins = assemble_at(table, j, P, m1)
+    R_P, S_P, margins = assemble(row, P, m1)
     _margin_check(kind, t, *margins, eps_reg)
-    return _field(table, j, P, R_P, S_P, kind, m1)
+    return _field(row, P, R_P, S_P, kind, m1)
 
 
 def riccati_rhs(problem: GameProblem, t: float, P: np.ndarray, kind: str,
@@ -134,7 +132,7 @@ def riccati_rhs(problem: GameProblem, t: float, P: np.ndarray, kind: str,
     """
     if kind not in KINDS:
         raise ContractViolation(f"unknown kind {kind!r}")
-    return _rhs(coefficients(problem, t), 0, t, np.atleast_2d(P), kind,
+    return _rhs(coefficients(problem, t).row(0), t, np.atleast_2d(P), kind,
                 problem.m1, eps_reg)
 
 
@@ -159,12 +157,10 @@ def solve_riccati(problem: GameProblem, config: SolverConfig,
     times[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
     table = coefficients(problem, times)
 
-    def rhs(j, P):
-        return _rhs(table, j, times[j], P, kind, m1, eps)
-
     # a node's assembly serves both its margin check and the next step's k1
     P = np.array(problem.cost.G)
-    R_P, S_P, margins = assemble_at(table, 2 * grid.n_steps, P, m1)
+    node = table.row(2 * grid.n_steps)
+    R_P, S_P, margins = assemble(node, P, m1)
     times_done = [nodes[-1]]
     P_done = [P]
     m_done = [margins]
@@ -181,15 +177,17 @@ def solve_riccati(problem: GameProblem, config: SolverConfig,
         _margin_check(kind, nodes[-1], *margins, eps)
         for k in range(grid.n_steps, 0, -1):
             t0 = nodes[k - 1]
-            k1 = _field(table, 2 * k, P, R_P, S_P, kind, m1)
-            k2 = rhs(2 * k - 1, sym(P - 0.5 * h * k1))
-            k3 = rhs(2 * k - 1, sym(P - 0.5 * h * k2))
-            k4 = rhs(2 * k - 2, sym(P - h * k3))
+            mid, prev = table.row(2 * k - 1), table.row(2 * k - 2)
+            k1 = _field(node, P, R_P, S_P, kind, m1)
+            k2 = _rhs(mid, times[2 * k - 1], sym(P - 0.5 * h * k1), kind, m1, eps)
+            k3 = _rhs(mid, times[2 * k - 1], sym(P - 0.5 * h * k2), kind, m1, eps)
+            k4 = _rhs(prev, t0, sym(P - h * k3), kind, m1, eps)
             P = sym(P - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
             norm = float(np.linalg.norm(P))
             if not np.isfinite(norm) or norm > config.blowup_cap:
                 raise BlowUpError(t0, norm)
-            R_P, S_P, margins = assemble_at(table, 2 * k - 2, P, m1)
+            node = prev
+            R_P, S_P, margins = assemble(node, P, m1)
             _margin_check(kind, t0, *margins, eps)
             times_done.append(t0)
             P_done.append(P)
@@ -272,10 +270,8 @@ def comparison_check(game: RiccatiSolution, p1: RiccatiSolution,
     """Check the sandwich P1 <= P <= P2 node-by-node."""
     if not (game.grid.same_as(p1.grid) and game.grid.same_as(p2.grid)):
         raise ContractViolation("comparison_check requires a common grid")
-    lower = np.array([sym_eig_extremes(sym(P - Q1))[0]
-                      for P, Q1 in zip(game.P_nodes, p1.P_nodes)])
-    upper = np.array([sym_eig_extremes(sym(Q2 - P))[0]
-                      for P, Q2 in zip(game.P_nodes, p2.P_nodes)])
+    lower = _eig_extremes(sym(game.P_nodes - p1.P_nodes))[0]
+    upper = _eig_extremes(sym(p2.P_nodes - game.P_nodes))[0]
     both = np.minimum(lower, upper)
     worst = int(np.argmin(both))
     return ComparisonReport(
@@ -315,10 +311,11 @@ class RegularizedFamily:
 
 def solve_lambda_family(problem: GameProblem, lambdas,
                         config: SolverConfig) -> RegularizedFamily:
-    """Solve the game Riccati equation for each penalty level.
+    """Solve the game Riccati equation for each penalty level, one level
+    after another.
 
-    Per-level failures are recorded, not raised.  Levels are solved in
-    parallel when LQGAME_THREADS allows (the solves share no state).
+    Per-level failures are recorded, not raised: level j's solution equals
+    ``solve_riccati(regularized_problem(problem, lambdas[j]), config)``.
     """
     lambdas = [float(l) for l in lambdas]
     if any(l <= 0 for l in lambdas):
@@ -332,13 +329,7 @@ def solve_lambda_family(problem: GameProblem, lambdas,
         except (RegularityError, BlowUpError) as err:
             return None, f"{type(err).__name__}: {err}"
 
-    workers = max(1, int(os.environ.get("LQGAME_THREADS", "1")))
-    if workers > 1 and len(lambdas) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(solve_one, lambdas))
-    else:
-        outcomes = [solve_one(l) for l in lambdas]
-
+    outcomes = [solve_one(lam) for lam in lambdas]
     solutions = [s for s, _ in outcomes]
     failures = [f for _, f in outcomes]
     P0 = [s.P0() if s is not None else None for s in solutions]

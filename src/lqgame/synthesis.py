@@ -1,5 +1,7 @@
 """Saddle feedback synthesis from a game Riccati solution, plus the
-algebraic stationarity checks that verify it."""
+algebraic stationarity checks that verify it.  Each function applies the
+stacked kernels of ``core`` to all grid nodes at once; only the mean state
+path is integrated step by step."""
 
 from __future__ import annotations
 
@@ -8,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ContractViolation, GameProblem, TimeGrid, assemble_at, block_inverse,
-    coefficients, interpolate,
+    ContractViolation, GameProblem, TimeGrid, assemble, block_inverse,
+    coefficients, interpolate, linear_flow, _T,
 )
 from .riccati import RiccatiSolution
 
@@ -49,9 +51,6 @@ class ClosedLoopSystem:
     drift_nodes: np.ndarray
     diffusion_nodes: np.ndarray
 
-    def drift_at(self, t: float) -> np.ndarray:
-        return interpolate(self.drift_nodes, self.grid.horizon_T, t)[0]
-
 
 @dataclass(frozen=True, eq=False)
 class AdjointTriple:
@@ -71,12 +70,9 @@ def feedback_gain(problem: GameProblem, sol: RiccatiSolution) -> FeedbackLaw:
         raise ContractViolation("Riccati solution has non-regular nodes")
     m1 = problem.m1
     table = coefficients(problem, sol.grid.nodes)
-    thetas = []
-    for j, P in enumerate(sol.P_nodes):
-        R_P, S_P, _ = assemble_at(table, j, P, m1)
-        R_inv = block_inverse(R_P[:m1, :m1], R_P[:m1, m1:], R_P[m1:, m1:])
-        thetas.append(-R_inv @ S_P)
-    return FeedbackLaw(grid=sol.grid, theta_nodes=np.array(thetas),
+    R_P, S_P, _ = assemble(table, sol.P_nodes, m1)
+    R_inv = block_inverse(R_P[:, :m1, :m1], R_P[:, :m1, m1:], R_P[:, m1:, m1:])
+    return FeedbackLaw(grid=sol.grid, theta_nodes=-R_inv @ S_P,
                        m1=problem.m1, m2=problem.m2)
 
 
@@ -91,34 +87,16 @@ def game_value(sol: RiccatiSolution, x) -> float:
 def closed_loop(problem: GameProblem, law: FeedbackLaw) -> ClosedLoopSystem:
     """Form A + B Theta and C + D Theta at every node of the law's grid."""
     table = coefficients(problem, law.grid.nodes)
-    drift, diffusion = [], []
-    for A, B, C, D, Th in zip(table.A, table.B, table.C, table.D,
-                              law.theta_nodes):
-        drift.append(A + B @ Th)
-        diffusion.append(C + D @ Th)
-    return ClosedLoopSystem(grid=law.grid, drift_nodes=np.array(drift),
-                            diffusion_nodes=np.array(diffusion))
+    return ClosedLoopSystem(grid=law.grid,
+                            drift_nodes=table.A + table.B @ law.theta_nodes,
+                            diffusion_nodes=table.C + table.D @ law.theta_nodes)
 
 
 def mean_state_path(system: ClosedLoopSystem, x) -> np.ndarray:
     """Mean closed-loop flow dX/dt = (A + B Theta) X, integrated by the same
     fixed-step fourth-order scheme as the Riccati solver."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    nodes = system.grid.nodes
-    h = system.grid.dt
-    path = [x]
-    X = x
-    for k in range(system.grid.n_steps):
-        t0, t1 = nodes[k], nodes[k + 1]
-        tm = 0.5 * (t0 + t1)
-        f = system.drift_at
-        k1 = f(t0) @ X
-        k2 = f(tm) @ (X + 0.5 * h * k1)
-        k3 = f(tm) @ (X + 0.5 * h * k2)
-        k4 = f(t1) @ (X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        path.append(X)
-    return np.array(path)
+    return linear_flow(system.drift_nodes, system.grid.horizon_T, x)
 
 
 def adjoint_from_state(problem: GameProblem, sol: RiccatiSolution,
@@ -129,13 +107,11 @@ def adjoint_from_state(problem: GameProblem, sol: RiccatiSolution,
     if X_path.shape[0] != sol.grid.n_steps + 1:
         raise ContractViolation("state path must live on the solution grid")
     table = coefficients(problem, sol.grid.nodes)
-    Y, Z = [], []
-    for C, D, P, Th, X in zip(table.C, table.D, sol.P_nodes, law.theta_nodes,
-                              X_path):
-        u = Th @ X
-        Y.append(P @ X)
-        Z.append(P @ (C @ X + D @ u))
-    return AdjointTriple(X_nodes=X_path, Y_nodes=np.array(Y), Z_nodes=np.array(Z))
+    X = X_path[:, :, None]
+    u = law.theta_nodes @ X
+    Y = sol.P_nodes @ X
+    Z = sol.P_nodes @ (table.C @ X + table.D @ u)
+    return AdjointTriple(X_nodes=X_path, Y_nodes=Y[:, :, 0], Z_nodes=Z[:, :, 0])
 
 
 def fbsde_residual(problem: GameProblem, sol: RiccatiSolution,
@@ -147,10 +123,8 @@ def fbsde_residual(problem: GameProblem, sol: RiccatiSolution,
         raise ContractViolation("solution and law grids differ")
     triple = adjoint_from_state(problem, sol, law, X_path)
     table = coefficients(problem, sol.grid.nodes)
-    out = []
-    for B, D, S, R, Th, X, Y, Z in zip(
-            table.B, table.D, table.S, table.R, law.theta_nodes,
-            triple.X_nodes, triple.Y_nodes, triple.Z_nodes):
-        u = Th @ X
-        out.append(float(np.linalg.norm(B.T @ Y + D.T @ Z + S @ X + R @ u)))
-    return np.array(out)
+    X, Y, Z = (V[:, :, None] for V in (triple.X_nodes, triple.Y_nodes, triple.Z_nodes))
+    u = law.theta_nodes @ X
+    defect = _T(table.B) @ Y + _T(table.D) @ Z + table.S @ X + table.R @ u
+    # |v| as sqrt(v'v), the dot product np.linalg.norm takes of one vector
+    return np.sqrt(_T(defect) @ defect)[:, 0, 0]

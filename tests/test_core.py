@@ -10,7 +10,7 @@ from lqgame import (
     block_inverse, check_symmetric, coefficients, eval_coeff, sym,
     sym_eig_extremes,
 )
-from lqgame.core import interpolate
+from lqgame.core import assemble, interpolate
 from conftest import scalar_game
 
 
@@ -85,6 +85,15 @@ class TestValidation:
         with pytest.raises(ContractViolation):
             check_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), "M")
 
+    def test_check_symmetric_scales_each_matrix_of_a_stack(self):
+        # a defect of 1e-8 is within tolerance next to entries of 1e6, but
+        # not in a matrix of its own whose entries are of order one
+        big = np.diag([1e6, 1e6])
+        small = np.array([[1.0, 1e-8], [0.0, 1.0]])
+        check_symmetric(big + small, "M")
+        with pytest.raises(ContractViolation):
+            check_symmetric(np.stack([big, small]), "M")
+
     def test_cost_weights_reject_asymmetric_G(self):
         with pytest.raises(ContractViolation):
             CostWeights(G=np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -132,6 +141,14 @@ class TestEigExtremes:
         q = v @ S @ v
         assert lo - 1e-9 <= q <= hi + 1e-9
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_stack_equals_each_matrix(self, dim):
+        stack = sym(np.random.default_rng(dim).normal(size=(5, dim, dim)))
+        lo, hi = sym_eig_extremes(stack)
+        assert lo.shape == hi.shape == (5,)
+        for j, M in enumerate(stack):
+            assert (lo[j], hi[j]) == sym_eig_extremes(M)
+
 
 class TestBlockInverse:
     @given(M=finite_matrices(2, 2), L=finite_matrices(2, 2),
@@ -158,6 +175,53 @@ class TestBlockInverse:
         with pytest.raises(SingularBlockError) as exc:
             block_inverse(M, L, L.T @ L)
         assert exc.value.block == "Phi"
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 6),
+           m=st.integers(1, 3), k=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_equals_each_matrix(self, seed, size, m, k):
+        rng = np.random.default_rng(seed)
+        M = sym(rng.normal(size=(size, m, m))) + 3 * m * np.eye(m)
+        L = rng.normal(size=(size, m, k))
+        N = sym(rng.normal(size=(size, k, k))) - 3 * k * np.eye(k)
+        stacked = block_inverse(M, L, N)
+        for j in range(size):
+            assert bits(stacked[j]) == bits(block_inverse(M[j], L[j], N[j]))
+
+    @staticmethod
+    def saddle_stack(size=5):
+        M = np.stack([np.eye(2)] * size)
+        L = np.stack([np.eye(2)] * size)
+        N = np.stack([-np.eye(2)] * size)
+        return M, L, N
+
+    def test_singular_M_in_stack_named(self):
+        M, L, N = self.saddle_stack()
+        M[3] = 0.0
+        with pytest.raises(SingularBlockError) as exc:
+            block_inverse(M, L, N)
+        assert exc.value.block == "M"
+
+    def test_singular_schur_complement_in_stack_named(self):
+        M, L, N = self.saddle_stack()
+        N[2] = np.eye(2)        # Phi = N - L' M^-1 L = 0
+        with pytest.raises(SingularBlockError) as exc:
+            block_inverse(M, L, N)
+        assert exc.value.block == "Phi"
+
+    def test_first_failing_matrix_of_stack_wins(self):
+        # matrix 1 has a singular Schur complement, matrix 3 a singular M
+        M, L, N = self.saddle_stack()
+        N[1] = np.eye(2)
+        M[3] = 0.0
+        with pytest.raises(SingularBlockError) as exc:
+            block_inverse(M, L, N)
+        assert exc.value.block == "Phi"
+        N[1] = -np.eye(2)
+        N[4] = np.eye(2)
+        with pytest.raises(SingularBlockError) as exc:
+            block_inverse(M, L, N)
+        assert exc.value.block == "M"
 
     def test_indefinite_saddle_block(self):
         # definite M > 0 and N < 0 always invert (Schur complement < 0)
@@ -275,6 +339,18 @@ class TestAssembleBlocks:
         _, _, (m1, m2) = assemble_blocks(p, np.array([[0.5]]), 0.0)
         assert m1 == pytest.approx(1.5)
         assert m2 == pytest.approx(-0.5)
+
+    def test_stack_equals_rows(self):
+        p = mixed_game(5, (3, 2, 1), [0, 3, 0, 2, 0, 7, 0, 0, 3, 0, 2, 0], 1.0)
+        times = np.linspace(0.0, 1.0, 9)
+        rng = np.random.default_rng(0)
+        P = sym(rng.normal(size=(len(times), 3, 3)))
+        table = coefficients(p, times)
+        R_P, S_P, (margin1, margin2) = assemble(table, P, 2)
+        for j in range(len(times)):
+            r, s, (a, b) = assemble(table.row(j), P[j], 2)
+            assert bits(R_P[j]) == bits(r) and bits(S_P[j]) == bits(s)
+            assert (margin1[j], margin2[j]) == (a, b)
 
     def test_asymmetric_P_rejected(self, ex4_5):
         with pytest.raises(ContractViolation):

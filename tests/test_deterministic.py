@@ -3,9 +3,10 @@ import pytest
 from scipy.linalg import expm
 
 from lqgame import (
-    NotDeterministicError, RepresentationSingularError, SolverConfig,
-    equivalence_report, fundamental_matrix, hamiltonian, representation,
-    solve_riccati,
+    BlowUpError, CoefficientPath, CostWeights, GameProblem, HamiltonianPath,
+    NotDeterministicError, RegularityError, RepresentationSingularError,
+    SolverConfig, StateDynamics, TimeGrid, equivalence_report,
+    fundamental_matrix, hamiltonian, representation, solve_riccati,
 )
 from conftest import scalar_game
 
@@ -38,6 +39,33 @@ class TestHamiltonian:
         n = rand_det_problem.n
         assert det_ham.H_nodes.shape == (401, 2 * n, 2 * n)
 
+    @staticmethod
+    def sampled_R_game(R11, R22):
+        """Noise-free scalar game with R11, R22 linear in t on [0, 1]."""
+        c = CoefficientPath.constant
+        s = lambda v: CoefficientPath.sampled(np.reshape(v, (-1, 1, 1)), 1.0)
+        dyn = StateDynamics(A=c(0.0), B1=c(1.0), B2=c(1.0), C=c(0.0),
+                            D1=c(0.0), D2=c(0.0))
+        cost = CostWeights(G=np.zeros((1, 1)), Q=c(0.0), S1=c(0.0), S2=c(0.0),
+                           R11=s(R11), R12=c(0.0), R21=c(0.0), R22=s(R22))
+        return GameProblem(dynamics=dyn, cost=cost, horizon_T=1.0)
+
+    def test_regularity_loss_at_first_failing_node(self):
+        nodes = TimeGrid(1.0, 10).nodes
+        # R11 = 1 - 2t reaches 0 at node t = 0.5 of the 10-step grid
+        with pytest.raises(RegularityError) as exc:
+            hamiltonian(self.sampled_R_game([1.0, -1.0], [-1.0, -1.0]), 10)
+        assert (exc.value.time, exc.value.side, exc.value.margin) == (nodes[5], 1, 0.0)
+        # R22 = -1 + 2t reaches 0 at the same node: player 1 is reported
+        with pytest.raises(RegularityError) as exc:
+            hamiltonian(self.sampled_R_game([1.0, -1.0], [-1.0, 1.0]), 10)
+        assert (exc.value.time, exc.value.side) == (nodes[5], 1)
+        # R22 = -1 + 4t is positive first, at t = 0.3
+        with pytest.raises(RegularityError) as exc:
+            hamiltonian(self.sampled_R_game([1.0, -1.0], [-1.0, 3.0]), 10)
+        assert (exc.value.time, exc.value.side) == (nodes[3], 2)
+        assert exc.value.margin == pytest.approx(0.2)
+
 
 class TestFundamentalMatrix:
     def test_starts_at_identity(self, det_psi):
@@ -55,6 +83,17 @@ class TestFundamentalMatrix:
     def test_unit_determinant(self, det_psi):
         dets = np.linalg.det(det_psi.Psi_nodes)
         assert np.abs(dets - 1.0).max() < 1e-6
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises_at_first_non_finite_node(self):
+        # finite up to t = 0.4, where a huge H lets Psi overflow in one step
+        grid = TimeGrid(1.0, 10)
+        H = np.zeros((11, 2, 2))
+        H[4:] = 1e300 * np.eye(2)
+        with pytest.raises(BlowUpError) as exc:
+            fundamental_matrix(HamiltonianPath(grid=grid, H_nodes=H))
+        assert exc.value.time == grid.nodes[4]
+        assert exc.value.norm == np.inf
 
 
 class TestRepresentation:

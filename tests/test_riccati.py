@@ -156,12 +156,23 @@ class TestRegularization:
         with pytest.raises(ContractViolation):
             solve_lambda_family(ex5_2, [0.5, -0.1], cfg400)
 
-    def test_family_threads_match_serial(self, ex5_2, cfg400, monkeypatch):
-        serial = solve_lambda_family(ex5_2, [0.5, 0.25], cfg400)
-        monkeypatch.setenv("LQGAME_THREADS", "2")
-        threaded = solve_lambda_family(ex5_2, [0.5, 0.25], cfg400)
-        for a, b in zip(serial.P0_values, threaded.P0_values):
-            assert np.array_equal(a, b)
+    def test_family_levels_match_serial(self, ex5_2, cfg400):
+        lambdas = [0.5, 0.25, 1e-9]
+        fam = solve_lambda_family(ex5_2, lambdas, cfg400)
+        assert fam.solutions[-1] is None
+        for lam, sol, failure, P0 in zip(lambdas, fam.solutions, fam.failures,
+                                         fam.P0_values):
+            try:
+                ref = solve_riccati(regularized_problem(ex5_2, lam), cfg400)
+            except (RegularityError, BlowUpError) as err:
+                assert sol is None and P0 is None
+                assert failure == f"{type(err).__name__}: {err}"
+                continue
+            assert failure is None
+            for a, b in ((sol.P_nodes, ref.P_nodes), (P0, ref.P0()),
+                         (sol.margin1_nodes, ref.margin1_nodes),
+                         (sol.margin2_nodes, ref.margin2_nodes)):
+                assert a.tobytes() == b.tobytes()
 
 
 def test_local_radius_formula():

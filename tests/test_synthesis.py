@@ -122,6 +122,25 @@ class TestFbsdeResidual:
         nonzero = np.linalg.norm(X, axis=1) > 1e-3
         assert res[nonzero].min() > 1e-3
 
+    def test_matches_per_node_loop(self, rand_problem, rand_sol, rand_law):
+        # reference: the node-by-node formulas, bit for bit
+        from lqgame import coefficients
+        system = closed_loop(rand_problem, rand_law)
+        X = mean_state_path(system, np.ones(rand_problem.n))
+        triple = adjoint_from_state(rand_problem, rand_sol, rand_law, X)
+        res = fbsde_residual(rand_problem, rand_sol, rand_law, X)
+        table = coefficients(rand_problem, rand_sol.grid.nodes)
+        for j, (P, Th, x) in enumerate(zip(rand_sol.P_nodes,
+                                           rand_law.theta_nodes, X)):
+            A, B, C, D, Q, S, R = table.row(j)
+            u = Th @ x
+            Y, Z = P @ x, P @ (C @ x + D @ u)
+            assert system.drift_nodes[j].tobytes() == (A + B @ Th).tobytes()
+            assert system.diffusion_nodes[j].tobytes() == (C + D @ Th).tobytes()
+            assert triple.Y_nodes[j].tobytes() == Y.tobytes()
+            assert triple.Z_nodes[j].tobytes() == Z.tobytes()
+            assert res[j] == np.linalg.norm(B.T @ Y + D.T @ Z + S @ x + R @ u)
+
     def test_grid_mismatch_rejected(self, rand_problem, rand_law):
         sol_coarse = solve_riccati(rand_problem, SolverConfig(n_steps=100),
                                    "game")
