@@ -1,6 +1,7 @@
-"""Monte-Carlo evaluation of the game: Euler--Maruyama path simulation,
-cost quadrature, empirical saddle verification with common random numbers,
-an exact discrete-time oracle, and the lower-value falsifier."""
+"""Monte-Carlo evaluation of the game: Euler--Maruyama path simulation that
+prices each path inside its stepping loop, empirical saddle verification
+with common random numbers, an exact discrete-time oracle, and the
+lower-value falsifier."""
 
 from __future__ import annotations
 
@@ -38,12 +39,10 @@ class OracleRegularityError(LqgError):
 
 @dataclass(frozen=True, eq=False)
 class ControlLaw:
-    """One player's control: state feedback rows, a deterministic sampled
-    path on the simulation grid, or a constant vector."""
+    """One player's control: state feedback rows or a constant vector."""
 
-    kind: str                      # feedback | open_loop_deterministic | constant
+    kind: str                      # feedback | constant
     gains: np.ndarray | None = None    # (n_nodes, m, n) for feedback
-    path: np.ndarray | None = None     # (n_nodes, m) for open-loop
     value: np.ndarray | None = None    # (m,) for constant
 
     @classmethod
@@ -60,16 +59,9 @@ class ControlLaw:
     def constant(cls, value) -> "ControlLaw":
         return cls(kind="constant", value=np.atleast_1d(np.asarray(value, float)))
 
-    @classmethod
-    def sampled(cls, path) -> "ControlLaw":
-        return cls(kind="open_loop_deterministic",
-                   path=np.atleast_2d(np.asarray(path, float)))
-
     def dim(self) -> int:
         if self.kind == "feedback":
             return self.gains.shape[1]
-        if self.kind == "open_loop_deterministic":
-            return self.path.shape[1]
         return self.value.shape[0]
 
     def as_callable(self, grid: TimeGrid):
@@ -79,11 +71,6 @@ class ControlLaw:
                 raise ContractViolation("feedback gains not sampled on this grid")
             gains = self.gains
             return lambda k, X: X @ gains[k].T
-        if self.kind == "open_loop_deterministic":
-            if self.path.shape[0] != grid.n_steps + 1:
-                raise ContractViolation("control path not sampled on this grid")
-            path = self.path
-            return lambda k, X: np.broadcast_to(path[k], (X.shape[0], path.shape[1]))
         value = self.value
         return lambda k, X: np.broadcast_to(value, (X.shape[0], value.shape[0]))
 
@@ -91,7 +78,8 @@ class ControlLaw:
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Simulated trajectories with their seed record, so the identical
-    Brownian increments can be reused across control variants."""
+    Brownian increments can be reused across control variants.  Each
+    path's payoff is priced by `simulate` inside its stepping loop."""
 
     grid: TimeGrid
     n_paths: int
@@ -100,6 +88,7 @@ class PathEnsemble:
     X_paths: np.ndarray      # (n_paths, n_nodes, n)
     u1_paths: np.ndarray     # (n_paths, n_nodes, m1)
     u2_paths: np.ndarray     # (n_paths, n_nodes, m2)
+    costs: np.ndarray        # (n_paths,) terminal plus running cost
 
 
 @dataclass(frozen=True)
@@ -143,16 +132,20 @@ def brownian_increments(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
 def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
                    increments: np.ndarray):
     """Vectorized Euler--Maruyama over an ensemble; controls are callables
-    (step, states) -> per-path control matrices."""
+    (step, states) -> per-path control matrices.  Returns the state and
+    control histories and each path's cost: the terminal term plus the
+    trapezoid quadrature of the running integrand, evaluated per node."""
     n_paths = increments.shape[0]
     x = np.atleast_1d(np.asarray(x, float))
     dt = grid.dt
     n_nodes = grid.n_steps + 1
     n, m1, m2 = problem.n, problem.m1, problem.m2
 
-    # combined step matrix: (drift; diffusion) = K_k (x; u1; u2)
-    table = coefficients(problem, grid.nodes[:-1])
+    # per node, (drift; diffusion) = K (x; u1; u2) and the running
+    # integrand is the quadratic form z'Mz in z = (x, u1, u2)
+    table = coefficients(problem, grid.nodes)
     K = np.block([[table.A, table.B], [table.C, table.D]])
+    M = np.block([[table.Q, table.S.swapaxes(1, 2)], [table.S, table.R]])
 
     X = np.broadcast_to(x, (n_paths, n)).copy()
     # time-major histories keep each step's write contiguous; swap back at
@@ -160,60 +153,41 @@ def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
     X_hist = np.empty((n_nodes, n_paths, n))
     u1_hist = np.empty((n_nodes, n_paths, m1))
     u2_hist = np.empty((n_nodes, n_paths, m2))
+    ell = np.empty((n_nodes, n_paths))
     X_hist[0] = X
-    for k in range(grid.n_steps):
-        u1 = u1_fn(k, X)
-        u2 = u2_fn(k, X)
-        with np.errstate(over="ignore", invalid="ignore"):
-            Y = np.concatenate([X, u1, u2], axis=1) @ K[k].T
-            X = X + dt * Y[:, :n] + increments[:, k, None] * Y[:, n:]
-        if not np.isfinite(X.sum()):
-            bad = ~np.isfinite(X).all(axis=1)
-            raise SimulationDiverged(int(np.argmax(bad)), k + 1)
-        u1_hist[k] = u1
-        u2_hist[k] = u2
-        X_hist[k + 1] = X
-    u1_hist[-1] = u1_fn(grid.n_steps, X)
-    u2_hist[-1] = u2_fn(grid.n_steps, X)
+    for k in range(n_nodes):
+        u1_hist[k] = u1 = u1_fn(k, X)
+        u2_hist[k] = u2 = u2_fn(k, X)
+        Z = np.concatenate([X, u1, u2], axis=1)
+        if k < grid.n_steps:
+            with np.errstate(over="ignore", invalid="ignore"):
+                Y = Z @ K[k].T
+                X = X + dt * Y[:, :n] + increments[:, k, None] * Y[:, n:]
+            if not np.isfinite(X.sum()):
+                bad = ~np.isfinite(X).all(axis=1)
+                raise SimulationDiverged(int(np.argmax(bad)), k + 1)
+            X_hist[k + 1] = X
+        ell[k] = ((Z @ M[k]) * Z).sum(axis=1)
+    terminal = np.einsum("pi,ij,pj->p", X, problem.cost.G, X)
+    costs = terminal + np.trapezoid(ell, dx=dt, axis=0)
     return (X_hist.swapaxes(0, 1), u1_hist.swapaxes(0, 1),
-            u2_hist.swapaxes(0, 1))
+            u2_hist.swapaxes(0, 1), costs)
 
 
 def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
              grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
-    """Simulate the controlled SDE on an ensemble of Brownian paths."""
+    """Simulate the controlled SDE on an ensemble of Brownian paths, pricing
+    each path as it is stepped."""
     if n_paths < 1:
         raise ContractViolation("n_paths must be >= 1")
     if u1.dim() != problem.m1 or u2.dim() != problem.m2:
         raise ContractViolation("control dimensions do not match the problem")
     increments = brownian_increments(seed, n_paths, grid)
-    X, U1, U2 = _simulate_core(problem, u1.as_callable(grid),
-                               u2.as_callable(grid), x, grid, increments)
+    X, U1, U2, costs = _simulate_core(problem, u1.as_callable(grid),
+                                      u2.as_callable(grid), x, grid, increments)
     return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed,
                         increments=increments, X_paths=X,
-                        u1_paths=U1, u2_paths=U2)
-
-
-def _per_path_costs(problem: GameProblem, grid: TimeGrid, X, U1, U2) -> np.ndarray:
-    """Terminal cost plus trapezoid quadrature of the running integrand,
-    one value per path."""
-    n_nodes = grid.n_steps + 1
-    # one symmetric block matrix per node turns the integrand into a single
-    # quadratic form in z = (x, u1, u2)
-    table = coefficients(problem, grid.nodes)
-    M = np.block([[table.Q, table.S.swapaxes(1, 2)], [table.S, table.R]])
-    # batched quadratic form z'Mz, chunked over time to bound memory
-    Z = np.concatenate([X, U1, U2], axis=2).swapaxes(0, 1)   # (k, p, d)
-    ell = np.empty((n_nodes, X.shape[0]))
-    chunk = 256
-    for s in range(0, n_nodes, chunk):
-        e = min(s + chunk, n_nodes)
-        Zc = np.ascontiguousarray(Z[s:e])
-        ell[s:e] = (np.matmul(Zc, M[s:e]) * Zc).sum(axis=2)
-    running = np.trapezoid(ell, dx=grid.dt, axis=0)
-    XT = X[:, -1, :]
-    terminal = np.einsum("pi,ij,pj->p", XT, problem.cost.G, XT)
-    return terminal + running
+                        u1_paths=U1, u2_paths=U2, costs=costs)
 
 
 def _estimate(values: np.ndarray) -> CostEstimate:
@@ -224,9 +198,7 @@ def _estimate(values: np.ndarray) -> CostEstimate:
 
 def estimate_cost(problem: GameProblem, ensemble: PathEnsemble) -> CostEstimate:
     """Sample mean and standard error of the quadratic payoff."""
-    costs = _per_path_costs(problem, ensemble.grid, ensemble.X_paths,
-                            ensemble.u1_paths, ensemble.u2_paths)
-    return _estimate(costs)
+    return _estimate(ensemble.costs)
 
 
 def perturbation_directions(seed: int, count: int, grid: TimeGrid,
@@ -252,37 +224,28 @@ def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
     u1_fb = ControlLaw.from_feedback(law, 1, grid)
     u2_fb = ControlLaw.from_feedback(law, 2, grid)
     base = simulate(problem, u1_fb, u2_fb, x, grid, n_paths, seed)
-    base_costs = _per_path_costs(problem, grid, base.X_paths,
-                                 base.u1_paths, base.u2_paths)
+    # only the controls, increments and costs are replayed, not the states
+    saddle = (base.u1_paths, base.u2_paths)
+    increments, base_costs = base.increments, base.costs
+    del base
 
-    def replay(paths):
-        return lambda k, X: paths[:, k, :]
-
-    def deviate(paths, v):
-        return lambda k, X: paths[:, k, :] + v[k]
-
-    # The saddle controls become open-loop processes (replayed per path);
-    # deviations are deterministic directions added to one player's process.
-    gaps1, gaps2 = [], []
-    dirs1 = perturbation_directions(seed + 1, n_perturbations, grid, problem.m1)
-    dirs2 = perturbation_directions(seed + 2, n_perturbations, grid, problem.m2)
-    for v in dirs1:
-        X, U1, U2 = _simulate_core(
-            problem, deviate(base.u1_paths, v), replay(base.u2_paths),
-            x, grid, base.increments)
-        costs = _per_path_costs(problem, grid, X, U1, U2)
-        gaps1.append(_estimate(costs - base_costs))
-    for w in dirs2:
-        X, U1, U2 = _simulate_core(
-            problem, replay(base.u1_paths), deviate(base.u2_paths, w),
-            x, grid, base.increments)
-        costs = _per_path_costs(problem, grid, X, U1, U2)
-        gaps2.append(_estimate(costs - base_costs))
+    # The saddle controls become open-loop processes (replayed per path); a
+    # deviation adds a deterministic direction to one player's process.
+    gaps = ([], [])
+    for player, m in enumerate((problem.m1, problem.m2)):
+        for v in perturbation_directions(seed + 1 + player, n_perturbations,
+                                         grid, m):
+            paths = list(saddle)
+            paths[player] = saddle[player] + v
+            costs = _simulate_core(
+                problem, *(lambda k, X, U=U: U[:, k] for U in paths),
+                x, grid, increments)[-1]
+            gaps[player].append(_estimate(costs - base_costs))
 
     return SaddleReport(
         value_analytic=game_value(sol, x),
         value_mc=_estimate(base_costs),
-        gaps_player1=gaps1, gaps_player2=gaps2, n_sigma=n_sigma)
+        gaps_player1=gaps[0], gaps_player2=gaps[1], n_sigma=n_sigma)
 
 
 def discrete_oracle(problem: GameProblem, x, N: int):

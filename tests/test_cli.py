@@ -195,6 +195,52 @@ class TestCommands:
         assert main(["certify"]) == 2
 
 
+def _edited_file(tmp_path, problem, edit) -> str:
+    path = tmp_path / "edited.json"
+    save_problem(problem, str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestMalformedInput:
+    """Outside input never escapes as a traceback: exit 2, field named."""
+
+    @staticmethod
+    def _exits_2_naming(capsys, argv, field):
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
+
+    def test_missing_problem_file(self, capsys, tmp_path):
+        self._exits_2_naming(
+            capsys, ["certify", "--problem", str(tmp_path / "missing.json")],
+            "--problem")
+
+    def test_unreadable_problem_file(self, capsys, tmp_path):
+        # a directory cannot be opened as a file
+        self._exits_2_naming(capsys, ["certify", "--problem", str(tmp_path)],
+                             "--problem")
+
+    @pytest.mark.parametrize("field, edit", [
+        ("dims", lambda d: d.update(dims="x")),
+        ("dims.n", lambda d: d["dims"].update(n="two")),
+        ("horizon", lambda d: d.update(horizon="one")),
+        ("cost.G", lambda d: d["cost"].update(G=[[1.0, 0.0], [0.0]])),
+    ], ids=["dims", "dims.n", "horizon", "cost.G"])
+    def test_malformed_field(self, capsys, tmp_path, ex4_5, field, edit):
+        path = _edited_file(tmp_path, ex4_5, edit)
+        self._exits_2_naming(capsys, ["certify", "--problem", path], field)
+
+    def test_non_numeric_x(self, capsys, ex4_5_file):
+        self._exits_2_naming(capsys, ["simulate", "--problem", ex4_5_file,
+                                      "--x", "one"], "--x")
+
+    def test_non_numeric_lambda(self, capsys, ex4_5_file):
+        self._exits_2_naming(capsys, ["solve", "--problem", ex4_5_file,
+                                      "--lambda", "1.0,half"], "--lambda")
+
+
 class TestExamples:
     def test_ex4_5(self, capsys):
         assert main(["example", "ex4_5", "--steps", "1000"]) == 0

@@ -8,6 +8,8 @@ from lqgame import (
     feedback_gain, game_value, perturbation_directions, simulate,
     solve_riccati, verify_saddle,
 )
+from lqgame.core import coefficients
+from lqgame.evaluation import _estimate
 from conftest import scalar_game
 
 
@@ -76,10 +78,55 @@ class TestSimulate:
         assert np.allclose(out, X @ law.theta_nodes[0][:rand_problem.m1].T)
 
 
+def reference_costs(problem, grid, X, U1, U2):
+    """Per-path payoff priced after the simulation from the stored
+    histories: one quadratic form z'Mz per node, chunked over time, then
+    the terminal term plus trapezoid quadrature."""
+    n_nodes = grid.n_steps + 1
+    table = coefficients(problem, grid.nodes)
+    M = np.block([[table.Q, table.S.swapaxes(1, 2)], [table.S, table.R]])
+    Z = np.concatenate([X, U1, U2], axis=2).swapaxes(0, 1)
+    ell = np.empty((n_nodes, X.shape[0]))
+    chunk = 256
+    for s in range(0, n_nodes, chunk):
+        e = min(s + chunk, n_nodes)
+        Zc = np.ascontiguousarray(Z[s:e])
+        ell[s:e] = (np.matmul(Zc, M[s:e]) * Zc).sum(axis=2)
+    running = np.trapezoid(ell, dx=grid.dt, axis=0)
+    XT = X[:, -1, :]
+    terminal = np.einsum("pi,ij,pj->p", XT, problem.cost.G, XT)
+    return terminal + running
+
+
 class TestCostEstimate:
+    @pytest.mark.parametrize("n_paths", [1, 64, 500])
+    def test_ex3_2_constant_controls_match_reference(self, ex3_2, grid,
+                                                     n_paths):
+        # sampled, time-varying R12/R22
+        for a, b in ((0.0, 1.0), (2.0, 0.0), (1.0, 3.0)):
+            ens = simulate(ex3_2, ControlLaw.constant([a]),
+                           ControlLaw.constant([b]), [1.0], grid, n_paths, 4)
+            self._assert_matches_reference(ex3_2, grid, ens)
+
+    @pytest.mark.parametrize("n_paths", [1, 64, 500])
+    def test_feedback_laws_match_reference(self, rand_problem, cfg400, grid,
+                                           n_paths):
+        sol = solve_riccati(rand_problem, cfg400, "game")
+        law = feedback_gain(rand_problem, sol)
+        ens = simulate(rand_problem, ControlLaw.from_feedback(law, 1, grid),
+                       ControlLaw.from_feedback(law, 2, grid),
+                       np.ones(rand_problem.n), grid, n_paths, 8)
+        self._assert_matches_reference(rand_problem, grid, ens)
+
+    @staticmethod
+    def _assert_matches_reference(problem, grid, ens):
+        ref = reference_costs(problem, grid, ens.X_paths, ens.u1_paths,
+                              ens.u2_paths)
+        assert ens.costs.tobytes() == ref.tobytes()
+        assert estimate_cost(problem, ens) == _estimate(ref)
+
     def test_estimate_moments(self):
         vals = np.array([1.0, 2.0, 3.0, 4.0])
-        from lqgame.evaluation import _estimate
         est = _estimate(vals)
         assert est.mean == 2.5
         assert est.std_error == pytest.approx(vals.std(ddof=1) / 2.0)
