@@ -149,8 +149,10 @@ def interpolate(values: np.ndarray, span: float, times) -> np.ndarray:
 
     Returns one value per time, stacked on a leading axis; a time within a
     few ulps of a node, such as every entry of ``np.linspace(0, span, k+1)``,
-    returns that node's value exactly.  Raises DomainError for a time
-    outside [0, span].
+    returns that node's value exactly.  That promise holds for node steps
+    span/k >= ~1e-308: below, the step is subnormal and ``np.linspace``
+    places its nodes too far from ``j * span / k`` to snap.  Raises
+    DomainError for a time outside [0, span].
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     outside = ~((times >= -1e-14) & (times <= span * (1 + 1e-14)))

@@ -1,7 +1,8 @@
-"""Monte-Carlo evaluation of the game: Euler--Maruyama path simulation that
-prices each path inside its stepping loop, empirical saddle verification
-with common random numbers, an exact discrete-time oracle, and the
-lower-value falsifier."""
+"""Monte-Carlo evaluation of the game: component-major Euler--Maruyama path
+simulation (one contiguous row of paths per state and control component)
+that prices each path inside its stepping loop, empirical saddle
+verification with common random numbers, an exact discrete-time oracle, and
+the lower-value falsifier."""
 
 from __future__ import annotations
 
@@ -65,21 +66,26 @@ class ControlLaw:
         return self.value.shape[0]
 
     def as_callable(self, grid: TimeGrid):
-        """(step k, states (n_paths, n)) -> controls (n_paths, m)."""
+        """(step k, states (n, n_paths)) -> controls (m, n_paths)."""
         if self.kind == "feedback":
             if self.gains.shape[0] != grid.n_steps + 1:
                 raise ContractViolation("feedback gains not sampled on this grid")
             gains = self.gains
-            return lambda k, X: X @ gains[k].T
-        value = self.value
-        return lambda k, X: np.broadcast_to(value, (X.shape[0], value.shape[0]))
+            return lambda k, X: gains[k] @ X
+        value = self.value[:, None]
+        return lambda k, X: np.broadcast_to(value, (value.shape[0], X.shape[1]))
 
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Simulated trajectories with their seed record, so the identical
     Brownian increments can be reused across control variants.  Each
-    path's payoff is priced by `simulate` inside its stepping loop."""
+    path's payoff is priced by `simulate` inside its stepping loop.
+
+    The histories are stored component-major, node by node, in one
+    ``(n_nodes, n + m1 + m2, n_paths)`` buffer and the increments time-major
+    in an ``(n_steps, n_paths)`` buffer; the fields below are transposed
+    views of those buffers, not copies."""
 
     grid: TimeGrid
     n_paths: int
@@ -129,17 +135,52 @@ def brownian_increments(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
         for c in children])
 
 
+def _component_sum(W: np.ndarray) -> np.ndarray:
+    """Sum over the leading (component) axis of ``W``, shaped (d, n_paths).
+
+    The terms are added in the order NumPy adds a contiguous length-d row:
+    from the additive identity, one by one below 8 terms, else in 8 strided
+    partial sums combined pairwise, and blocks over 128 terms are halved.
+    Each path's sum is therefore ``np.ascontiguousarray(W.T).sum(axis=1)``
+    bit for bit, while every operation runs on a contiguous path row."""
+    d = W.shape[0]
+    if d > 128:
+        h = d // 2
+        h -= h % 8
+        return _component_sum(W[:h]) + _component_sum(W[h:])
+    if d < 8:
+        s = W[0] + 0.0
+        for row in W[1:]:
+            s += row
+        return s
+    r = W[:8] + 0.0
+    end = d - d % 8
+    for i in range(8, end, 8):
+        r += W[i:i + 8]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in W[end:]:
+        s += row
+    return s
+
+
 def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
-                   increments: np.ndarray):
-    """Vectorized Euler--Maruyama over an ensemble; controls are callables
-    (step, states) -> per-path control matrices.  Returns the state and
-    control histories and each path's cost: the terminal term plus the
-    trapezoid quadrature of the running integrand, evaluated per node."""
-    n_paths = increments.shape[0]
+                   dW: np.ndarray, slots: int):
+    """Vectorized Euler--Maruyama over an ensemble, component-major: node k
+    of all paths is the slab ``z = (x; u1; u2)`` of shape (d, n_paths), one
+    contiguous row per component.  Controls are callables
+    (step, states (n, n_paths)) -> controls (m, n_paths); ``dW`` holds the
+    increments time-major, (n_steps, n_paths).
+
+    Node k is written to slot ``k % slots`` of the returned buffer, so
+    ``slots = n_nodes`` keeps the whole history and ``slots = 2`` only the
+    current and the next node.  Also returns each path's cost: the terminal
+    term plus the trapezoid quadrature of the running integrand, evaluated
+    per node."""
+    n_paths = dW.shape[1]
     x = np.atleast_1d(np.asarray(x, float))
     dt = grid.dt
     n_nodes = grid.n_steps + 1
-    n, m1, m2 = problem.n, problem.m1, problem.m2
+    n, m1 = problem.n, problem.m1
 
     # per node, (drift; diffusion) = K (x; u1; u2) and the running
     # integrand is the quadratic form z'Mz in z = (x, u1, u2)
@@ -147,47 +188,67 @@ def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
     K = np.block([[table.A, table.B], [table.C, table.D]])
     M = np.block([[table.Q, table.S.swapaxes(1, 2)], [table.S, table.R]])
 
-    X = np.broadcast_to(x, (n_paths, n)).copy()
-    # time-major histories keep each step's write contiguous; swap back at
-    # the boundary (a view, no copy)
-    X_hist = np.empty((n_nodes, n_paths, n))
-    u1_hist = np.empty((n_nodes, n_paths, m1))
-    u2_hist = np.empty((n_nodes, n_paths, m2))
+    Zh = np.empty((slots, n + m1 + problem.m2, n_paths))
+    Zh[0, :n] = x[:, None]
     ell = np.empty((n_nodes, n_paths))
-    X_hist[0] = X
-    for k in range(n_nodes):
-        u1_hist[k] = u1 = u1_fn(k, X)
-        u2_hist[k] = u2 = u2_fn(k, X)
-        Z = np.concatenate([X, u1, u2], axis=1)
-        if k < grid.n_steps:
-            with np.errstate(over="ignore", invalid="ignore"):
-                Y = Z @ K[k].T
-                X = X + dt * Y[:, :n] + increments[:, k, None] * Y[:, n:]
-            if not np.isfinite(X.sum()):
-                bad = ~np.isfinite(X).all(axis=1)
-                raise SimulationDiverged(int(np.argmax(bad)), k + 1)
-            X_hist[k + 1] = X
-        ell[k] = ((Z @ M[k]) * Z).sum(axis=1)
-    terminal = np.einsum("pi,ij,pj->p", X, problem.cost.G, X)
-    costs = terminal + np.trapezoid(ell, dx=dt, axis=0)
-    return (X_hist.swapaxes(0, 1), u1_hist.swapaxes(0, 1),
-            u2_hist.swapaxes(0, 1), costs)
+    # an overflowing step is reported as SimulationDiverged below; one
+    # errstate for the whole loop, since entering it costs more than a step
+    # at small ensembles
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_nodes):
+            Z = Zh[k % slots]
+            X = Z[:n]
+            Z[n:n + m1] = u1_fn(k, X)
+            Z[n + m1:] = u2_fn(k, X)
+            if k < grid.n_steps:
+                X_next = Zh[(k + 1) % slots, :n]
+                Y = K[k] @ Z
+                np.multiply(dt, Y[:n], out=X_next)
+                X_next += X
+                noise = Y[n:]
+                noise *= dW[k]
+                X_next += noise
+                # the sum is the cheap test; it also overflows on large
+                # finite states, which are not a divergence
+                if not np.isfinite(X_next.sum()):
+                    bad = ~np.isfinite(X_next).all(axis=0)
+                    if bad.any():
+                        raise SimulationDiverged(int(np.argmax(bad)), k + 1)
+            # M' z is the transpose of the paths-major z'M: the same products
+            # summed in the same order, also where one path makes it a BLAS
+            # matrix-vector product
+            W = M[k].T @ Z
+            W *= Z
+            ell[k] = _component_sum(W)
+    # einsum's summation order follows its operands' layout: a paths-major
+    # copy keeps the terminal form bit-identical to the paths-major formula
+    XT = np.ascontiguousarray(Zh[grid.n_steps % slots, :n].T)
+    terminal = np.einsum("pi,ij,pj->p", XT, problem.cost.G, XT)
+    return Zh, terminal + np.trapezoid(ell, dx=dt, axis=0)
 
 
 def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
              grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     """Simulate the controlled SDE on an ensemble of Brownian paths, pricing
-    each path as it is stepped."""
+    each path as it is stepped.
+
+    Each step operates on contiguous length-``n_paths`` rows, one per state
+    and control component; the returned ensemble's path arrays are
+    transposed views of that component-major history (see PathEnsemble)."""
     if n_paths < 1:
         raise ContractViolation("n_paths must be >= 1")
     if u1.dim() != problem.m1 or u2.dim() != problem.m2:
         raise ContractViolation("control dimensions do not match the problem")
-    increments = brownian_increments(seed, n_paths, grid)
-    X, U1, U2, costs = _simulate_core(problem, u1.as_callable(grid),
-                                      u2.as_callable(grid), x, grid, increments)
+    dW = np.ascontiguousarray(brownian_increments(seed, n_paths, grid).T)
+    Zh, costs = _simulate_core(problem, u1.as_callable(grid),
+                               u2.as_callable(grid), x, grid, dW,
+                               grid.n_steps + 1)
+    n, m1 = problem.n, problem.m1
+    paths = Zh.transpose(2, 0, 1)
     return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed,
-                        increments=increments, X_paths=X,
-                        u1_paths=U1, u2_paths=U2, costs=costs)
+                        increments=dW.T, X_paths=paths[:, :, :n],
+                        u1_paths=paths[:, :, n:n + m1],
+                        u2_paths=paths[:, :, n + m1:], costs=costs)
 
 
 def _estimate(values: np.ndarray) -> CostEstimate:
@@ -214,32 +275,44 @@ def perturbation_directions(seed: int, count: int, grid: TimeGrid,
     return out
 
 
+def _replay(saddle, player: int, v: np.ndarray):
+    """Control callables that replay the saddle controls, each stored as
+    (n_nodes, m, n_paths), with the deterministic direction ``v`` of shape
+    (n_nodes, m) added to one player's control at every step."""
+    fns = [lambda k, X, U=U: U[k] for U in saddle]
+    U = saddle[player]
+    fns[player] = lambda k, X: U[k] + v[k][:, None]
+    return fns
+
+
 def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
                   x, n_perturbations: int, n_paths: int, seed: int,
                   sim_steps: int = 200, n_sigma: float = 3.0) -> SaddleReport:
     """Simulate the closed-loop saddle pair, then re-simulate unilateral
     deviations with the same Brownian increments (common random numbers) and
-    report the perturbation-gap statistics."""
+    report the perturbation-gap statistics.
+
+    The saddle controls become open-loop processes, replayed per path and
+    kept as contiguous (n_nodes, m, n_paths) copies; the base state history
+    is released.  A deviation adds a deterministic direction to one player's
+    process and keeps no history: only its running cost and the state and
+    control slabs of the current and the next node."""
     grid = TimeGrid(problem.horizon_T, sim_steps)
     u1_fb = ControlLaw.from_feedback(law, 1, grid)
     u2_fb = ControlLaw.from_feedback(law, 2, grid)
     base = simulate(problem, u1_fb, u2_fb, x, grid, n_paths, seed)
-    # only the controls, increments and costs are replayed, not the states
-    saddle = (base.u1_paths, base.u2_paths)
-    increments, base_costs = base.increments, base.costs
+    saddle = tuple(np.ascontiguousarray(U.transpose(1, 2, 0))
+                   for U in (base.u1_paths, base.u2_paths))
+    dW = np.ascontiguousarray(base.increments.T)   # simulate's buffer, no copy
+    base_costs = base.costs
     del base
 
-    # The saddle controls become open-loop processes (replayed per path); a
-    # deviation adds a deterministic direction to one player's process.
     gaps = ([], [])
     for player, m in enumerate((problem.m1, problem.m2)):
         for v in perturbation_directions(seed + 1 + player, n_perturbations,
                                          grid, m):
-            paths = list(saddle)
-            paths[player] = saddle[player] + v
-            costs = _simulate_core(
-                problem, *(lambda k, X, U=U: U[:, k] for U in paths),
-                x, grid, increments)[-1]
+            costs = _simulate_core(problem, *_replay(saddle, player, v),
+                                   x, grid, dW, 2)[1]
             gaps[player].append(_estimate(costs - base_costs))
 
     return SaddleReport(

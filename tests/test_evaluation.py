@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lqgame import (
     ContractViolation, ControlLaw, CostEstimate, OracleRegularityError,
@@ -9,7 +12,9 @@ from lqgame import (
     solve_riccati, verify_saddle,
 )
 from lqgame.core import coefficients
-from lqgame.evaluation import _estimate
+from lqgame.evaluation import (
+    _component_sum, _estimate, _replay, _simulate_core,
+)
 from conftest import scalar_game
 
 
@@ -61,7 +66,6 @@ class TestSimulate:
                      ControlLaw.constant([0.0]), [1.0], grid, 1, 0)
 
     def test_divergence_reported(self, grid):
-        p = scalar_game(Q=0.0)
         # huge constant control through an explosive drift coefficient
         exploding = scalar_game(B1=1e300)
         with pytest.raises(SimulationDiverged):
@@ -73,9 +77,52 @@ class TestSimulate:
         law = feedback_gain(rand_problem, sol)
         u1 = ControlLaw.from_feedback(law, 1, grid)
         assert u1.dim() == rand_problem.m1
-        X = np.ones((3, rand_problem.n))
+        X = np.ones((rand_problem.n, 3))
         out = u1.as_callable(grid)(0, X)
-        assert np.allclose(out, X @ law.theta_nodes[0][:rand_problem.m1].T)
+        assert np.allclose(out, law.theta_nodes[0][:rand_problem.m1] @ X)
+
+    @pytest.mark.parametrize("rolling", [False, True])
+    def test_divergence_names_path_and_step(self, grid, rolling):
+        # diffusion C x with a huge C: the state stays at 1 while the
+        # increments are 0, and one hand-made increment overflows one path
+        p = scalar_game(C=1e300)
+        dW = np.zeros((grid.n_steps, 5))
+        dW[6, 3] = 1e10
+        zero = ControlLaw.constant([0.0]).as_callable(grid)
+        slots = 2 if rolling else grid.n_steps + 1
+        with pytest.raises(SimulationDiverged) as exc:
+            _simulate_core(p, zero, zero, [1.0], grid, dW, slots)
+        assert (exc.value.path, exc.value.step) == (3, 7)
+
+    def test_large_finite_states_are_not_a_divergence(self):
+        # two finite states of 1.2e308 overflow their sum, not the state
+        grid = TimeGrid(1.0, 10)
+        dW = np.zeros((grid.n_steps, 3))
+        dW[2, 1:] = 1.2e308
+        zero = ControlLaw.constant([0.0]).as_callable(grid)
+        Zh, _ = _simulate_core(scalar_game(C=1.0), zero, zero, [1.0], grid,
+                               dW, grid.n_steps + 1)
+        assert np.array_equal(Zh[-1, 0], [1.0, 1.2e308, 1.2e308])
+
+
+class TestComponentSum:
+    @given(d=st.integers(1, 40), n_paths=st.integers(1, 50), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_paths_major_row_sum(self, d, n_paths, data):
+        W = data.draw(arrays(np.float64, (d, n_paths), elements=st.floats(
+            allow_nan=False, allow_infinity=False)))
+        with np.errstate(all="ignore"):
+            got = _component_sum(W)
+            ref = np.ascontiguousarray(W.T).sum(axis=1)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 128, 129, 136, 300])
+    def test_signed_zeros_and_blocks_over_128_terms(self, d):
+        W = np.random.default_rng(d).normal(size=(d, 7)) * 10.0 ** np.arange(
+            -3, 4)
+        W[:, 0] = -0.0      # NumPy's row sum starts from +0.0
+        ref = np.ascontiguousarray(W.T).sum(axis=1)
+        assert _component_sum(W).tobytes() == ref.tobytes()
 
 
 def reference_costs(problem, grid, X, U1, U2):
@@ -157,6 +204,38 @@ class TestSaddleReport:
         r = SaddleReport(value_analytic=1.0, value_mc=self._est(1.0),
                          gaps_player1=[], gaps_player2=[self._est(0.5)])
         assert r.verdict == "FAIL"
+
+
+class TestDeviationReplay:
+    @pytest.mark.parametrize("n_paths", [1, 64, 500])
+    def test_cost_only_run_matches_history_run(self, rand_problem, cfg400,
+                                               grid, n_paths):
+        sol = solve_riccati(rand_problem, cfg400, "game")
+        law = feedback_gain(rand_problem, sol)
+        x = np.ones(rand_problem.n)
+        n, m1 = rand_problem.n, rand_problem.m1
+        n_nodes = grid.n_steps + 1
+        dW = np.ascontiguousarray(brownian_increments(3, n_paths, grid).T)
+        fns = [ControlLaw.from_feedback(law, i, grid).as_callable(grid)
+               for i in (1, 2)]
+        Zh = _simulate_core(rand_problem, *fns, x, grid, dW, n_nodes)[0]
+        saddle = (Zh[:, n:n + m1].copy(), Zh[:, n + m1:].copy())
+        for player in (0, 1):
+            v = perturbation_directions(player, 1, grid,
+                                        saddle[player].shape[1])[0]
+            replay = _replay(saddle, player, v)
+            hist, full = _simulate_core(rand_problem, *replay, x, grid, dW,
+                                        n_nodes)
+            rolling = _simulate_core(rand_problem, *replay, x, grid, dW, 2)[1]
+            assert rolling.tobytes() == full.tobytes()
+            paths = hist.transpose(2, 0, 1)
+            ref = reference_costs(rand_problem, grid, paths[:, :, :n],
+                                  paths[:, :, n:n + m1], paths[:, :, n + m1:])
+            assert full.tobytes() == ref.tobytes()
+            controls = (hist[:, n:n + m1], hist[:, n + m1:])
+            assert np.array_equal(controls[player],
+                                  saddle[player] + v[:, :, None])
+            assert np.array_equal(controls[1 - player], saddle[1 - player])
 
 
 class TestVerifySaddle:
