@@ -73,11 +73,16 @@ def _coeff_from_json(node, field: str) -> CoefficientPath:
 
 
 def _parse(field: str, convert, value):
-    """Convert one piece of outside input; a failure names the field."""
+    """Convert one piece of outside input; a failure, or a value that is not
+    finite, names the field."""
     try:
-        return convert(value)
-    except (TypeError, ValueError) as err:
+        out = convert(value)
+        finite = np.isfinite(np.asarray(out, dtype=float)).all()
+    except (TypeError, ValueError, OverflowError) as err:
         raise ProblemFormatError(f"{field}: {err}") from None
+    if not finite:
+        raise ProblemFormatError(f"{field}: values must be finite")
+    return out
 
 
 def load_problem(path: str) -> GameProblem:
@@ -231,7 +236,11 @@ def _header(args, config: SolverConfig) -> str:
 
 
 def _config(args) -> SolverConfig:
-    return SolverConfig(eps_reg=args.eps_reg, n_steps=args.steps)
+    try:
+        return SolverConfig(eps_reg=args.eps_reg, n_steps=args.steps)
+    except ContractViolation as err:
+        # the message names the field of --eps-reg or --steps
+        raise ProblemFormatError(str(err)) from None
 
 
 def _get_problem(args) -> GameProblem:

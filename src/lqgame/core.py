@@ -76,8 +76,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.horizon_T < 0:
-            raise ContractViolation("horizon_T must be nonnegative")
+        if not 0 <= self.horizon_T < np.inf:
+            raise ContractViolation("horizon_T must be finite and nonnegative")
         if self.n_steps < 2:
             raise ContractViolation("n_steps must be >= 2")
 
@@ -108,14 +108,16 @@ class CoefficientPath:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values))
+        if not np.isfinite(self.values).all():
+            raise ContractViolation("coefficient values must be finite")
         if self.kind == "constant":
             if self.values.ndim != 2:
                 raise ContractViolation("constant path needs a 2-d matrix")
         elif self.kind == "sampled":
             if self.values.ndim != 3 or self.values.shape[0] < 2:
                 raise ContractViolation("sampled path needs >= 2 stacked matrices")
-            if self.span is None or self.span <= 0:
-                raise ContractViolation("sampled path needs a positive span")
+            if self.span is None or not 0 < self.span < np.inf:
+                raise ContractViolation("sampled path needs a finite positive span")
         else:
             raise ContractViolation(f"unknown path kind {self.kind!r}")
 
@@ -253,6 +255,8 @@ class CostWeights:
 
     def __post_init__(self):
         object.__setattr__(self, "G", _frozen(np.atleast_2d(self.G)))
+        if not np.isfinite(self.G).all():
+            raise ContractViolation("G must be finite")
         check_symmetric(self.G, "G")
         for name in ("Q", "R11", "R22"):
             path = getattr(self, name)
@@ -288,8 +292,8 @@ class GameProblem:
     horizon_T: float
 
     def __post_init__(self):
-        if self.horizon_T < 0:
-            raise ContractViolation("horizon_T must be nonnegative")
+        if not 0 <= self.horizon_T < np.inf:
+            raise ContractViolation("horizon_T must be finite and nonnegative")
         dyn, cost = self.dynamics, self.cost
         if (dyn.n, dyn.m1, dyn.m2) != (cost.n, cost.m1, cost.m2):
             raise ContractViolation(

@@ -83,9 +83,9 @@ class PathEnsemble:
     path's payoff is priced by `simulate` inside its stepping loop.
 
     The histories are stored component-major, node by node, in one
-    ``(n_nodes, n + m1 + m2, n_paths)`` buffer and the increments time-major
-    in an ``(n_steps, n_paths)`` buffer; the fields below are transposed
-    views of those buffers, not copies."""
+    ``(n_nodes, n + m1 + m2, n_paths)`` buffer and the increments in the
+    time-major ``(n_steps, n_paths)`` array `brownian_increments` draws;
+    the fields below are transposed views of those buffers, not copies."""
 
     grid: TimeGrid
     n_paths: int
@@ -126,39 +126,25 @@ class SaddleReport:
 
 
 def brownian_increments(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
-    """Per-path increments dW_k ~ N(0, dt) from substreams keyed by
-    (seed, path index); independent of evaluation order."""
-    children = np.random.SeedSequence(seed).spawn(n_paths)
+    """Increments dW_k ~ N(0, dt), time-major, shaped (n_steps, n_paths).
+
+    Row k, step k of every path, is drawn from child k of
+    ``SeedSequence(seed)``, so the draw is independent of evaluation order
+    and the first paths of an ensemble do not change when more are
+    requested."""
     scale = np.sqrt(grid.dt)
     return np.stack([
-        np.random.default_rng(c).normal(0.0, scale, grid.n_steps)
-        for c in children])
+        np.random.default_rng(c).normal(0.0, scale, n_paths)
+        for c in np.random.SeedSequence(seed).spawn(grid.n_steps)])
 
 
-def _component_sum(W: np.ndarray) -> np.ndarray:
-    """Sum over the leading (component) axis of ``W``, shaped (d, n_paths).
-
-    The terms are added in the order NumPy adds a contiguous length-d row:
-    from the additive identity, one by one below 8 terms, else in 8 strided
-    partial sums combined pairwise, and blocks over 128 terms are halved.
-    Each path's sum is therefore ``np.ascontiguousarray(W.T).sum(axis=1)``
-    bit for bit, while every operation runs on a contiguous path row."""
-    d = W.shape[0]
-    if d > 128:
-        h = d // 2
-        h -= h % 8
-        return _component_sum(W[:h]) + _component_sum(W[h:])
-    if d < 8:
-        s = W[0] + 0.0
-        for row in W[1:]:
-            s += row
-        return s
-    r = W[:8] + 0.0
-    end = d - d % 8
-    for i in range(8, end, 8):
-        r += W[i:i + 8]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in W[end:]:
+def _quadratic_form(M: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """z'Mz for every column z of ``Z``, shaped (d, n_paths): the d rows of
+    ``(M @ Z) * Z`` added one after another."""
+    W = M @ Z
+    W *= Z
+    s = W[0]
+    for row in W[1:]:
         s += row
     return s
 
@@ -169,18 +155,23 @@ def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
     of all paths is the slab ``z = (x; u1; u2)`` of shape (d, n_paths), one
     contiguous row per component.  Controls are callables
     (step, states (n, n_paths)) -> controls (m, n_paths); ``dW`` holds the
-    increments time-major, (n_steps, n_paths).
+    increments time-major, (n_steps, n_paths), as `brownian_increments`
+    returns them.
 
     Node k is written to slot ``k % slots`` of the returned buffer, so
     ``slots = n_nodes`` keeps the whole history and ``slots = 2`` only the
-    current and the next node.  Also returns each path's cost: the terminal
-    term plus the trapezoid quadrature of the running integrand, evaluated
-    per node."""
+    current and the next node.  Also returns each path's cost, accumulated
+    in the loop: node k's running cost z'Mz times its trapezoid weight (dt/2
+    at the two end nodes, dt inside), added in time order, plus the
+    terminal term x'Gx."""
     n_paths = dW.shape[1]
+    n, m1 = problem.n, problem.m1
     x = np.atleast_1d(np.asarray(x, float))
+    if x.shape != (n,) or not np.isfinite(x).all():
+        raise ContractViolation(
+            f"start state x must be a finite vector of length {n}")
     dt = grid.dt
     n_nodes = grid.n_steps + 1
-    n, m1 = problem.n, problem.m1
 
     # per node, (drift; diffusion) = K (x; u1; u2) and the running
     # integrand is the quadratic form z'Mz in z = (x, u1, u2)
@@ -190,7 +181,7 @@ def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
 
     Zh = np.empty((slots, n + m1 + problem.m2, n_paths))
     Zh[0, :n] = x[:, None]
-    ell = np.empty((n_nodes, n_paths))
+    cost = np.zeros(n_paths)
     # an overflowing step is reported as SimulationDiverged below; one
     # errstate for the whole loop, since entering it costs more than a step
     # at small ensembles
@@ -214,17 +205,11 @@ def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
                     bad = ~np.isfinite(X_next).all(axis=0)
                     if bad.any():
                         raise SimulationDiverged(int(np.argmax(bad)), k + 1)
-            # M' z is the transpose of the paths-major z'M: the same products
-            # summed in the same order, also where one path makes it a BLAS
-            # matrix-vector product
-            W = M[k].T @ Z
-            W *= Z
-            ell[k] = _component_sum(W)
-    # einsum's summation order follows its operands' layout: a paths-major
-    # copy keeps the terminal form bit-identical to the paths-major formula
-    XT = np.ascontiguousarray(Zh[grid.n_steps % slots, :n].T)
-    terminal = np.einsum("pi,ij,pj->p", XT, problem.cost.G, XT)
-    return Zh, terminal + np.trapezoid(ell, dx=dt, axis=0)
+            ell = _quadratic_form(M[k], Z)
+            ell *= 0.5 * dt if k in (0, grid.n_steps) else dt
+            cost += ell
+        cost += _quadratic_form(problem.cost.G, X)
+    return Zh, cost
 
 
 def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
@@ -233,13 +218,15 @@ def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
     each path as it is stepped.
 
     Each step operates on contiguous length-``n_paths`` rows, one per state
-    and control component; the returned ensemble's path arrays are
-    transposed views of that component-major history (see PathEnsemble)."""
+    and control component, and reads row k of the time-major increments;
+    the returned ensemble's path arrays and increments are transposed views
+    of those buffers (see PathEnsemble).  Raises ContractViolation for a
+    start state ``x`` that is not a finite vector of length n."""
     if n_paths < 1:
         raise ContractViolation("n_paths must be >= 1")
     if u1.dim() != problem.m1 or u2.dim() != problem.m2:
         raise ContractViolation("control dimensions do not match the problem")
-    dW = np.ascontiguousarray(brownian_increments(seed, n_paths, grid).T)
+    dW = brownian_increments(seed, n_paths, grid)
     Zh, costs = _simulate_core(problem, u1.as_callable(grid),
                                u2.as_callable(grid), x, grid, dW,
                                grid.n_steps + 1)
@@ -303,7 +290,7 @@ def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
     base = simulate(problem, u1_fb, u2_fb, x, grid, n_paths, seed)
     saddle = tuple(np.ascontiguousarray(U.transpose(1, 2, 0))
                    for U in (base.u1_paths, base.u2_paths))
-    dW = np.ascontiguousarray(base.increments.T)   # simulate's buffer, no copy
+    dW = base.increments.T
     base_costs = base.costs
     del base
 

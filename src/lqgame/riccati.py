@@ -64,9 +64,9 @@ class SolverConfig:
     n_steps: int = 2000
 
     def __post_init__(self):
-        if self.eps_reg <= 0:
-            raise ContractViolation("eps_reg must be positive")
-        if self.blowup_cap <= 1:
+        if not 0 < self.eps_reg < np.inf:
+            raise ContractViolation("eps_reg must be finite and positive")
+        if not self.blowup_cap > 1:
             raise ContractViolation("blowup_cap must exceed 1")
         if self.n_steps < 2:
             raise ContractViolation("n_steps must be >= 2")

@@ -227,7 +227,14 @@ class TestMalformedInput:
         ("dims.n", lambda d: d["dims"].update(n="two")),
         ("horizon", lambda d: d.update(horizon="one")),
         ("cost.G", lambda d: d["cost"].update(G=[[1.0, 0.0], [0.0]])),
-    ], ids=["dims", "dims.n", "horizon", "cost.G"])
+        ("cost.G", lambda d: d["cost"].update(G=[[float("nan")]])),
+        ("horizon", lambda d: d.update(horizon=float("inf"))),
+        ("cost.Q", lambda d: d["cost"].update(
+            Q={"constant": [[float("nan")]]})),
+        ("dynamics.A", lambda d: d["dynamics"].update(A={"samples": {
+            "times": [0.0, 1.0], "values": [[[0.0]], [[float("-inf")]]]}})),
+    ], ids=["dims", "dims.n", "horizon", "cost.G", "cost.G-nan",
+            "horizon-inf", "cost.Q-nan", "dynamics.A-inf"])
     def test_malformed_field(self, capsys, tmp_path, ex4_5, field, edit):
         path = _edited_file(tmp_path, ex4_5, edit)
         self._exits_2_naming(capsys, ["certify", "--problem", path], field)
@@ -235,6 +242,16 @@ class TestMalformedInput:
     def test_non_numeric_x(self, capsys, ex4_5_file):
         self._exits_2_naming(capsys, ["simulate", "--problem", ex4_5_file,
                                       "--x", "one"], "--x")
+
+    @pytest.mark.parametrize("command, flag, value, field", [
+        ("simulate", "--x", "nan", "--x"),
+        ("solve", "--lambda", "1.0,inf", "--lambda"),
+        ("certify", "--eps-reg", "nan", "eps_reg"),
+    ])
+    def test_non_finite_flag(self, capsys, ex4_5_file, command, flag, value,
+                             field):
+        self._exits_2_naming(capsys, [command, "--problem", ex4_5_file, flag,
+                                      value], field)
 
     def test_non_numeric_lambda(self, capsys, ex4_5_file):
         self._exits_2_naming(capsys, ["solve", "--problem", ex4_5_file,

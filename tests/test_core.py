@@ -124,6 +124,41 @@ class TestValidation:
                           D1=c(np.zeros((2, 1))), D2=c(np.zeros((2, 1))))
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteInput:
+    """Non-finite input is refused when it is built, and the error names
+    the field."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_coefficient_values(self, bad):
+        with pytest.raises(ContractViolation, match="values must be finite"):
+            CoefficientPath.constant([[0.0, bad]])
+        with pytest.raises(ContractViolation, match="values must be finite"):
+            CoefficientPath.sampled(np.array([0.0, bad]).reshape(2, 1, 1), 1.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_sampled_span(self, bad):
+        with pytest.raises(ContractViolation, match="span"):
+            CoefficientPath.sampled(np.zeros((2, 1, 1)), bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_cost_G(self, bad):
+        with pytest.raises(ContractViolation, match="G must be finite"):
+            scalar_game(G=bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_problem_horizon(self, bad):
+        with pytest.raises(ContractViolation, match="horizon_T"):
+            scalar_game(T=bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_grid_horizon(self, bad):
+        with pytest.raises(ContractViolation, match="horizon_T"):
+            TimeGrid(bad, 10)
+
+
 class TestEigExtremes:
     def test_scalar_shortcut(self):
         assert sym_eig_extremes(np.array([[-3.0]])) == (-3.0, -3.0)

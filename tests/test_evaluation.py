@@ -1,8 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from lqgame import (
     ContractViolation, ControlLaw, CostEstimate, OracleRegularityError,
@@ -12,9 +9,7 @@ from lqgame import (
     solve_riccati, verify_saddle,
 )
 from lqgame.core import coefficients
-from lqgame.evaluation import (
-    _component_sum, _estimate, _replay, _simulate_core,
-)
+from lqgame.evaluation import _estimate, _replay, _simulate_core
 from conftest import scalar_game
 
 
@@ -35,11 +30,20 @@ class TestBrownianIncrements:
         # the first paths do not change when more are requested
         a = brownian_increments(42, 4, grid)
         b = brownian_increments(42, 16, grid)
-        assert np.array_equal(a, b[:4])
+        assert np.array_equal(a, b[:, :4])
+
+    def test_step_k_is_child_k_of_the_seed(self, grid):
+        dW = brownian_increments(42, 8, grid)
+        assert dW.shape == (grid.n_steps, 8)
+        children = np.random.SeedSequence(42).spawn(grid.n_steps)
+        for k in (0, 1, grid.n_steps - 1):
+            row = np.random.default_rng(children[k]).normal(
+                0.0, np.sqrt(grid.dt), 8)
+            assert dW[k].tobytes() == row.tobytes()
 
     def test_ito_isometry(self, grid):
         dW = brownian_increments(0, 4000, grid)
-        W_T = dW.sum(axis=1)
+        W_T = dW.sum(axis=0)
         # E[W_T^2] = T = 1 within Monte-Carlo noise
         assert np.mean(W_T ** 2) == pytest.approx(1.0, abs=0.1)
         assert np.mean(W_T) == pytest.approx(0.0, abs=0.05)
@@ -81,6 +85,20 @@ class TestSimulate:
         out = u1.as_callable(grid)(0, X)
         assert np.allclose(out, law.theta_nodes[0][:rand_problem.m1] @ X)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_state_refused(self, rand_problem, cfg400, grid,
+                                            bad):
+        sol = solve_riccati(rand_problem, cfg400, "game")
+        law = feedback_gain(rand_problem, sol)
+        x = np.ones(rand_problem.n)
+        x[-1] = bad
+        with pytest.raises(ContractViolation, match="start state x"):
+            simulate(rand_problem, ControlLaw.from_feedback(law, 1, grid),
+                     ControlLaw.from_feedback(law, 2, grid), x, grid, 4, 0)
+        with pytest.raises(ContractViolation, match="start state x"):
+            verify_saddle(rand_problem, sol, law, x, n_perturbations=1,
+                          n_paths=4, seed=0)
+
     @pytest.mark.parametrize("rolling", [False, True])
     def test_divergence_names_path_and_step(self, grid, rolling):
         # diffusion C x with a huge C: the state stays at 1 while the
@@ -105,44 +123,29 @@ class TestSimulate:
         assert np.array_equal(Zh[-1, 0], [1.0, 1.2e308, 1.2e308])
 
 
-class TestComponentSum:
-    @given(d=st.integers(1, 40), n_paths=st.integers(1, 50), data=st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_equals_paths_major_row_sum(self, d, n_paths, data):
-        W = data.draw(arrays(np.float64, (d, n_paths), elements=st.floats(
-            allow_nan=False, allow_infinity=False)))
-        with np.errstate(all="ignore"):
-            got = _component_sum(W)
-            ref = np.ascontiguousarray(W.T).sum(axis=1)
-        assert got.tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("d", [1, 7, 8, 9, 128, 129, 136, 300])
-    def test_signed_zeros_and_blocks_over_128_terms(self, d):
-        W = np.random.default_rng(d).normal(size=(d, 7)) * 10.0 ** np.arange(
-            -3, 4)
-        W[:, 0] = -0.0      # NumPy's row sum starts from +0.0
-        ref = np.ascontiguousarray(W.T).sum(axis=1)
-        assert _component_sum(W).tobytes() == ref.tobytes()
+def _row_sum(W):
+    """Sum of the rows of W, added one after another."""
+    s = W[0].copy()
+    for row in W[1:]:
+        s = s + row
+    return s
 
 
 def reference_costs(problem, grid, X, U1, U2):
     """Per-path payoff priced after the simulation from the stored
-    histories: one quadratic form z'Mz per node, chunked over time, then
-    the terminal term plus trapezoid quadrature."""
-    n_nodes = grid.n_steps + 1
+    histories: node k's quadratic form z'Mz, its products summed row by
+    row, times its trapezoid weight (dt/2 at the two end nodes, dt inside),
+    summed in time order, plus the terminal term x'Gx summed the same way."""
     table = coefficients(problem, grid.nodes)
     M = np.block([[table.Q, table.S.swapaxes(1, 2)], [table.S, table.R]])
-    Z = np.concatenate([X, U1, U2], axis=2).swapaxes(0, 1)
-    ell = np.empty((n_nodes, X.shape[0]))
-    chunk = 256
-    for s in range(0, n_nodes, chunk):
-        e = min(s + chunk, n_nodes)
-        Zc = np.ascontiguousarray(Z[s:e])
-        ell[s:e] = (np.matmul(Zc, M[s:e]) * Zc).sum(axis=2)
-    running = np.trapezoid(ell, dx=grid.dt, axis=0)
-    XT = X[:, -1, :]
-    terminal = np.einsum("pi,ij,pj->p", XT, problem.cost.G, XT)
-    return terminal + running
+    Z = np.concatenate([X, U1, U2], axis=2)
+    running = np.zeros(X.shape[0])
+    for k in range(grid.n_steps + 1):
+        z = np.ascontiguousarray(Z[:, k].T)
+        weight = grid.dt / 2 if k in (0, grid.n_steps) else grid.dt
+        running = running + weight * _row_sum((M[k] @ z) * z)
+    x = np.ascontiguousarray(X[:, -1].T)
+    return running + _row_sum((problem.cost.G @ x) * x)
 
 
 class TestCostEstimate:
@@ -215,7 +218,7 @@ class TestDeviationReplay:
         x = np.ones(rand_problem.n)
         n, m1 = rand_problem.n, rand_problem.m1
         n_nodes = grid.n_steps + 1
-        dW = np.ascontiguousarray(brownian_increments(3, n_paths, grid).T)
+        dW = brownian_increments(3, n_paths, grid)
         fns = [ControlLaw.from_feedback(law, i, grid).as_callable(grid)
                for i in (1, 2)]
         Zh = _simulate_core(rand_problem, *fns, x, grid, dW, n_nodes)[0]

@@ -110,6 +110,14 @@ class TestSolve:
                           "player1")
         assert exc.value.norm > 100.0
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps_reg", np.nan), ("eps_reg", np.inf), ("eps_reg", -np.inf),
+        ("blowup_cap", np.nan),
+    ])
+    def test_non_finite_config_refused(self, field, value):
+        with pytest.raises(ContractViolation, match=field):
+            SolverConfig(**{field: value})
+
 
 class TestCertificate:
     def test_ex4_5_not_certified_but_solvable(self, ex4_5, cfg400):
