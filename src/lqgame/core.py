@@ -46,7 +46,7 @@ class SingularBlockError(LqgError):
 
 def _T(M: np.ndarray) -> np.ndarray:
     """Transpose of each matrix in a stack (the last two axes)."""
-    return np.swapaxes(M, -1, -2)
+    return M.swapaxes(-1, -2)
 
 
 def sym(M: np.ndarray) -> np.ndarray:
@@ -445,11 +445,19 @@ def assemble(table: CoefficientTable, P: np.ndarray,
 
     Returns (R_P, S_P, margins) where margins = (lambda_min of the player-1
     diagonal block of R_P, lambda_max of the player-2 diagonal block).
+    Raises ContractViolation unless every P is symmetric.
     """
     check_symmetric(P, "P", rtol=1e-10)
-    Dt = _T(table.D)
-    R_P = table.R + Dt @ P @ table.D
-    S_P = _T(table.B) @ P + Dt @ P @ table.C + table.S
+    return _assemble(table, P, m1)
+
+
+def _assemble(table: CoefficientTable, P: np.ndarray,
+              m1: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """``assemble`` without the symmetry check, for a P that is symmetric by
+    construction."""
+    DtP = _T(table.D) @ P
+    R_P = table.R + DtP @ table.D
+    S_P = _T(table.B) @ P + DtP @ table.C + table.S
     margin1 = _eig_extremes(sym(R_P[..., :m1, :m1]))[0]
     margin2 = _eig_extremes(sym(R_P[..., m1:, m1:]))[1]
     return R_P, S_P, (margin1, margin2)
@@ -459,6 +467,14 @@ def assemble_blocks(problem: GameProblem, P: np.ndarray,
                     t: float) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
     """Form R_P and S_P and the margins at time t, as ``assemble`` does."""
     return assemble(coefficients(problem, t).row(0), np.atleast_2d(P), problem.m1)
+
+
+def _fro_norms(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, computed as np.linalg.norm
+    computes it for one matrix: the dot product of the raveled matrix with
+    itself."""
+    flat = M.reshape(M.shape[0], 1, M.shape[-2] * M.shape[-1])
+    return np.sqrt(flat @ _T(flat))[:, 0, 0]
 
 
 def linear_flow(F_nodes: np.ndarray, span: float, X0: np.ndarray) -> np.ndarray:

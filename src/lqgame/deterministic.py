@@ -10,11 +10,11 @@ import numpy as np
 
 from .core import (
     GameProblem, LqgError, TimeGrid, block_inverse, coefficients, linear_flow,
-    sym, sym_eig_extremes, _T,
+    sym, sym_eig_extremes, _T, _fro_norms,
 )
 from .riccati import (
     BlowUpError, CertificateReport, RegularityError, RiccatiSolution,
-    SolverConfig, certify_A3, solve_riccati,
+    SolverConfig, _certify_and_solve,
 )
 
 
@@ -130,11 +130,9 @@ def representation(problem: GameProblem, psi: FundamentalMatrix,
         raise RepresentationSingularError(float(psi.grid.nodes[bad[0]]),
                                           float(cond[bad[0]]))
     P = -np.linalg.solve(Lam, edge[:, :, :n])
-    # |P - P'|_F as the dot product np.linalg.norm takes of one raveled matrix
-    asym = (P - _T(P)).reshape(len(P), 1, -1)
     return RepresentationResult(
         grid=psi.grid, Lambda_nodes=Lam, P_rep_nodes=sym(P),
-        condition_numbers=cond, symmetry_defects=np.sqrt(asym @ _T(asym))[:, 0, 0])
+        condition_numbers=cond, symmetry_defects=_fro_norms(P - _T(P)))
 
 
 @dataclass
@@ -158,16 +156,16 @@ class EquivalenceReport:
 def equivalence_report(problem: GameProblem,
                        config: SolverConfig) -> EquivalenceReport:
     """Run certificate, backward solve, and representation together and
-    report the cross-validation error; every outcome is a report field."""
+    report the cross-validation error; every outcome is a report field.
+
+    The certificate's two equations and the game equation share one
+    backward pass."""
     if not problem.is_deterministic():
         raise NotDeterministicError("problem has nonzero C or D coefficients")
-    cert = certify_A3(problem, config)
-
-    sol, sol_failure = None, None
-    try:
-        sol = solve_riccati(problem, config, "game")
-    except (RegularityError, BlowUpError) as err:
-        sol_failure = f"{type(err).__name__}: {err}"
+    cert, sol = _certify_and_solve(problem, config)
+    sol_failure = None
+    if isinstance(sol, LqgError):
+        sol, sol_failure = None, f"{type(sol).__name__}: {sol}"
 
     rep, rep_failure = None, None
     try:

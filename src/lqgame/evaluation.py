@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import (
     ContractViolation, GameProblem, LqgError, TimeGrid, coefficients,
-    interpolate, sym, sym_eig_extremes,
+    interpolate, sym, _eig_extremes,
 )
 from .riccati import RiccatiSolution
 from .synthesis import FeedbackLaw, game_value
@@ -337,12 +337,13 @@ def discrete_oracle(problem: GameProblem, x, N: int):
         St = 0.5 * dt * S0 + 0.5 * dt * S1 @ M + Nu.T @ W @ M + dt * D0.T @ W @ C0
         Rt = sym(0.5 * dt * R0 + 0.5 * dt * (R1 + S1 @ Nu + Nu.T @ S1.T)
                  + Nu.T @ W @ Nu + dt * D0.T @ W @ D0)
-        lo = sym_eig_extremes(Rt[:m1, :m1])[0]
+        # Rt and sym(Phi) are symmetric by construction: no check needed
+        lo = _eig_extremes(Rt[:m1, :m1])[0]
         if lo <= 0:
             raise OracleRegularityError(k, lo)
         Phi = Rt[m1:, m1:] - Rt[m1:, :m1] @ np.linalg.solve(Rt[:m1, :m1],
                                                             Rt[:m1, m1:])
-        hi = sym_eig_extremes(sym(Phi))[1]
+        hi = _eig_extremes(sym(Phi))[1]
         if hi >= 0:
             raise OracleRegularityError(k, hi)
         K = -np.linalg.solve(Rt, St)

@@ -6,18 +6,26 @@ backward from the terminal condition, symmetrizing after every stage.
 Regularity margins (lambda_min of the player-1 control block, lambda_max of
 the player-2 block) are checked at every stage, not only at nodes, so a sign
 loss between nodes is caught at the stage time.
+
+One backward pass (``_solve_stack``) integrates a stack of equations on one
+grid, each stage once for the whole stack: a single solve is a stack of
+one, the certificate a stack of the two companions, ``equivalence_report``
+a stack of all three, a regularized family a stack of its levels.  A member
+that fails leaves the stack, keeping the error and partial path a solve of
+it alone raises; every member equals that solve bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
     CoefficientPath, CoefficientTable, ContractViolation, CostWeights,
     GameProblem, LqgError, TimeGrid, assemble, coefficients, interpolate,
-    sym, _eig_extremes, _sample_stack,
+    sym, _assemble, _eig_extremes, _fro_norms, _sample_stack, _T,
 )
 
 KINDS = ("game", "player1", "player2")
@@ -91,34 +99,54 @@ class RiccatiSolution:
         return interpolate(self.P_nodes, self.grid.horizon_T, t)[0]
 
 
-def _margin_check(kind: str, t: float, margin1: float, margin2: float,
-                  eps_reg: float) -> None:
-    # Margins exactly at +-eps_reg count as violations (strict inequality).
-    if kind in ("game", "player1") and margin1 <= eps_reg:
-        raise RegularityError(t, 1, margin1)
-    if kind in ("game", "player2") and margin2 >= -eps_reg:
-        raise RegularityError(t, 2, margin2)
+class _Kinds(NamedTuple):
+    """What the kinds of a stack's members decide: the limits of the margins
+    each one checks (NaN where it checks none, as no margin compares true
+    with NaN), and (members, block) per kind present -- the members'
+    positions (a slice when all share the kind) and the control block of
+    R_P and rows of S_P that their equation uses."""
+
+    floor1: np.ndarray
+    ceiling2: np.ndarray
+    groups: list
+
+    @classmethod
+    def of(cls, kinds: np.ndarray, m1: int, eps_reg: float) -> "_Kinds":
+        blocks = {"game": slice(None), "player1": slice(None, m1),
+                  "player2": slice(m1, None)}
+        if kinds.size and (kinds == kinds[0]).all():
+            groups = [(slice(None), blocks[kinds[0]])]
+        else:
+            groups = [(np.flatnonzero(kinds == kind), block)
+                      for kind, block in blocks.items() if (kinds == kind).any()]
+        return cls(np.where(kinds != "player2", eps_reg, np.nan),
+                   np.where(kinds != "player1", -eps_reg, np.nan), groups)
+
+    def failing_sides(self, margin1, margin2) -> np.ndarray | None:
+        """Per member, the side whose margin it violates (1 before 2), or 0;
+        None when no member violates one.  Margins exactly at +-eps_reg
+        count as violations (strict inequality)."""
+        side1, side2 = margin1 <= self.floor1, margin2 >= self.ceiling2
+        if not (side1 | side2).any():
+            return None
+        return np.where(side1, 1, np.where(side2, 2, 0))
 
 
 def _field(row: CoefficientTable, P: np.ndarray, R_P: np.ndarray,
-           S_P: np.ndarray, kind: str, m1: int) -> np.ndarray:
-    """dP/dt at one row of a coefficient table, given R_P and S_P there."""
-    if kind == "player1":
-        Rk, Sk = R_P[:m1, :m1], S_P[:m1, :]
-    elif kind == "player2":
-        Rk, Sk = R_P[m1:, m1:], S_P[m1:, :]
-    else:
-        Rk, Sk = R_P, S_P
-    A, C, Q = row.A, row.C, row.Q
-    F = -(P @ A + A.T @ P + C.T @ P @ C + Q - Sk.T @ np.linalg.solve(Rk, Sk))
-    return sym(F)
+           S_P: np.ndarray, groups: list) -> np.ndarray:
+    """dP/dt at one row of a coefficient table for a stack of P, given R_P
+    and S_P there:
 
+        -[P A + A'P + C'P C + Q - S_k' R_k^{-1} S_k]
 
-def _rhs(row: CoefficientTable, t: float, P: np.ndarray, kind: str,
-         m1: int, eps_reg: float) -> np.ndarray:
-    R_P, S_P, margins = assemble(row, P, m1)
-    _margin_check(kind, t, *margins, eps_reg)
-    return _field(row, P, R_P, S_P, kind, m1)
+    with each member's kind-appropriate blocks S_k, R_k (see _Kinds).
+    """
+    A, C = row.A, row.C
+    F = P @ A + _T(A) @ P + _T(C) @ P @ C + row.Q
+    for members, block in groups:
+        S_k = S_P[members, block]
+        F[members] -= _T(S_k) @ np.linalg.solve(R_P[members, block, block], S_k)
+    return sym(-F)
 
 
 def riccati_rhs(problem: GameProblem, t: float, P: np.ndarray, kind: str,
@@ -132,78 +160,136 @@ def riccati_rhs(problem: GameProblem, t: float, P: np.ndarray, kind: str,
     """
     if kind not in KINDS:
         raise ContractViolation(f"unknown kind {kind!r}")
-    return _rhs(coefficients(problem, t).row(0), t, np.atleast_2d(P), kind,
-                problem.m1, eps_reg)
+    row = coefficients(problem, t).row(0)
+    P = np.atleast_2d(P)
+    R_P, S_P, margins = assemble(row, P, problem.m1)
+    kinds = _Kinds.of(np.array([kind]), problem.m1, eps_reg)
+    sides = kinds.failing_sides(*margins)
+    if sides is not None:
+        raise RegularityError(t, int(sides[0]), margins[sides[0] - 1])
+    return _field(row, P[None], R_P[None], S_P[None], kinds.groups)[0]
+
+
+def _solve_stack(problems, kinds, config: SolverConfig,
+                 halt_with: int | None = None) -> list:
+    """Integrate one Riccati equation per (problem, kind) pair backward from
+    P(T) = G in one pass over one grid, each stage once for the whole stack.
+
+    The problems share horizon and dimensions; members of one problem share
+    its coefficient table, and members of different problems (the levels of
+    a regularized family) each carry their own.  A member whose margin fails
+    at a stage, or whose P passes the blow-up cap, leaves the stack there.
+    Returns one outcome per member: its RiccatiSolution, or the
+    RegularityError or BlowUpError, with partial path, that a pass over it
+    alone raises; both equal those of that pass bit for bit.  When the
+    member at index ``halt_with`` fails, the pass ends and the members still
+    in the stack keep None.
+    """
+    problem = problems[0]
+    grid = TimeGrid(problem.horizon_T, config.n_steps)
+    nodes, h, eps, m1 = grid.nodes, grid.dt, config.eps_reg, problem.m1
+
+    # stage times: node t_k in row 2k, midpoint of [t_k, t_k+1] in row 2k+1
+    times = np.empty(2 * grid.n_steps + 1)
+    times[0::2] = nodes
+    times[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    shared = all(p is problem for p in problems)
+    if shared:
+        table = coefficients(problem, times)
+    else:
+        table = CoefficientTable(*(
+            np.stack(a, axis=1)
+            for a in zip(*(coefficients(p, times) for p in problems))))
+
+    kinds = np.array(kinds)
+    P_path = np.empty((len(kinds), grid.n_steps + 1, problem.n, problem.n))
+    margin_path = np.empty((2, len(kinds), grid.n_steps + 1))
+    outcomes = [None] * len(kinds)
+    live = np.arange(len(kinds))
+    live_kinds = _Kinds.of(kinds, m1, eps)
+
+    rows = [table.row(j) for j in range(times.shape[0])]
+
+    def row(j):
+        return rows[j] if shared else CoefficientTable(*(a[live] for a in rows[j]))
+
+    def retire(bad, done, error):
+        """Take the live members flagged in bad out of the stack; each keeps
+        error(position, its partial path over nodes done..N) as outcome."""
+        nonlocal live, live_kinds
+        for pos in np.flatnonzero(bad):
+            i = live[pos]
+            outcomes[i] = error(pos, PartialPath(
+                nodes[done:], P_path[i, done:], margin_path[0, i, done:],
+                margin_path[1, i, done:]))
+        keep = ~bad
+        if halt_with is not None and outcomes[halt_with] is not None:
+            keep[:] = False
+        live = live[keep]
+        live_kinds = _Kinds.of(kinds[live], m1, eps)
+        return keep
+
+    def evaluate(j, done, X, *carried, node=None):
+        """Assemble at stage row j for the live members' stage values X,
+        recorded as node ``node`` when given, and retire the members whose
+        margin fails there (partial path over nodes done..N).  Returns dP/dt
+        of the rest, except at node 0 where it is never used, and their rows
+        of X and carried."""
+        r = row(j)
+        R_P, S_P, margins = _assemble(r, X, m1)
+        if node is not None:
+            P_path[live, node] = X
+            margin_path[0, live, node], margin_path[1, live, node] = margins
+        sides = live_kinds.failing_sides(*margins)
+        if sides is not None:
+            keep = retire(sides > 0, done, lambda pos, partial: RegularityError(
+                times[j], int(sides[pos]), margins[sides[pos] - 1][pos], partial))
+            X, R_P, S_P, *carried = (a[keep] for a in (X, R_P, S_P, *carried))
+            r = row(j)
+        slope = None if node == 0 else _field(r, X, R_P, S_P, live_kinds.groups)
+        return slope, (X, *carried)
+
+    # a node's assembly serves both its margin check and the next step's k1
+    k1, (P,) = evaluate(2 * grid.n_steps, grid.n_steps,
+                        np.array([p.cost.G for p in problems]),
+                        node=grid.n_steps)
+    for k in range(grid.n_steps, 0, -1):
+        if not live.size:
+            break
+        k2, (_, P, k1) = evaluate(2 * k - 1, k, sym(P - 0.5 * h * k1), P, k1)
+        k3, (_, P, k1, k2) = evaluate(2 * k - 1, k, sym(P - 0.5 * h * k2),
+                                      P, k1, k2)
+        k4, (_, P, k1, k2, k3) = evaluate(2 * k - 2, k, sym(P - h * k3),
+                                          P, k1, k2, k3)
+        P = sym(P - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        norms = _fro_norms(P)
+        bad = ~np.isfinite(norms) | (norms > config.blowup_cap)
+        if bad.any():
+            P = P[retire(bad, k, lambda pos, partial: BlowUpError(
+                nodes[k - 1], float(norms[pos]), partial))]
+        k1, (P,) = evaluate(2 * k - 2, k, P, node=k - 1)
+
+    for i in live:
+        outcomes[i] = RiccatiSolution(
+            grid=grid, P_nodes=P_path[i], margin1_nodes=margin_path[0, i],
+            margin2_nodes=margin_path[1, i], kind=str(kinds[i]))
+    return outcomes
 
 
 def solve_riccati(problem: GameProblem, config: SolverConfig,
                   kind: str = "game") -> RiccatiSolution:
-    """Integrate the Riccati equation backward from P(T) = G.
+    """Integrate the Riccati equation backward from P(T) = G: a backward
+    pass over a stack of one.
 
     On a margin violation or blow-up the raised error carries the partial
     path from the failure time up to T.
     """
     if kind not in KINDS:
         raise ContractViolation(f"unknown kind {kind!r}")
-    grid = TimeGrid(problem.horizon_T, config.n_steps)
-    nodes = grid.nodes
-    h = grid.dt
-    eps = config.eps_reg
-    m1 = problem.m1
-
-    # stage times: node t_k in row 2k, midpoint of [t_k, t_k+1] in row 2k+1
-    times = np.empty(2 * grid.n_steps + 1)
-    times[0::2] = nodes
-    times[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
-    table = coefficients(problem, times)
-
-    # a node's assembly serves both its margin check and the next step's k1
-    P = np.array(problem.cost.G)
-    node = table.row(2 * grid.n_steps)
-    R_P, S_P, margins = assemble(node, P, m1)
-    times_done = [nodes[-1]]
-    P_done = [P]
-    m_done = [margins]
-
-    def partial() -> PartialPath:
-        return PartialPath(
-            times=np.array(times_done[::-1]),
-            P_nodes=np.array(P_done[::-1]),
-            margin1_nodes=np.array([m[0] for m in m_done[::-1]]),
-            margin2_nodes=np.array([m[1] for m in m_done[::-1]]),
-        )
-
-    try:
-        _margin_check(kind, nodes[-1], *margins, eps)
-        for k in range(grid.n_steps, 0, -1):
-            t0 = nodes[k - 1]
-            mid, prev = table.row(2 * k - 1), table.row(2 * k - 2)
-            k1 = _field(node, P, R_P, S_P, kind, m1)
-            k2 = _rhs(mid, times[2 * k - 1], sym(P - 0.5 * h * k1), kind, m1, eps)
-            k3 = _rhs(mid, times[2 * k - 1], sym(P - 0.5 * h * k2), kind, m1, eps)
-            k4 = _rhs(prev, t0, sym(P - h * k3), kind, m1, eps)
-            P = sym(P - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-            norm = float(np.linalg.norm(P))
-            if not np.isfinite(norm) or norm > config.blowup_cap:
-                raise BlowUpError(t0, norm)
-            node = prev
-            R_P, S_P, margins = assemble(node, P, m1)
-            _margin_check(kind, t0, *margins, eps)
-            times_done.append(t0)
-            P_done.append(P)
-            m_done.append(margins)
-    except RegularityError as err:
-        raise RegularityError(err.time, err.side, err.margin, partial()) from None
-    except BlowUpError as err:
-        raise BlowUpError(err.time, err.norm, partial()) from None
-
-    return RiccatiSolution(
-        grid=grid,
-        P_nodes=np.array(P_done[::-1]),
-        margin1_nodes=np.array([m[0] for m in m_done[::-1]]),
-        margin2_nodes=np.array([m[1] for m in m_done[::-1]]),
-        kind=kind,
-    )
+    outcome, = _solve_stack([problem], (kind,), config)
+    if isinstance(outcome, LqgError):
+        raise outcome
+    return outcome
 
 
 @dataclass
@@ -224,31 +310,43 @@ class CertificateReport:
         return self.status == "CERTIFIED"
 
 
-def certify_A3(problem: GameProblem, config: SolverConfig) -> CertificateReport:
-    """Solve the two frozen-opponent Riccati equations.
-
-    Success of both (with strong regularity) is sufficient evidence for
-    saddle synthesis to proceed; failure of either yields NOT_CERTIFIED with
-    the side and time.  No converse claim is made: game-Riccati solvability
-    does not imply this certificate.
-    """
-    try:
-        p1 = solve_riccati(problem, config, "player1")
-    except (RegularityError, BlowUpError) as err:
+def _certificate(p1, p2) -> CertificateReport:
+    """The certificate of the outcomes of the two frozen-opponent equations
+    (a solution or its error); a player-1 failure decides it, whatever
+    player 2's outcome."""
+    if isinstance(p1, LqgError):
         return CertificateReport(
-            status="NOT_CERTIFIED", failing_side=1, failure_time=err.time,
-            failure_reason=type(err).__name__)
-    try:
-        p2 = solve_riccati(problem, config, "player2")
-    except (RegularityError, BlowUpError) as err:
+            status="NOT_CERTIFIED", failing_side=1, failure_time=p1.time,
+            failure_reason=type(p1).__name__)
+    if isinstance(p2, LqgError):
         return CertificateReport(
-            status="NOT_CERTIFIED", p1=p1, failing_side=2, failure_time=err.time,
-            failure_reason=type(err).__name__)
+            status="NOT_CERTIFIED", p1=p1, failing_side=2, failure_time=p2.time,
+            failure_reason=type(p2).__name__)
     return CertificateReport(
         status="CERTIFIED",
         min_margin1=float(p1.margin1_nodes.min()),
         max_margin2=float(p2.margin2_nodes.max()),
         p1=p1, p2=p2)
+
+
+def certify_A3(problem: GameProblem, config: SolverConfig) -> CertificateReport:
+    """Solve the two frozen-opponent Riccati equations in one backward pass.
+
+    Success of both (with strong regularity) is sufficient evidence for
+    saddle synthesis to proceed; failure of either yields NOT_CERTIFIED with
+    the side and time.  No converse claim is made: game-Riccati solvability
+    does not imply this certificate.  A player-1 failure ends the pass.
+    """
+    return _certificate(*_solve_stack(
+        [problem] * 2, ("player1", "player2"), config, halt_with=0))
+
+
+def _certify_and_solve(problem: GameProblem, config: SolverConfig):
+    """``certify_A3`` and the game solve in one backward pass over the three
+    equations: the certificate, and the game's solution or its error."""
+    p1, p2, game = _solve_stack(
+        [problem] * 3, ("player1", "player2", "game"), config)
+    return _certificate(p1, p2), game
 
 
 @dataclass
@@ -311,8 +409,8 @@ class RegularizedFamily:
 
 def solve_lambda_family(problem: GameProblem, lambdas,
                         config: SolverConfig) -> RegularizedFamily:
-    """Solve the game Riccati equation for each penalty level, one level
-    after another.
+    """Solve the game Riccati equation for each penalty level, all levels in
+    one backward pass.
 
     Per-level failures are recorded, not raised: level j's solution equals
     ``solve_riccati(regularized_problem(problem, lambdas[j]), config)``.
@@ -323,15 +421,12 @@ def solve_lambda_family(problem: GameProblem, lambdas,
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         raise ContractViolation("penalty levels must be strictly decreasing")
 
-    def solve_one(lam):
-        try:
-            return solve_riccati(regularized_problem(problem, lam), config, "game"), None
-        except (RegularityError, BlowUpError) as err:
-            return None, f"{type(err).__name__}: {err}"
-
-    outcomes = [solve_one(lam) for lam in lambdas]
-    solutions = [s for s, _ in outcomes]
-    failures = [f for _, f in outcomes]
+    outcomes = _solve_stack(
+        [regularized_problem(problem, lam) for lam in lambdas],
+        ("game",) * len(lambdas), config) if lambdas else []
+    failures = [f"{type(o).__name__}: {o}" if isinstance(o, LqgError) else None
+                for o in outcomes]
+    solutions = [None if f else o for o, f in zip(outcomes, failures)]
     P0 = [s.P0() if s is not None else None for s in solutions]
     return RegularizedFamily(lambdas=lambdas, solutions=solutions,
                              failures=failures, P0_values=P0)

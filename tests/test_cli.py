@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from lqgame import SolverConfig, TimeGrid, example_problem, solve_riccati
+from lqgame import (
+    SolverConfig, TimeGrid, example_problem, feedback_gain, solve_riccati,
+)
 from lqgame.cli import (
     ProblemFormatError, load_problem, load_solution, main, save_plot_data,
     save_problem, save_solution,
@@ -95,6 +97,17 @@ class TestSolutionFiles:
         assert doc["meta"]["config"]["n_steps"] == 50
         assert doc["meta"]["seed"] == 0
         assert doc["meta"]["version"].startswith("lqgame-")
+
+    def test_bytes_equal_json_dump(self, tmp_path, rand_problem):
+        sol = solve_riccati(rand_problem, SolverConfig(n_steps=20), "game")
+        law = feedback_gain(rand_problem, sol)
+        path = tmp_path / "sol.json"
+        save_solution(str(path), sol.grid, sol.P_nodes, sol.margin1_nodes,
+                      sol.margin2_nodes, theta_nodes=law.theta_nodes,
+                      config=SolverConfig(n_steps=20), seed=3,
+                      timings={"solve_s": 0.25})
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text)) + "\n"
 
     def test_plot_data_columns(self, tmp_path, rand_problem):
         sol = solve_riccati(rand_problem, SolverConfig(n_steps=20), "game")
@@ -256,6 +269,18 @@ class TestMalformedInput:
     def test_non_numeric_lambda(self, capsys, ex4_5_file):
         self._exits_2_naming(capsys, ["solve", "--problem", ex4_5_file,
                                       "--lambda", "1.0,half"], "--lambda")
+
+    @pytest.mark.parametrize("value", ["-1", "0.5,0.5", "0.1,0.5"])
+    def test_refused_penalty_levels(self, capsys, ex4_5_file, value):
+        # refused while parsing, before any solve, not as a solver failure
+        self._exits_2_naming(capsys, ["solve", "--problem", ex4_5_file,
+                                      "--lambda", value], "--lambda")
+
+    def test_zero_paths_refused_before_solve(self, capsys, rand_file):
+        assert main(["simulate", "--problem", rand_file, "--paths", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "--paths" in captured.err
+        assert captured.out == ""      # the command never started
 
 
 class TestExamples:

@@ -1,12 +1,188 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqgame import (
-    BlowUpError, ContractViolation, RegularityError, SolverConfig, certify_A3,
-    comparison_check, eval_coeff, local_radius, regularized_problem,
-    riccati_rhs, solve_lambda_family, solve_riccati,
+    BlowUpError, CertificateReport, CoefficientPath, ContractViolation,
+    CostWeights, GameProblem, PartialPath, RegularityError, RiccatiSolution,
+    SolverConfig, StateDynamics, TimeGrid, certify_A3, coefficients,
+    comparison_check, equivalence_report, eval_coeff, fundamental_matrix,
+    hamiltonian, local_radius, regularized_problem, representation,
+    riccati_rhs, solve_lambda_family, solve_riccati, sym,
 )
+from lqgame.core import assemble
+from lqgame.riccati import KINDS, _solve_stack
 from conftest import scalar_game
+
+
+def reference_solve(problem, config, kind):
+    """The backward RK4 loop for one equation alone, stage by stage: the
+    reference that every member of a stacked pass must equal bit for bit,
+    error, failure time, side, margin and partial path included."""
+    grid = TimeGrid(problem.horizon_T, config.n_steps)
+    nodes, h, eps, m1 = grid.nodes, grid.dt, config.eps_reg, problem.m1
+    times = np.empty(2 * grid.n_steps + 1)
+    times[0::2] = nodes
+    times[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    table = coefficients(problem, times)
+
+    def check(t, margins):
+        margin1, margin2 = margins
+        if kind in ("game", "player1") and margin1 <= eps:
+            raise RegularityError(t, 1, margin1)
+        if kind in ("game", "player2") and margin2 >= -eps:
+            raise RegularityError(t, 2, margin2)
+
+    def field(row, P, R_P, S_P):
+        if kind == "player1":
+            Rk, Sk = R_P[:m1, :m1], S_P[:m1, :]
+        elif kind == "player2":
+            Rk, Sk = R_P[m1:, m1:], S_P[m1:, :]
+        else:
+            Rk, Sk = R_P, S_P
+        A, C, Q = row.A, row.C, row.Q
+        return sym(-(P @ A + A.T @ P + C.T @ P @ C + Q
+                     - Sk.T @ np.linalg.solve(Rk, Sk)))
+
+    def rhs(row, t, P):
+        R_P, S_P, margins = assemble(row, P, m1)
+        check(t, margins)
+        return field(row, P, R_P, S_P)
+
+    P = np.array(problem.cost.G)
+    node = table.row(2 * grid.n_steps)
+    R_P, S_P, margins = assemble(node, P, m1)
+    done = [(nodes[-1], P, margins)]
+
+    def path():
+        t, Ps, ms = zip(*done[::-1])
+        return (np.array(t), np.array(Ps), np.array([m[0] for m in ms]),
+                np.array([m[1] for m in ms]))
+
+    try:
+        check(nodes[-1], margins)
+        for k in range(grid.n_steps, 0, -1):
+            t0 = nodes[k - 1]
+            mid, prev = table.row(2 * k - 1), table.row(2 * k - 2)
+            k1 = field(node, P, R_P, S_P)
+            k2 = rhs(mid, times[2 * k - 1], sym(P - 0.5 * h * k1))
+            k3 = rhs(mid, times[2 * k - 1], sym(P - 0.5 * h * k2))
+            k4 = rhs(prev, t0, sym(P - h * k3))
+            P = sym(P - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+            norm = float(np.linalg.norm(P))
+            if not np.isfinite(norm) or norm > config.blowup_cap:
+                raise BlowUpError(t0, norm)
+            node = prev
+            R_P, S_P, margins = assemble(node, P, m1)
+            check(t0, margins)
+            done.append((t0, P, margins))
+    except RegularityError as err:
+        raise RegularityError(err.time, err.side, err.margin,
+                              PartialPath(*path())) from None
+    except BlowUpError as err:
+        raise BlowUpError(err.time, err.norm, PartialPath(*path())) from None
+    _, P_nodes, margin1, margin2 = path()
+    return RiccatiSolution(grid=grid, P_nodes=P_nodes, margin1_nodes=margin1,
+                           margin2_nodes=margin2, kind=kind)
+
+
+def _bits(x) -> bytes:
+    a = np.asarray(x)
+    return a.dtype.str.encode() + str(a.shape).encode() + a.tobytes()
+
+
+def assert_same_solution(sol, ref):
+    assert isinstance(sol, RiccatiSolution) and sol.kind == ref.kind
+    assert sol.grid.same_as(ref.grid)
+    for field in ("P_nodes", "margin1_nodes", "margin2_nodes"):
+        assert _bits(getattr(sol, field)) == _bits(getattr(ref, field)), field
+
+
+def assert_same_error(err, ref):
+    assert type(err) is type(ref) and str(err) == str(ref)
+    for field in ("time", "side", "margin", "norm"):
+        if hasattr(ref, field):
+            assert _bits(getattr(err, field)) == _bits(getattr(ref, field)), field
+    for field in ("times", "P_nodes", "margin1_nodes", "margin2_nodes"):
+        assert (_bits(getattr(err.partial, field))
+                == _bits(getattr(ref.partial, field))), field
+
+
+def assert_matches_reference(outcome, problem, config, kind):
+    """outcome (a solution or an error) equals reference_solve bit for bit."""
+    try:
+        ref = reference_solve(problem, config, kind)
+    except (RegularityError, BlowUpError) as err:
+        assert_same_error(outcome, err)
+    else:
+        assert_same_solution(outcome, ref)
+
+
+def reference_certificate(problem, config):
+    """certify_A3 as the serial composition of two single solves."""
+    try:
+        p1 = reference_solve(problem, config, "player1")
+    except (RegularityError, BlowUpError) as err:
+        return CertificateReport(
+            status="NOT_CERTIFIED", failing_side=1, failure_time=err.time,
+            failure_reason=type(err).__name__)
+    try:
+        p2 = reference_solve(problem, config, "player2")
+    except (RegularityError, BlowUpError) as err:
+        return CertificateReport(
+            status="NOT_CERTIFIED", p1=p1, failing_side=2,
+            failure_time=err.time, failure_reason=type(err).__name__)
+    return CertificateReport(
+        status="CERTIFIED", min_margin1=float(p1.margin1_nodes.min()),
+        max_margin2=float(p2.margin2_nodes.max()), p1=p1, p2=p2)
+
+
+def assert_same_certificate(report, ref):
+    for field in ("status", "min_margin1", "max_margin2", "failing_side",
+                  "failure_time", "failure_reason"):
+        assert _bits(getattr(report, field)) == _bits(getattr(ref, field)), field
+    for field in ("p1", "p2"):
+        sol, ref_sol = getattr(report, field), getattr(ref, field)
+        if ref_sol is None:
+            assert sol is None
+        else:
+            assert_same_solution(sol, ref_sol)
+
+
+def random_game(seed: int, dims=None, noise: bool = True) -> GameProblem:
+    """A small game, constant or sampled in time, at scales where the
+    equations of all three kinds often lose a margin at T or later, or blow
+    up; dims (n, m1, m2) are drawn up to (3, 2, 2) unless given, and
+    C = D1 = D2 = 0 unless noise."""
+    rng = np.random.default_rng(seed)
+    n, m1, m2 = dims or (int(v) for v in rng.integers(1, [4, 3, 3]))
+    scale = float(rng.choice([0.3, 1.0, 3.0]))
+    k = 3 if rng.integers(2) else 1
+
+    def path(M):
+        return (CoefficientPath.sampled(M, 1.0) if k > 1
+                else CoefficientPath.constant(M[0]))
+
+    def rand(rows, cols, factor=1.0):
+        return factor * scale * rng.uniform(-1.0, 1.0, (k, rows, cols))
+
+    def sym_rand(rows, shift):
+        M = rand(rows, rows)
+        return 0.5 * (M + M.transpose(0, 2, 1)) + shift * np.eye(rows)
+
+    R12 = 0.3 * rand(m1, m2)
+    G = rand(n, n)[0]
+    dyn = StateDynamics(A=path(rand(n, n)), B1=path(rand(n, m1)),
+                        B2=path(rand(n, m2)), C=path(rand(n, n, noise)),
+                        D1=path(rand(n, m1, noise)), D2=path(rand(n, m2, noise)))
+    cost = CostWeights(
+        G=0.5 * (G + G.T), Q=path(sym_rand(n, 0.0)), S1=path(rand(m1, n)),
+        S2=path(rand(m2, n)),
+        R11=path(sym_rand(m1, float(rng.choice([0.5, 2.0, 6.0])))),
+        R12=path(R12), R21=path(R12.transpose(0, 2, 1)),
+        R22=path(sym_rand(m2, -float(rng.choice([0.5, 2.0, 6.0])))))
+    return GameProblem(dynamics=dyn, cost=cost, horizon_T=1.0)
 
 
 class TestRhs:
@@ -141,6 +317,85 @@ class TestCertificate:
         assert cmp.passed
         lo, hi = cmp.worst_margins()
         assert lo >= -1e-8 and hi >= -1e-8
+
+
+class TestStackedPass:
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           members=st.lists(st.tuples(st.sampled_from(KINDS),
+                                      st.sampled_from([None, 0.5, 1e-3])),
+                            min_size=1, max_size=4),
+           n_steps=st.integers(2, 30),
+           cap=st.sampled_from([1e8, 20.0, 4.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_members_match_single_solves(self, seed, members, n_steps, cap):
+        # members with a penalty level solve the regularized problem, as the
+        # levels of a family do; a stack of one problem shares its table
+        problem = random_game(seed)
+        problems = [problem if lam is None else regularized_problem(problem, lam)
+                    for _, lam in members]
+        kinds = [kind for kind, _ in members]
+        config = SolverConfig(n_steps=n_steps, blowup_cap=cap)
+        outcomes = _solve_stack(problems, kinds, config)
+        for outcome, member, kind in zip(outcomes, problems, kinds):
+            assert_matches_reference(outcome, member, config, kind)
+
+    def test_player_blocks_not_padded(self):
+        # the player-2 equation at m1 = 1, m2 = 2 changes its last bits in
+        # about one game of five if its block is solved padded to m x m
+        config = SolverConfig(n_steps=20)
+        for seed in range(20):
+            problem = random_game(seed, dims=(3, 1, 2))
+            outcomes = _solve_stack([problem] * 3, KINDS, config)
+            for outcome, kind in zip(outcomes, KINDS):
+                assert_matches_reference(outcome, problem, config, kind)
+
+    @pytest.mark.parametrize("name", ["ex4_5", "ex5_2", "certified"])
+    def test_certificate_matches_serial(self, name, ex4_5, ex5_2, cfg400):
+        # ex5_2: side 2 fails at T, side 1 near 0, and side 1 decides; the
+        # certified draw has m1 = 1, m2 = 2, where padded blocks would show
+        problem = {"ex4_5": ex4_5, "ex5_2": ex5_2,
+                   "certified": random_game(34, dims=(3, 1, 2))}[name]
+        report = certify_A3(problem, cfg400)
+        assert report.certified == (name == "certified")
+        assert_same_certificate(report, reference_certificate(problem, cfg400))
+        if name == "ex4_5":
+            # side 1 blows up, while side 2 alone would finish
+            assert report.failure_reason == "BlowUpError"
+            assert isinstance(reference_solve(problem, cfg400, "player2"),
+                              RiccatiSolution)
+
+    @pytest.mark.parametrize("name", ["ex4_5", "certified"])
+    def test_equivalence_report_matches_separate_calls(self, name, ex4_5,
+                                                       cfg400):
+        problem = {"ex4_5": ex4_5, "certified": random_game(
+            1, dims=(3, 1, 2), noise=False)}[name]
+        report = equivalence_report(problem, cfg400)
+        cert = certify_A3(problem, cfg400)
+        assert cert.certified == (name == "certified")
+        assert_same_certificate(report.certificate, cert)
+        assert_same_certificate(report.certificate,
+                                reference_certificate(problem, cfg400))
+        sol = solve_riccati(problem, cfg400, "game")
+        assert_same_solution(report.riccati, sol)
+        assert_same_solution(report.riccati,
+                             reference_solve(problem, cfg400, "game"))
+        assert report.riccati_failure is None
+        rep = representation(problem, fundamental_matrix(
+            hamiltonian(problem, cfg400.n_steps)))
+        cross = float(max(np.linalg.norm(a - b)
+                          for a, b in zip(rep.P_rep_nodes, sol.P_nodes)))
+        assert _bits(report.cross_error) == _bits(cross)
+
+    def test_equivalence_report_records_game_failure(self, cfg400):
+        # the player-2 margin is zero at T, as in ex5_2, on a noise-free game
+        problem = scalar_game(B1=1.0, B2=1.0, R22=0.0)
+        report = equivalence_report(problem, cfg400)
+        with pytest.raises(RegularityError) as exc:
+            solve_riccati(problem, cfg400, "game")
+        assert report.riccati_failure == f"RegularityError: {exc.value}"
+        assert report.riccati is None
+        assert_same_certificate(report.certificate,
+                                certify_A3(problem, cfg400))
 
 
 class TestRegularization:
