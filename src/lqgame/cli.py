@@ -1,5 +1,6 @@
-"""Command-line front end: problem-file loading, the example library,
-certify/solve/synthesize/verify orchestration, and report emission.
+"""Command-line front end: problem-file loading, the example library, and
+one staged runner.  Each command runs its stages of the chain certify ->
+solve -> synthesize -> simulate | verify, and solves each equation once.
 
 Exit codes: 0 success, 2 certificate refused or unreadable/malformed input
 (problem file or flag), 3 Riccati regularity or blow-up failure, 4 saddle
@@ -20,14 +21,14 @@ from .core import (
     CoefficientPath, ContractViolation, CostWeights, GameProblem, LqgError,
     StateDynamics, TimeGrid,
 )
-from .deterministic import equivalence_report
+from .deterministic import _cross_check
 from .evaluation import (
     ControlLaw, estimate_cost, falsify_lower_value, simulate, verify_saddle,
 )
 from .fixtures import EXAMPLE_NAMES, example_problem
 from .riccati import (
-    BlowUpError, RegularityError, SolverConfig, certify_A3,
-    solve_lambda_family, solve_riccati,
+    BlowUpError, RegularityError, SolverConfig, _certify_and_solve,
+    _checked_levels, certify_A3, solve_lambda_family, solve_riccati,
 )
 from .synthesis import feedback_gain, game_value
 
@@ -264,12 +265,6 @@ def _config(args) -> SolverConfig:
         raise ProblemFormatError(str(err)) from None
 
 
-def _get_problem(args) -> GameProblem:
-    if args.problem is None:
-        raise ProblemFormatError("--problem is required for this command")
-    return load_problem(args.problem)
-
-
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
@@ -287,12 +282,10 @@ def _path_count(text: str) -> int:
 
 def _penalty_levels(text: str) -> list[float]:
     lambdas = _parse("--lambda", _float_list, text)
-    if any(lam <= 0 for lam in lambdas):
-        raise ProblemFormatError("--lambda: all penalty levels must be positive")
-    if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
-        raise ProblemFormatError(
-            "--lambda: penalty levels must be strictly decreasing")
-    return lambdas
+    try:
+        return _checked_levels(lambdas)
+    except ContractViolation as err:
+        raise ProblemFormatError(f"--lambda: {err}") from None
 
 
 def _x_vector(args, n: int) -> np.ndarray:
@@ -304,32 +297,43 @@ def _x_vector(args, n: int) -> np.ndarray:
     return x
 
 
-def cmd_certify(args) -> int:
-    problem = _get_problem(args)
+# each command's stages, in the order of the chain certify -> solve ->
+# synthesize -> simulate | verify; the cross-check compares a noise-free
+# game's backward solution with its fundamental-matrix representation
+_STAGES = {
+    "certify": ("certify",),
+    "solve": ("solve",),
+    "synthesize": ("solve", "synthesize"),
+    "simulate": ("solve", "synthesize", "simulate"),
+    "verify": ("solve", "synthesize", "verify"),
+    "det-rep": ("certify", "solve", "cross-check"),
+    "pipeline": ("certify", "solve", "synthesize", "cross-check", "verify"),
+}
+
+
+def run(args) -> int:
+    """Run the stages of ``args.command`` and return its exit code.
+
+    The certificate and the game solve share one backward pass.  pipeline
+    solves and writes its artifacts even when the certificate is refused,
+    so counterexample instances still produce a solution file; it
+    cross-checks only a noise-free game."""
+    command = args.command
+    stages = _STAGES[command]
+    if args.problem is None:
+        raise ProblemFormatError("--problem is required for this command")
+    problem = load_problem(args.problem)
     config = _config(args)
     print(_header(args, config))
-    report = certify_A3(problem, config)
-    print(f"certificate: {report.status}")
-    if report.certified:
-        print(f"  min player-1 margin {report.min_margin1:.6e}")
-        print(f"  max player-2 margin {report.max_margin2:.6e}")
-        return EXIT_OK
-    print(f"  failing side {report.failing_side} at t={report.failure_time:.6g} "
-          f"({report.failure_reason})")
-    return EXIT_NOT_CERTIFIED
-
-
-def _solve_game(problem, config):
-    t0 = time.perf_counter()
-    sol = solve_riccati(problem, config, "game")
-    return sol, time.perf_counter() - t0
-
-
-def cmd_solve(args) -> int:
-    problem = _get_problem(args)
-    config = _config(args)
-    print(_header(args, config))
-    if args.lam:
+    if command == "det-rep":
+        for name in ("C", "D1", "D2"):
+            if not getattr(problem.dynamics, name).is_zero():
+                raise ProblemFormatError(
+                    f"dynamics.{name}: det-rep needs a noise-free problem "
+                    f"(C = D1 = D2 = 0)")
+    x = _x_vector(args, problem.n) if stages[-1] in ("simulate", "verify") \
+        else None
+    if command == "solve" and args.lam:
         family = solve_lambda_family(problem, args.lam, config)
         for lam, sol, failure in zip(family.lambdas, family.solutions,
                                      family.failures):
@@ -338,83 +342,88 @@ def cmd_solve(args) -> int:
             else:
                 print(f"lambda={lam:g}: P(0) trace {np.trace(sol.P0()):.8g}")
         return EXIT_OK
-    try:
-        sol, elapsed = _solve_game(problem, config)
-    except (RegularityError, BlowUpError) as err:
-        print(f"solve failed: {err}")
+
+    # the game outcome is its solution or the solver's error
+    t0 = time.perf_counter()
+    if "solve" not in stages:
+        cert, game = certify_A3(problem, config), None
+    elif "certify" in stages:
+        cert, game = _certify_and_solve(problem, config)
+    else:
+        try:
+            cert, game = None, solve_riccati(problem, config)
+        except (RegularityError, BlowUpError) as err:
+            cert, game = None, err
+    timings = {"solve_s": time.perf_counter() - t0}
+
+    if cert is not None:
+        print(f"certificate: {cert.status}")
+    if command == "certify":
+        if cert.certified:
+            print(f"  min player-1 margin {cert.min_margin1:.6e}")
+            print(f"  max player-2 margin {cert.max_margin2:.6e}")
+            return EXIT_OK
+        print(f"  failing side {cert.failing_side} at t={cert.failure_time:.6g} "
+              f"({cert.failure_reason})")
+        return EXIT_NOT_CERTIFIED
+    if command == "det-rep":
+        det = _cross_check(problem, config, cert, game)
+        print("backward solve: " + ("ok" if det.riccati else det.riccati_failure))
+        print("representation: " + ("ok" if det.rep else det.rep_failure))
+        if det.cross_error is not None:
+            print(f"max node |P_rep - P_backward| = {det.cross_error:.3e}")
+        if det.all_succeeded:
+            return EXIT_OK
+        if det.riccati is None or det.rep is None:
+            return EXIT_REGULARITY
+        return EXIT_NOT_CERTIFIED
+    if isinstance(game, LqgError):
+        failed = "game Riccati failed" if command == "pipeline" \
+            else "solve failed"
+        print(f"{failed}: {game}")
         return EXIT_REGULARITY
-    print(f"solved {config.n_steps} steps in {elapsed:.3f}s; "
-          f"P(0) =\n{sol.P0()}")
-    if args.out:
-        save_solution(f"{args.out}/solution.json", sol.grid, sol.P_nodes,
-                      sol.margin1_nodes, sol.margin2_nodes, config=config,
-                      seed=args.seed, timings={"solve_s": elapsed})
-        save_plot_data(f"{args.out}/solution.csv", sol.grid, sol.P_nodes,
-                       sol.margin1_nodes, sol.margin2_nodes)
+
+    if command == "solve":
+        print(f"solved {config.n_steps} steps in {timings['solve_s']:.3f}s; "
+              f"P(0) =\n{game.P0()}")
+    law = feedback_gain(problem, game) if "synthesize" in stages else None
+    if command == "synthesize":
+        print(f"Theta(0) =\n{law.theta_nodes[0]}")
+    if command in ("simulate", "pipeline"):
+        print(f"value <P(0)x,x> = {game_value(game, x):.8g}")
+    if args.out and command in ("solve", "synthesize", "pipeline"):
+        save_solution(f"{args.out}/solution.json", game.grid, game.P_nodes,
+                      game.margin1_nodes, game.margin2_nodes,
+                      theta_nodes=None if law is None else law.theta_nodes,
+                      config=config, seed=args.seed, timings=timings)
+        save_plot_data(f"{args.out}/solution.csv", game.grid, game.P_nodes,
+                       game.margin1_nodes, game.margin2_nodes)
         print(f"wrote {args.out}/solution.json and .csv")
-    return EXIT_OK
+    if command in ("solve", "synthesize"):
+        return EXIT_OK
 
+    if command == "simulate":
+        grid = TimeGrid(problem.horizon_T, config.n_steps)
+        est = estimate_cost(problem, simulate(
+            problem, ControlLaw.from_feedback(law, 1, grid),
+            ControlLaw.from_feedback(law, 2, grid), x, grid, args.paths,
+            args.seed))
+        print(f"closed-loop cost {est.mean:.8g} +- {est.std_error:.3g} "
+              f"({est.n_paths} paths)")
+        return EXIT_OK
+    if command == "pipeline":
+        if not cert.certified:
+            print(f"  certificate refused on side {cert.failing_side} "
+                  f"at t={cert.failure_time:.6g}")
+            return EXIT_NOT_CERTIFIED
+        if problem.is_deterministic():
+            det = _cross_check(problem, config, cert, game)
+            if det.cross_error is not None:
+                print(f"deterministic representation error "
+                      f"{det.cross_error:.3e}")
 
-def cmd_synthesize(args) -> int:
-    problem = _get_problem(args)
-    config = _config(args)
-    print(_header(args, config))
-    try:
-        sol, elapsed = _solve_game(problem, config)
-    except (RegularityError, BlowUpError) as err:
-        print(f"solve failed: {err}")
-        return EXIT_REGULARITY
-    law = feedback_gain(problem, sol)
-    print(f"Theta(0) =\n{law.theta_nodes[0]}")
-    if args.out:
-        save_solution(f"{args.out}/solution.json", sol.grid, sol.P_nodes,
-                      sol.margin1_nodes, sol.margin2_nodes,
-                      theta_nodes=law.theta_nodes, config=config,
-                      seed=args.seed, timings={"solve_s": elapsed})
-        print(f"wrote {args.out}/solution.json")
-    return EXIT_OK
-
-
-def cmd_simulate(args) -> int:
-    problem = _get_problem(args)
-    config = _config(args)
-    print(_header(args, config))
-    x = _x_vector(args, problem.n)
-    try:
-        sol, _ = _solve_game(problem, config)
-    except (RegularityError, BlowUpError) as err:
-        print(f"solve failed: {err}")
-        return EXIT_REGULARITY
-    law = feedback_gain(problem, sol)
-    grid = TimeGrid(problem.horizon_T, config.n_steps)
-    ens = simulate(problem, ControlLaw.from_feedback(law, 1, grid),
-                   ControlLaw.from_feedback(law, 2, grid), x, grid,
-                   args.paths, args.seed)
-    est = estimate_cost(problem, ens)
-    print(f"value <P(0)x,x> = {game_value(sol, x):.8g}")
-    print(f"closed-loop cost {est.mean:.8g} +- {est.std_error:.3g} "
-          f"({est.n_paths} paths)")
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    problem = _get_problem(args)
-    config = _config(args)
-    print(_header(args, config))
-    x = _x_vector(args, problem.n)
-    try:
-        sol, _ = _solve_game(problem, config)
-    except (RegularityError, BlowUpError) as err:
-        print(f"solve failed: {err}")
-        return EXIT_REGULARITY
-    law = feedback_gain(problem, sol)
-    report = verify_saddle(problem, sol, law, x, n_perturbations=5,
+    report = verify_saddle(problem, game, law, x, n_perturbations=5,
                            n_paths=args.paths, seed=args.seed)
-    _print_saddle(report)
-    return EXIT_OK if report.verdict == "PASS" else EXIT_VERIFY_FAIL
-
-
-def _print_saddle(report) -> None:
     print(f"value analytic {report.value_analytic:.8g}, "
           f"Monte-Carlo {report.value_mc.mean:.8g} "
           f"+- {report.value_mc.std_error:.3g}")
@@ -423,74 +432,6 @@ def _print_saddle(report) -> None:
     print(f"worst player-1 gap {g1:.4g} (want >= 0 within noise), "
           f"worst player-2 gap {g2:.4g} (want <= 0 within noise)")
     print(f"saddle verdict: {report.verdict}")
-
-
-def cmd_det_rep(args) -> int:
-    problem = _get_problem(args)
-    config = _config(args)
-    print(_header(args, config))
-    report = equivalence_report(problem, config)
-    print(f"certificate: {report.certificate.status}")
-    print("backward solve: " + ("ok" if report.riccati else report.riccati_failure))
-    print("representation: " + ("ok" if report.rep else report.rep_failure))
-    if report.cross_error is not None:
-        print(f"max node |P_rep - P_backward| = {report.cross_error:.3e}")
-    if report.all_succeeded:
-        return EXIT_OK
-    if report.riccati is None or report.rep is None:
-        return EXIT_REGULARITY
-    return EXIT_NOT_CERTIFIED
-
-
-def cmd_pipeline(args) -> int:
-    problem = _get_problem(args)
-    return run_pipeline(problem, _config(args), args)
-
-
-def run_pipeline(problem: GameProblem, config: SolverConfig, args) -> int:
-    """certify -> solve -> synthesize -> verify; writes artifacts to --out.
-
-    The game solve and artifact dump run even when the certificate is
-    refused, so counterexample instances still produce a solution file."""
-    print(_header(args, config))
-    timings = {}
-    x = _x_vector(args, problem.n)
-
-    t0 = time.perf_counter()
-    cert = certify_A3(problem, config)
-    timings["certify_s"] = time.perf_counter() - t0
-    print(f"certificate: {cert.status}")
-
-    try:
-        sol, timings["solve_s"] = _solve_game(problem, config)
-    except (RegularityError, BlowUpError) as err:
-        print(f"game Riccati failed: {err}")
-        return EXIT_REGULARITY
-    law = feedback_gain(problem, sol)
-    print(f"value <P(0)x,x> = {game_value(sol, x):.8g}")
-
-    if args.out:
-        save_solution(f"{args.out}/solution.json", sol.grid, sol.P_nodes,
-                      sol.margin1_nodes, sol.margin2_nodes,
-                      theta_nodes=law.theta_nodes, config=config,
-                      seed=args.seed, timings=timings)
-        save_plot_data(f"{args.out}/solution.csv", sol.grid, sol.P_nodes,
-                       sol.margin1_nodes, sol.margin2_nodes)
-        print(f"wrote {args.out}/solution.json and .csv")
-
-    if not cert.certified:
-        print(f"  certificate refused on side {cert.failing_side} "
-              f"at t={cert.failure_time:.6g}")
-        return EXIT_NOT_CERTIFIED
-
-    if problem.is_deterministic():
-        det = equivalence_report(problem, config)
-        if det.cross_error is not None:
-            print(f"deterministic representation error {det.cross_error:.3e}")
-
-    report = verify_saddle(problem, sol, law, x, n_perturbations=5,
-                           n_paths=args.paths, seed=args.seed)
-    _print_saddle(report)
     return EXIT_OK if report.verdict == "PASS" else EXIT_VERIFY_FAIL
 
 
@@ -499,10 +440,6 @@ def run_pipeline(problem: GameProblem, config: SolverConfig, args) -> int:
 
 
 def run_example(name: str, args) -> int:
-    if name not in EXAMPLE_NAMES:
-        print(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}",
-              file=sys.stderr)
-        return 2
     problem = example_problem(name)
     config = _config(args)
     print(_header(args, config))
@@ -510,11 +447,12 @@ def run_example(name: str, args) -> int:
     x = _x_vector(args, problem.n)
 
     if name == "ex4_5":
-        cert = certify_A3(problem, config)
+        cert, sol = _certify_and_solve(problem, config)
         print(f"certificate: {cert.status} "
               f"(player-{cert.failing_side} companion fails at "
               f"t={cert.failure_time:.4g})")
-        sol, _ = _solve_game(problem, config)
+        if isinstance(sol, LqgError):
+            raise sol
         exact = 2.0 / (sol.grid.nodes - 2.0)
         err = float(np.abs(sol.P_nodes[:, 0, 0] - exact).max())
         print(f"game Riccati solves anyway: P(0) = {sol.P0()[0, 0]:.10f} "
@@ -595,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zero-sum stochastic linear-quadratic differential games")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_example=False):
+    for name in (*_STAGES, "example"):
         p = sub.add_parser(name)
         p.add_argument("--problem", default=None)
         p.add_argument("--steps", type=int, default=2000)
@@ -606,26 +544,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument("--lambda", type=_penalty_levels, default=None,
                        dest="lam")
-        if needs_example:
+        if name == "example":
             p.add_argument("name", choices=EXAMPLE_NAMES)
-        p.set_defaults(fn=fn)
-        return p
-
-    add("certify", cmd_certify)
-    add("solve", cmd_solve)
-    add("synthesize", cmd_synthesize)
-    add("simulate", cmd_simulate)
-    add("verify", cmd_verify)
-    add("det-rep", cmd_det_rep)
-    add("pipeline", cmd_pipeline)
-    add("example", lambda args: run_example(args.name, args), needs_example=True)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        if args.command == "example":
+            return run_example(args.name, args)
+        return run(args)
     except ProblemFormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -162,7 +162,14 @@ def equivalence_report(problem: GameProblem,
     backward pass."""
     if not problem.is_deterministic():
         raise NotDeterministicError("problem has nonzero C or D coefficients")
-    cert, sol = _certify_and_solve(problem, config)
+    return _cross_check(problem, config, *_certify_and_solve(problem, config))
+
+
+def _cross_check(problem: GameProblem, config: SolverConfig,
+                 cert: CertificateReport, sol) -> EquivalenceReport:
+    """The report on the certificate and game outcome (a solution or its
+    error) of one backward pass over a noise-free problem: run the
+    representation and cross-validate it against the solution."""
     sol_failure = None
     if isinstance(sol, LqgError):
         sol, sol_failure = None, f"{type(sol).__name__}: {sol}"

@@ -407,6 +407,17 @@ class RegularizedFamily:
     P0_values: list[np.ndarray | None] = field(default_factory=list)
 
 
+def _checked_levels(lambdas) -> list[float]:
+    """The penalty levels as floats; ContractViolation unless all are
+    positive and strictly decreasing."""
+    lambdas = [float(l) for l in lambdas]
+    if any(l <= 0 for l in lambdas):
+        raise ContractViolation("all penalty levels must be positive")
+    if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
+        raise ContractViolation("penalty levels must be strictly decreasing")
+    return lambdas
+
+
 def solve_lambda_family(problem: GameProblem, lambdas,
                         config: SolverConfig) -> RegularizedFamily:
     """Solve the game Riccati equation for each penalty level, all levels in
@@ -415,12 +426,7 @@ def solve_lambda_family(problem: GameProblem, lambdas,
     Per-level failures are recorded, not raised: level j's solution equals
     ``solve_riccati(regularized_problem(problem, lambdas[j]), config)``.
     """
-    lambdas = [float(l) for l in lambdas]
-    if any(l <= 0 for l in lambdas):
-        raise ContractViolation("all penalty levels must be positive")
-    if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
-        raise ContractViolation("penalty levels must be strictly decreasing")
-
+    lambdas = _checked_levels(lambdas)
     outcomes = _solve_stack(
         [regularized_problem(problem, lam) for lam in lambdas],
         ("game",) * len(lambdas), config) if lambdas else []

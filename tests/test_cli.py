@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from lqgame import (
-    SolverConfig, TimeGrid, example_problem, feedback_gain, solve_riccati,
+    SolverConfig, TimeGrid, equivalence_report, example_problem, feedback_gain,
+    riccati, solve_riccati,
 )
 from lqgame.cli import (
     ProblemFormatError, load_problem, load_solution, main, save_plot_data,
     save_problem, save_solution,
 )
+from conftest import scalar_game
 
 
 @pytest.fixture()
@@ -139,6 +141,20 @@ class TestCommands:
         assert code == 0
         assert (out / "solution.json").exists()
         assert (out / "solution.csv").exists()
+
+    def test_synthesize_writes_json_and_csv(self, capsys, tmp_path, rand_file):
+        solved, synthesized = tmp_path / "solved", tmp_path / "synthesized"
+        for command, out in (("solve", solved), ("synthesize", synthesized)):
+            out.mkdir()
+            assert main([command, "--problem", rand_file, "--steps", "200",
+                         "--out", str(out)]) == 0
+        assert f"wrote {synthesized}/solution.json and .csv" in \
+            capsys.readouterr().out
+        assert load_solution(str(synthesized / "solution.json"))[
+            "theta_nodes"] is not None
+        # the same P and margins, so the same table
+        assert (synthesized / "solution.csv").read_bytes() == \
+            (solved / "solution.csv").read_bytes()
 
     def test_solve_lambda_family(self, capsys, ex4_5_file):
         code = main(["solve", "--problem", ex4_5_file, "--steps", "200",
@@ -276,11 +292,63 @@ class TestMalformedInput:
         self._exits_2_naming(capsys, ["solve", "--problem", ex4_5_file,
                                       "--lambda", value], "--lambda")
 
+    @pytest.mark.parametrize("noise, field", [
+        ({"C": 0.5}, "dynamics.C"),
+        ({"D1": 0.5, "D2": 0.5}, "dynamics.D1"),
+        ({"D2": 0.5}, "dynamics.D2"),
+    ], ids=["C", "D1", "D2"])
+    def test_det_rep_refuses_noisy_problem(self, capsys, tmp_path, noise,
+                                           field):
+        # refused as input before any solve, not as a solver failure (exit 3)
+        path = tmp_path / "noisy.json"
+        save_problem(scalar_game(B1=1.0, B2=1.0, **noise), str(path))
+        assert main(["det-rep", "--problem", str(path), "--steps", "50"]) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert captured.out.count("\n") == 1      # the header alone
+
     def test_zero_paths_refused_before_solve(self, capsys, rand_file):
         assert main(["simulate", "--problem", rand_file, "--paths", "0"]) == 2
         captured = capsys.readouterr()
         assert "--paths" in captured.err
         assert captured.out == ""      # the command never started
+
+
+class TestStagedRunner:
+    """pipeline runs certify -> solve -> synthesize -> verify with one
+    backward pass over the certificate's two equations and the game's."""
+
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        """The kinds of every backward pass, in call order."""
+        calls = []
+        solve_stack = riccati._solve_stack
+
+        def recorded(problems, kinds, config, halt_with=None):
+            calls.append(tuple(kinds))
+            return solve_stack(problems, kinds, config, halt_with)
+
+        monkeypatch.setattr(riccati, "_solve_stack", recorded)
+        return calls
+
+    @pytest.mark.parametrize("name", ["rand_problem", "rand_det_problem"])
+    def test_pipeline_solves_each_equation_once(self, request, tmp_path,
+                                                passes, name):
+        path = tmp_path / "p.json"
+        save_problem(request.getfixturevalue(name), str(path))
+        main(["pipeline", "--problem", str(path), "--steps", "200",
+              "--paths", "200", "--out", str(tmp_path)])
+        assert passes == [("player1", "player2", "game")]
+
+    def test_pipeline_cross_checks_noise_free_game(self, capsys, tmp_path,
+                                                   rand_det_problem):
+        path = tmp_path / "det.json"
+        save_problem(rand_det_problem, str(path))
+        main(["pipeline", "--problem", str(path), "--steps", "200",
+              "--paths", "200"])
+        report = equivalence_report(rand_det_problem, SolverConfig(n_steps=200))
+        assert f"deterministic representation error {report.cross_error:.3e}" \
+            in capsys.readouterr().out
 
 
 class TestExamples:
