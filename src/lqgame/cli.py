@@ -21,14 +21,14 @@ from .core import (
     CoefficientPath, ContractViolation, CostWeights, GameProblem, LqgError,
     StateDynamics, TimeGrid,
 )
-from .deterministic import _cross_check
+from .deterministic import equivalence_report
 from .evaluation import (
     ControlLaw, estimate_cost, falsify_lower_value, simulate, verify_saddle,
 )
 from .fixtures import EXAMPLE_NAMES, example_problem
 from .riccati import (
-    BlowUpError, RegularityError, SolverConfig, _certify_and_solve,
-    _checked_levels, certify_A3, solve_lambda_family, solve_riccati,
+    RegularityError, SolverConfig, _checked_levels, _outcomes, certify_A3,
+    solve_lambda_family, solve_riccati,
 )
 from .synthesis import feedback_gain, game_value
 
@@ -343,17 +343,12 @@ def run(args) -> int:
                 print(f"lambda={lam:g}: P(0) trace {np.trace(sol.P0()):.8g}")
         return EXIT_OK
 
-    # the game outcome is its solution or the solver's error
+    # the game outcome is its solution or the solver's error; after the
+    # certificate it is the outcome of the certificate's pass
     t0 = time.perf_counter()
-    if "solve" not in stages:
-        cert, game = certify_A3(problem, config), None
-    elif "certify" in stages:
-        cert, game = _certify_and_solve(problem, config)
-    else:
-        try:
-            cert, game = None, solve_riccati(problem, config)
-        except (RegularityError, BlowUpError) as err:
-            cert, game = None, err
+    cert = certify_A3(problem, config) if "certify" in stages else None
+    game = _outcomes(problem, config, ("game",))[0] \
+        if "solve" in stages else None
     timings = {"solve_s": time.perf_counter() - t0}
 
     if cert is not None:
@@ -367,7 +362,7 @@ def run(args) -> int:
               f"({cert.failure_reason})")
         return EXIT_NOT_CERTIFIED
     if command == "det-rep":
-        det = _cross_check(problem, config, cert, game)
+        det = equivalence_report(problem, config)
         print("backward solve: " + ("ok" if det.riccati else det.riccati_failure))
         print("representation: " + ("ok" if det.rep else det.rep_failure))
         if det.cross_error is not None:
@@ -392,12 +387,16 @@ def run(args) -> int:
     if command in ("simulate", "pipeline"):
         print(f"value <P(0)x,x> = {game_value(game, x):.8g}")
     if args.out and command in ("solve", "synthesize", "pipeline"):
-        save_solution(f"{args.out}/solution.json", game.grid, game.P_nodes,
-                      game.margin1_nodes, game.margin2_nodes,
-                      theta_nodes=None if law is None else law.theta_nodes,
-                      config=config, seed=args.seed, timings=timings)
-        save_plot_data(f"{args.out}/solution.csv", game.grid, game.P_nodes,
-                       game.margin1_nodes, game.margin2_nodes)
+        try:
+            save_solution(f"{args.out}/solution.json", game.grid, game.P_nodes,
+                          game.margin1_nodes, game.margin2_nodes,
+                          theta_nodes=None if law is None else law.theta_nodes,
+                          config=config, seed=args.seed, timings=timings)
+            save_plot_data(f"{args.out}/solution.csv", game.grid,
+                           game.P_nodes, game.margin1_nodes,
+                           game.margin2_nodes)
+        except OSError as err:
+            raise ProblemFormatError(f"--out: {err}") from None
         print(f"wrote {args.out}/solution.json and .csv")
     if command in ("solve", "synthesize"):
         return EXIT_OK
@@ -417,7 +416,7 @@ def run(args) -> int:
                   f"at t={cert.failure_time:.6g}")
             return EXIT_NOT_CERTIFIED
         if problem.is_deterministic():
-            det = _cross_check(problem, config, cert, game)
+            det = equivalence_report(problem, config)
             if det.cross_error is not None:
                 print(f"deterministic representation error "
                       f"{det.cross_error:.3e}")
@@ -447,12 +446,11 @@ def run_example(name: str, args) -> int:
     x = _x_vector(args, problem.n)
 
     if name == "ex4_5":
-        cert, sol = _certify_and_solve(problem, config)
+        cert = certify_A3(problem, config)
         print(f"certificate: {cert.status} "
               f"(player-{cert.failing_side} companion fails at "
               f"t={cert.failure_time:.4g})")
-        if isinstance(sol, LqgError):
-            raise sol
+        sol = solve_riccati(problem, config)
         exact = 2.0 / (sol.grid.nodes - 2.0)
         err = float(np.abs(sol.P_nodes[:, 0, 0] - exact).max())
         print(f"game Riccati solves anyway: P(0) = {sol.P0()[0, 0]:.10f} "

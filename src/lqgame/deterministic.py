@@ -14,7 +14,7 @@ from .core import (
 )
 from .riccati import (
     BlowUpError, CertificateReport, RegularityError, RiccatiSolution,
-    SolverConfig, _certify_and_solve,
+    SolverConfig, _outcomes, certify_A3,
 )
 
 
@@ -159,17 +159,12 @@ def equivalence_report(problem: GameProblem,
     report the cross-validation error; every outcome is a report field.
 
     The certificate's two equations and the game equation share one
-    backward pass."""
+    backward pass, or reuse an earlier one over the same problem object and
+    config."""
     if not problem.is_deterministic():
         raise NotDeterministicError("problem has nonzero C or D coefficients")
-    return _cross_check(problem, config, *_certify_and_solve(problem, config))
-
-
-def _cross_check(problem: GameProblem, config: SolverConfig,
-                 cert: CertificateReport, sol) -> EquivalenceReport:
-    """The report on the certificate and game outcome (a solution or its
-    error) of one backward pass over a noise-free problem: run the
-    representation and cross-validate it against the solution."""
+    cert = certify_A3(problem, config)
+    sol, = _outcomes(problem, config, ("game",))
     sol_failure = None
     if isinstance(sol, LqgError):
         sol, sol_failure = None, f"{type(sol).__name__}: {sol}"

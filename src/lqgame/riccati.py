@@ -9,14 +9,20 @@ loss between nodes is caught at the stage time.
 
 One backward pass (``_solve_stack``) integrates a stack of equations on one
 grid, each stage once for the whole stack: a single solve is a stack of
-one, the certificate a stack of the two companions, ``equivalence_report``
-a stack of all three, a regularized family a stack of its levels.  A member
-that fails leaves the stack, keeping the error and partial path a solve of
-it alone raises; every member equals that solve bit for bit.
+one, a regularized family a stack of its levels.  A member that fails
+leaves the stack, keeping the error and partial path a solve of it alone
+raises; every member equals that solve bit for bit.
+
+The outcomes of a problem's equations are kept per problem object and
+solver config while the problem lives (``_outcomes``): the certificate
+integrates the two companions and the game equation in one pass, and a
+later ``solve_riccati`` or ``equivalence_report`` of the same problem and
+config reuses them.  Their arrays are read-only, since callers share them.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -170,8 +176,7 @@ def riccati_rhs(problem: GameProblem, t: float, P: np.ndarray, kind: str,
     return _field(row, P[None], R_P[None], S_P[None], kinds.groups)[0]
 
 
-def _solve_stack(problems, kinds, config: SolverConfig,
-                 halt_with: int | None = None) -> list:
+def _solve_stack(problems, kinds, config: SolverConfig) -> list:
     """Integrate one Riccati equation per (problem, kind) pair backward from
     P(T) = G in one pass over one grid, each stage once for the whole stack.
 
@@ -181,9 +186,8 @@ def _solve_stack(problems, kinds, config: SolverConfig,
     at a stage, or whose P passes the blow-up cap, leaves the stack there.
     Returns one outcome per member: its RiccatiSolution, or the
     RegularityError or BlowUpError, with partial path, that a pass over it
-    alone raises; both equal those of that pass bit for bit.  When the
-    member at index ``halt_with`` fails, the pass ends and the members still
-    in the stack keep None.
+    alone raises; both equal those of that pass bit for bit.  The arrays of
+    the outcomes are read-only.
     """
     problem = problems[0]
     grid = TimeGrid(problem.horizon_T, config.n_steps)
@@ -204,6 +208,10 @@ def _solve_stack(problems, kinds, config: SolverConfig,
     kinds = np.array(kinds)
     P_path = np.empty((len(kinds), grid.n_steps + 1, problem.n, problem.n))
     margin_path = np.empty((2, len(kinds), grid.n_steps + 1))
+    # outcomes see the paths through read-only views: the memo shares them
+    P_out, margin_out = P_path.view(), margin_path.view()
+    for a in (nodes, P_out, margin_out):
+        a.setflags(write=False)
     outcomes = [None] * len(kinds)
     live = np.arange(len(kinds))
     live_kinds = _Kinds.of(kinds, m1, eps)
@@ -220,11 +228,9 @@ def _solve_stack(problems, kinds, config: SolverConfig,
         for pos in np.flatnonzero(bad):
             i = live[pos]
             outcomes[i] = error(pos, PartialPath(
-                nodes[done:], P_path[i, done:], margin_path[0, i, done:],
-                margin_path[1, i, done:]))
+                nodes[done:], P_out[i, done:], margin_out[0, i, done:],
+                margin_out[1, i, done:]))
         keep = ~bad
-        if halt_with is not None and outcomes[halt_with] is not None:
-            keep[:] = False
         live = live[keep]
         live_kinds = _Kinds.of(kinds[live], m1, eps)
         return keep
@@ -271,24 +277,45 @@ def _solve_stack(problems, kinds, config: SolverConfig,
 
     for i in live:
         outcomes[i] = RiccatiSolution(
-            grid=grid, P_nodes=P_path[i], margin1_nodes=margin_path[0, i],
-            margin2_nodes=margin_path[1, i], kind=str(kinds[i]))
+            grid=grid, P_nodes=P_out[i], margin1_nodes=margin_out[0, i],
+            margin2_nodes=margin_out[1, i], kind=str(kinds[i]))
     return outcomes
+
+
+# per problem object, {(config, kind): its outcome}; an entry goes with its
+# problem, which is frozen, hashes by identity and has read-only arrays
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def _outcomes(problem: GameProblem, config: SolverConfig, kinds) -> list:
+    """The outcome (solution or error) of each equation of ``kinds`` on
+    problem under config; those not yet stored are integrated together in
+    one backward pass."""
+    memo = _MEMO.setdefault(problem, {})
+    todo = [kind for kind in kinds if (config, kind) not in memo]
+    if todo:
+        stack = _solve_stack([problem] * len(todo), todo, config)
+        memo.update({(config, kind): o for kind, o in zip(todo, stack)})
+    return [memo[config, kind] for kind in kinds]
 
 
 def solve_riccati(problem: GameProblem, config: SolverConfig,
                   kind: str = "game") -> RiccatiSolution:
-    """Integrate the Riccati equation backward from P(T) = G: a backward
-    pass over a stack of one.
+    """Integrate the Riccati equation backward from P(T) = G, or reuse the
+    outcome of an earlier pass over the same problem object and config.
 
     On a margin violation or blow-up the raised error carries the partial
     path from the failure time up to T.
     """
     if kind not in KINDS:
         raise ContractViolation(f"unknown kind {kind!r}")
-    outcome, = _solve_stack([problem], (kind,), config)
+    outcome, = _outcomes(problem, config, (kind,))
     if isinstance(outcome, LqgError):
-        raise outcome
+        # raise a copy: the stored error must never carry a traceback, whose
+        # frames would keep the problem, and so its memo entry, alive
+        err = type(outcome).__new__(type(outcome), *outcome.args)
+        err.__dict__.update(vars(outcome))
+        raise err
     return outcome
 
 
@@ -310,10 +337,17 @@ class CertificateReport:
         return self.status == "CERTIFIED"
 
 
-def _certificate(p1, p2) -> CertificateReport:
-    """The certificate of the outcomes of the two frozen-opponent equations
-    (a solution or its error); a player-1 failure decides it, whatever
-    player 2's outcome."""
+def certify_A3(problem: GameProblem, config: SolverConfig) -> CertificateReport:
+    """Solve the two frozen-opponent Riccati equations, in one backward pass
+    with the game equation, whose outcome a later ``solve_riccati`` of the
+    problem reuses.
+
+    Success of both (with strong regularity) is sufficient evidence for
+    saddle synthesis to proceed; failure of either yields NOT_CERTIFIED with
+    the side and time, player 1's deciding when both fail.  No converse
+    claim is made: game-Riccati solvability does not imply this certificate.
+    """
+    p1, p2, _ = _outcomes(problem, config, ("player1", "player2", "game"))
     if isinstance(p1, LqgError):
         return CertificateReport(
             status="NOT_CERTIFIED", failing_side=1, failure_time=p1.time,
@@ -327,26 +361,6 @@ def _certificate(p1, p2) -> CertificateReport:
         min_margin1=float(p1.margin1_nodes.min()),
         max_margin2=float(p2.margin2_nodes.max()),
         p1=p1, p2=p2)
-
-
-def certify_A3(problem: GameProblem, config: SolverConfig) -> CertificateReport:
-    """Solve the two frozen-opponent Riccati equations in one backward pass.
-
-    Success of both (with strong regularity) is sufficient evidence for
-    saddle synthesis to proceed; failure of either yields NOT_CERTIFIED with
-    the side and time.  No converse claim is made: game-Riccati solvability
-    does not imply this certificate.  A player-1 failure ends the pass.
-    """
-    return _certificate(*_solve_stack(
-        [problem] * 2, ("player1", "player2"), config, halt_with=0))
-
-
-def _certify_and_solve(problem: GameProblem, config: SolverConfig):
-    """``certify_A3`` and the game solve in one backward pass over the three
-    equations: the certificate, and the game's solution or its error."""
-    p1, p2, game = _solve_stack(
-        [problem] * 3, ("player1", "player2", "game"), config)
-    return _certificate(p1, p2), game
 
 
 @dataclass

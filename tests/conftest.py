@@ -3,7 +3,7 @@ import pytest
 
 from lqgame import (
     CoefficientPath, CostWeights, GameProblem, SolverConfig, StateDynamics,
-    example_problem, random_certified_problem,
+    example_problem, random_certified_problem, riccati,
 )
 
 
@@ -50,3 +50,17 @@ def rand_problem():
 @pytest.fixture(scope="session")
 def rand_det_problem():
     return random_certified_problem(seed=11, deterministic=True)
+
+
+@pytest.fixture()
+def passes(monkeypatch):
+    """The kinds of every backward pass, in call order."""
+    calls = []
+    solve_stack = riccati._solve_stack
+
+    def recorded(problems, kinds, config):
+        calls.append(tuple(kinds))
+        return solve_stack(problems, kinds, config)
+
+    monkeypatch.setattr(riccati, "_solve_stack", recorded)
+    return calls

@@ -5,7 +5,7 @@ import pytest
 
 from lqgame import (
     SolverConfig, TimeGrid, equivalence_report, example_problem, feedback_gain,
-    riccati, solve_riccati,
+    solve_riccati,
 )
 from lqgame.cli import (
     ProblemFormatError, load_problem, load_solution, main, save_plot_data,
@@ -307,6 +307,16 @@ class TestMalformedInput:
         assert field in captured.err
         assert captured.out.count("\n") == 1      # the header alone
 
+    @pytest.mark.parametrize("command", ["solve", "synthesize", "pipeline"])
+    def test_unwritable_out_directory(self, capsys, tmp_path, rand_file,
+                                      command):
+        out = tmp_path / "no" / "such" / "dir"
+        assert main([command, "--problem", rand_file, "--steps", "50",
+                     "--paths", "200", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out: ")
+        assert not (tmp_path / "no").exists()
+
     def test_zero_paths_refused_before_solve(self, capsys, rand_file):
         assert main(["simulate", "--problem", rand_file, "--paths", "0"]) == 2
         captured = capsys.readouterr()
@@ -317,19 +327,6 @@ class TestMalformedInput:
 class TestStagedRunner:
     """pipeline runs certify -> solve -> synthesize -> verify with one
     backward pass over the certificate's two equations and the game's."""
-
-    @pytest.fixture()
-    def passes(self, monkeypatch):
-        """The kinds of every backward pass, in call order."""
-        calls = []
-        solve_stack = riccati._solve_stack
-
-        def recorded(problems, kinds, config, halt_with=None):
-            calls.append(tuple(kinds))
-            return solve_stack(problems, kinds, config, halt_with)
-
-        monkeypatch.setattr(riccati, "_solve_stack", recorded)
-        return calls
 
     @pytest.mark.parametrize("name", ["rand_problem", "rand_det_problem"])
     def test_pipeline_solves_each_equation_once(self, request, tmp_path,

@@ -1,3 +1,7 @@
+import gc
+import traceback
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +11,10 @@ from lqgame import (
     BlowUpError, CertificateReport, CoefficientPath, ContractViolation,
     CostWeights, GameProblem, PartialPath, RegularityError, RiccatiSolution,
     SolverConfig, StateDynamics, TimeGrid, certify_A3, coefficients,
-    comparison_check, equivalence_report, eval_coeff, fundamental_matrix,
-    hamiltonian, local_radius, regularized_problem, representation,
-    riccati_rhs, solve_lambda_family, solve_riccati, sym,
+    comparison_check, equivalence_report, eval_coeff, example_problem,
+    fundamental_matrix, hamiltonian, local_radius, regularized_problem,
+    representation, riccati, riccati_rhs, solve_lambda_family, solve_riccati,
+    sym,
 )
 from lqgame.core import assemble
 from lqgame.riccati import KINDS, _solve_stack
@@ -396,6 +401,81 @@ class TestStackedPass:
         assert report.riccati is None
         assert_same_certificate(report.certificate,
                                 certify_A3(problem, cfg400))
+
+
+def solve_or_error(problem, config, kind):
+    """solve_riccati's solution, or the error it raised."""
+    try:
+        return solve_riccati(problem, config, kind)
+    except (RegularityError, BlowUpError) as err:
+        return err
+
+
+class TestMemo:
+    """Outcomes are kept per problem object and config: the certificate's
+    pass carries the game equation, and later solves reuse it."""
+
+    def test_one_pass_per_problem(self, passes, cfg400):
+        problem = random_game(1, dims=(3, 1, 2), noise=False)
+        assert certify_A3(problem, cfg400).certified
+        solve_riccati(problem, cfg400, "game")
+        assert equivalence_report(problem, cfg400).all_succeeded
+        assert passes == [("player1", "player2", "game")]
+
+    def test_config_is_part_of_the_key(self, passes, cfg400):
+        problem = random_game(1, dims=(3, 1, 2), noise=False)
+        certify_A3(problem, cfg400)
+        sol = solve_riccati(problem, SolverConfig(n_steps=200), "game")
+        assert sol.grid.n_steps == 200
+        # an equal config is the same key
+        solve_riccati(problem, SolverConfig(n_steps=400), "player2")
+        assert passes == [("player1", "player2", "game"), ("game",)]
+
+    @pytest.mark.parametrize("name", ["ex4_5", "ex5_2", "certified"])
+    def test_outcomes_match_reference(self, name, cfg400):
+        # ex4_5: player 1 blows up while player 2 and the game integrate to
+        # 0 in the same pass; ex5_2: all three fail, with partial paths
+        problem = (random_game(34, dims=(3, 1, 2)) if name == "certified"
+                   else example_problem(name))
+        assert_same_certificate(certify_A3(problem, cfg400),
+                                reference_certificate(problem, cfg400))
+        for _ in range(2):          # the pass, then stored outcomes again
+            for kind in KINDS:
+                assert_matches_reference(solve_or_error(problem, cfg400, kind),
+                                         problem, cfg400, kind)
+
+    def test_entry_goes_with_its_problem(self, cfg400):
+        # the game fails at T: a raised and caught error must not keep the
+        # problem alive through its traceback
+        problem = scalar_game(B1=1.0, B2=1.0, R22=0.0)
+        certify_A3(problem, cfg400)
+        assert isinstance(solve_or_error(problem, cfg400, "game"),
+                          RegularityError)
+        gc.collect()
+        alive, size = weakref.ref(problem), len(riccati._MEMO)
+        del problem
+        gc.collect()
+        assert alive() is None
+        assert len(riccati._MEMO) == size - 1
+
+    def test_stored_error_raised_afresh(self, cfg400):
+        problem = scalar_game(B1=1.0, B2=1.0, R22=0.0)
+        depths = []
+        for _ in range(2):
+            with pytest.raises(RegularityError) as exc:
+                solve_riccati(problem, cfg400, "game")
+            depths.append(len(traceback.extract_tb(exc.value.__traceback__)))
+        assert depths[0] == depths[1]
+
+    def test_shared_arrays_are_read_only(self, cfg400):
+        problem = example_problem("ex4_5")
+        sol = solve_riccati(problem, cfg400, "game")
+        err = solve_or_error(problem, cfg400, "player1")
+        for a in (sol.P_nodes, sol.margin1_nodes, sol.margin2_nodes,
+                  err.partial.times, err.partial.P_nodes,
+                  err.partial.margin1_nodes, err.partial.margin2_nodes):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestRegularization:
