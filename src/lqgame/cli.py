@@ -27,7 +27,7 @@ from .evaluation import (
 )
 from .fixtures import EXAMPLE_NAMES, example_problem
 from .riccati import (
-    RegularityError, SolverConfig, _checked_levels, _outcomes, certify_A3,
+    BlowUpError, RegularityError, SolverConfig, _checked_levels, certify_A3,
     solve_lambda_family, solve_riccati,
 )
 from .synthesis import feedback_gain, game_value
@@ -343,12 +343,16 @@ def run(args) -> int:
                 print(f"lambda={lam:g}: P(0) trace {np.trace(sol.P0()):.8g}")
         return EXIT_OK
 
-    # the game outcome is its solution or the solver's error; after the
-    # certificate it is the outcome of the certificate's pass
+    # the game outcome is its solution or the solver's error; the solve,
+    # asked for before the certificate is read, shares its backward pass
     t0 = time.perf_counter()
     cert = certify_A3(problem, config) if "certify" in stages else None
-    game = _outcomes(problem, config, ("game",))[0] \
-        if "solve" in stages else None
+    game = None
+    if "solve" in stages:
+        try:
+            game = solve_riccati(problem, config)
+        except (RegularityError, BlowUpError) as err:
+            game = err
     timings = {"solve_s": time.perf_counter() - t0}
 
     if cert is not None:
@@ -447,10 +451,10 @@ def run_example(name: str, args) -> int:
 
     if name == "ex4_5":
         cert = certify_A3(problem, config)
+        sol = solve_riccati(problem, config)
         print(f"certificate: {cert.status} "
               f"(player-{cert.failing_side} companion fails at "
               f"t={cert.failure_time:.4g})")
-        sol = solve_riccati(problem, config)
         exact = 2.0 / (sol.grid.nodes - 2.0)
         err = float(np.abs(sol.P_nodes[:, 0, 0] - exact).max())
         print(f"game Riccati solves anyway: P(0) = {sol.P0()[0, 0]:.10f} "

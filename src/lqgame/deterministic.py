@@ -14,7 +14,7 @@ from .core import (
 )
 from .riccati import (
     BlowUpError, CertificateReport, RegularityError, RiccatiSolution,
-    SolverConfig, _outcomes, certify_A3,
+    SolverConfig, certify_A3, solve_riccati,
 )
 
 
@@ -164,10 +164,11 @@ def equivalence_report(problem: GameProblem,
     if not problem.is_deterministic():
         raise NotDeterministicError("problem has nonzero C or D coefficients")
     cert = certify_A3(problem, config)
-    sol, = _outcomes(problem, config, ("game",))
-    sol_failure = None
-    if isinstance(sol, LqgError):
-        sol, sol_failure = None, f"{type(sol).__name__}: {sol}"
+    sol, sol_failure = None, None
+    try:
+        sol = solve_riccati(problem, config)
+    except (RegularityError, BlowUpError) as err:
+        sol_failure = f"{type(err).__name__}: {err}"
 
     rep, rep_failure = None, None
     try:

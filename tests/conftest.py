@@ -58,9 +58,9 @@ def passes(monkeypatch):
     calls = []
     solve_stack = riccati._solve_stack
 
-    def recorded(problems, kinds, config):
+    def recorded(problems, kinds, config, halt_with=None):
         calls.append(tuple(kinds))
-        return solve_stack(problems, kinds, config)
+        return solve_stack(problems, kinds, config, halt_with)
 
     monkeypatch.setattr(riccati, "_solve_stack", recorded)
     return calls

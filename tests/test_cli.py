@@ -333,9 +333,18 @@ class TestStagedRunner:
                                                 passes, name):
         path = tmp_path / "p.json"
         save_problem(request.getfixturevalue(name), str(path))
+        passes.clear()      # the fixture's draw, when it is built here
         main(["pipeline", "--problem", str(path), "--steps", "200",
               "--paths", "200", "--out", str(tmp_path)])
         assert passes == [("player1", "player2", "game")]
+
+    def test_certify_solves_its_two_equations_alone(self, tmp_path, passes,
+                                                    rand_problem):
+        path = tmp_path / "p.json"
+        save_problem(rand_problem, str(path))
+        passes.clear()      # the fixture's draw, when it is built here
+        assert main(["certify", "--problem", str(path), "--steps", "200"]) == 0
+        assert passes == [("player1", "player2")]
 
     def test_pipeline_cross_checks_noise_free_game(self, capsys, tmp_path,
                                                    rand_det_problem):

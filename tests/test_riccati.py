@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import traceback
 import weakref
@@ -412,45 +413,68 @@ def solve_or_error(problem, config, kind):
 
 
 class TestMemo:
-    """Outcomes are kept per problem object and config: the certificate's
-    pass carries the game equation, and later solves reuse it."""
+    """Outcomes are kept per problem object and config.  A solve asked for
+    before the certificate is read joins the certificate's pass; a
+    certificate read at once costs its two equations alone."""
 
     def test_one_pass_per_problem(self, passes, cfg400):
         problem = random_game(1, dims=(3, 1, 2), noise=False)
-        assert certify_A3(problem, cfg400).certified
+        cert = certify_A3(problem, cfg400)
         solve_riccati(problem, cfg400, "game")
+        assert cert.certified
         assert equivalence_report(problem, cfg400).all_succeeded
         assert passes == [("player1", "player2", "game")]
 
+    @pytest.mark.parametrize("name", ["ex4_5", "certified"])
+    def test_certificate_read_at_once(self, passes, name, cfg400):
+        # ex4_5: player 1's blow-up at t = 0.5 ends the pass, so player 2
+        # is not stored and a solve of it makes a pass of its own
+        problem = (random_game(34, dims=(3, 1, 2)) if name == "certified"
+                   else example_problem(name))
+        assert certify_A3(problem, cfg400).certified == (name == "certified")
+        solve_or_error(problem, cfg400, "game")
+        solve_or_error(problem, cfg400, "player2")
+        assert passes == [("player1", "player2"), ("game",)] + (
+            [("player2",)] if name == "ex4_5" else [])
+
     def test_config_is_part_of_the_key(self, passes, cfg400):
         problem = random_game(1, dims=(3, 1, 2), noise=False)
-        certify_A3(problem, cfg400)
+        cert = certify_A3(problem, cfg400)
+        solve_riccati(problem, cfg400, "game")
+        assert cert.certified
         sol = solve_riccati(problem, SolverConfig(n_steps=200), "game")
         assert sol.grid.n_steps == 200
         # an equal config is the same key
         solve_riccati(problem, SolverConfig(n_steps=400), "player2")
         assert passes == [("player1", "player2", "game"), ("game",)]
 
+    @pytest.mark.parametrize("read_first", [True, False])
     @pytest.mark.parametrize("name", ["ex4_5", "ex5_2", "certified"])
-    def test_outcomes_match_reference(self, name, cfg400):
+    def test_outcomes_match_reference(self, name, read_first, cfg400):
         # ex4_5: player 1 blows up while player 2 and the game integrate to
-        # 0 in the same pass; ex5_2: all three fail, with partial paths
+        # 0 in the same pass, unless the certificate was read first; ex5_2:
+        # all three fail, with partial paths
         problem = (random_game(34, dims=(3, 1, 2)) if name == "certified"
                    else example_problem(name))
-        assert_same_certificate(certify_A3(problem, cfg400),
-                                reference_certificate(problem, cfg400))
-        for _ in range(2):          # the pass, then stored outcomes again
+        ref = reference_certificate(problem, cfg400)
+        cert = certify_A3(problem, cfg400)
+        if read_first:
+            assert_same_certificate(cert, ref)
+        for _ in range(2):          # a pass, then stored outcomes again
             for kind in KINDS:
                 assert_matches_reference(solve_or_error(problem, cfg400, kind),
                                          problem, cfg400, kind)
+        assert_same_certificate(cert, ref)
+        assert type(cert) is CertificateReport
 
     def test_entry_goes_with_its_problem(self, cfg400):
         # the game fails at T: a raised and caught error must not keep the
-        # problem alive through its traceback
+        # problem alive through its traceback, nor a certificate once read
         problem = scalar_game(B1=1.0, B2=1.0, R22=0.0)
-        certify_A3(problem, cfg400)
+        cert = certify_A3(problem, cfg400)
         assert isinstance(solve_or_error(problem, cfg400, "game"),
                           RegularityError)
+        assert cert.failing_side == 2
         gc.collect()
         alive, size = weakref.ref(problem), len(riccati._MEMO)
         del problem
@@ -476,6 +500,8 @@ class TestMemo:
                   err.partial.margin1_nodes, err.partial.margin2_nodes):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            err.partial.P_nodes = sol.P_nodes
 
 
 class TestRegularization:
