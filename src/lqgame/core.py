@@ -14,6 +14,7 @@ after construction and every function is pure.
 
 from __future__ import annotations
 
+import copyreg
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,6 +26,10 @@ COND_LIMIT = 1e12
 
 class LqgError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # copy and pickle skip __init__: args hold only the message
+        return copyreg.__newobj__, (type(self), *self.args), vars(self)
 
 
 class DomainError(LqgError):
@@ -403,8 +408,7 @@ def sym_eig_extremes(M: np.ndarray):
     return _eig_extremes(sym(M))
 
 
-def block_inverse(M: np.ndarray, L: np.ndarray, N: np.ndarray,
-                  cond_limit: float = COND_LIMIT) -> np.ndarray:
+def block_inverse(M: np.ndarray, L: np.ndarray, N: np.ndarray) -> np.ndarray:
     """Inverse of the 2x2 block matrix [[M, L], [L^T, N]], or of each one in
     a stack (M, L and N share their leading axes).
 
@@ -414,21 +418,20 @@ def block_inverse(M: np.ndarray, L: np.ndarray, N: np.ndarray,
          [-Phi^-1 (M^-1 L)^T,                  Phi^-1          ]]
 
     Raises SingularBlockError naming the failing block ("M" or "Phi") of the
-    first matrix of the stack where M or Phi is numerically singular.
+    first matrix of the stack where M or Phi has condition above COND_LIMIT.
     """
     M, L, N = np.atleast_2d(M), np.atleast_2d(L), np.atleast_2d(N)
     cond_M = np.ravel(np.linalg.cond(M))
-    bad = np.flatnonzero(cond_M > cond_limit)
+    bad = np.flatnonzero(cond_M > COND_LIMIT)
     if bad.size:
         # a singular Phi in a matrix before the first singular M fails first
         j = bad[0]
-        block_inverse(*(X.reshape((-1,) + X.shape[-2:])[:j] for X in (M, L, N)),
-                      cond_limit)
+        block_inverse(*(X.reshape((-1,) + X.shape[-2:])[:j] for X in (M, L, N)))
         raise SingularBlockError("M", float(cond_M[j]))
     Minv_L = np.linalg.solve(M, L)
     Phi = N - _T(L) @ Minv_L
     cond_Phi = np.ravel(np.linalg.cond(Phi))
-    bad = np.flatnonzero(cond_Phi > cond_limit)
+    bad = np.flatnonzero(cond_Phi > COND_LIMIT)
     if bad.size:
         raise SingularBlockError("Phi", float(cond_Phi[bad[0]]))
     Phi_inv = np.linalg.inv(Phi)

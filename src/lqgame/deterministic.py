@@ -102,20 +102,19 @@ def fundamental_matrix(h: HamiltonianPath) -> FundamentalMatrix:
     return FundamentalMatrix(grid=h.grid, Psi_nodes=Psi)
 
 
-def representation(problem: GameProblem, psi: FundamentalMatrix,
-                   G: np.ndarray | None = None,
-                   cond_limit: float = 1e10) -> RepresentationResult:
+def representation(problem: GameProblem,
+                   psi: FundamentalMatrix) -> RepresentationResult:
     """Recover P(t) from the fundamental matrix:
 
         Lambda(t) = (G, -I) Psi(T) Psi(t)^-1 (0; I)
         P(t)      = -Lambda(t)^-1 (G, -I) Psi(T) Psi(t)^-1 (I; 0)
 
-    P is symmetrized after its symmetry defect is recorded.
+    P is symmetrized after its symmetry defect is recorded.  A node whose
+    solve for P has condition above 1e10 raises RepresentationSingularError.
     """
     n = problem.n
-    G = np.atleast_2d(problem.cost.G if G is None else np.asarray(G, float))
     Psi_T = psi.Psi_nodes[-1]
-    GI = np.hstack([G, -np.eye(n)])
+    GI = np.hstack([problem.cost.G, -np.eye(n)])
     # Psi(T) Psi(t)^-1 via a linear solve against Psi(t)
     edge = GI @ _T(np.linalg.solve(_T(psi.Psi_nodes), Psi_T.T))
     Lam = edge[:, :, n:]
@@ -125,7 +124,7 @@ def representation(problem: GameProblem, psi: FundamentalMatrix,
     scale = np.maximum(np.abs(edge).max(axis=(1, 2)), 1.0)
     cond = np.divide(scale, sigma_min, out=np.full_like(scale, np.inf),
                      where=sigma_min > 0)
-    bad = np.flatnonzero(cond > cond_limit)
+    bad = np.flatnonzero(cond > 1e10)
     if bad.size:
         raise RepresentationSingularError(float(psi.grid.nodes[bad[0]]),
                                           float(cond[bad[0]]))

@@ -263,7 +263,7 @@ def perturbation_directions(seed: int, count: int, grid: TimeGrid,
 
 
 def _replay(saddle, player: int, v: np.ndarray):
-    """Control callables that replay the saddle controls, each stored as
+    """Control callables that replay the saddle controls, each of shape
     (n_nodes, m, n_paths), with the deterministic direction ``v`` of shape
     (n_nodes, m) added to one player's control at every step."""
     fns = [lambda k, X, U=U: U[k] for U in saddle]
@@ -274,38 +274,33 @@ def _replay(saddle, player: int, v: np.ndarray):
 
 def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
                   x, n_perturbations: int, n_paths: int, seed: int,
-                  sim_steps: int = 200, n_sigma: float = 3.0) -> SaddleReport:
+                  sim_steps: int = 200) -> SaddleReport:
     """Simulate the closed-loop saddle pair, then re-simulate unilateral
     deviations with the same Brownian increments (common random numbers) and
-    report the perturbation-gap statistics.
+    report the perturbation-gap statistics against 3 standard errors.
 
-    The saddle controls become open-loop processes, replayed per path and
-    kept as contiguous (n_nodes, m, n_paths) copies; the base state history
-    is released.  A deviation adds a deterministic direction to one player's
-    process and keeps no history: only its running cost and the state and
-    control slabs of the current and the next node."""
+    The saddle controls become open-loop processes, replayed per path from
+    the base run's own history: node k's controls are contiguous
+    (m, n_paths) rows of its component-major buffer, so nothing is copied.
+    A deviation adds a deterministic direction to one player's process and
+    keeps no history: only its running cost and the state and control slabs
+    of the current and the next node."""
     grid = TimeGrid(problem.horizon_T, sim_steps)
-    u1_fb = ControlLaw.from_feedback(law, 1, grid)
-    u2_fb = ControlLaw.from_feedback(law, 2, grid)
-    base = simulate(problem, u1_fb, u2_fb, x, grid, n_paths, seed)
-    saddle = tuple(np.ascontiguousarray(U.transpose(1, 2, 0))
-                   for U in (base.u1_paths, base.u2_paths))
-    dW = base.increments.T
-    base_costs = base.costs
-    del base
+    feedback = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
+    base = simulate(problem, *feedback, x, grid, n_paths, seed)
+    saddle = (base.u1_paths.transpose(1, 2, 0), base.u2_paths.transpose(1, 2, 0))
 
     gaps = ([], [])
     for player, m in enumerate((problem.m1, problem.m2)):
         for v in perturbation_directions(seed + 1 + player, n_perturbations,
                                          grid, m):
             costs = _simulate_core(problem, *_replay(saddle, player, v),
-                                   x, grid, dW, 2)[1]
-            gaps[player].append(_estimate(costs - base_costs))
+                                   x, grid, base.increments.T, 2)[1]
+            gaps[player].append(_estimate(costs - base.costs))
 
     return SaddleReport(
-        value_analytic=game_value(sol, x),
-        value_mc=_estimate(base_costs),
-        gaps_player1=gaps[0], gaps_player2=gaps[1], n_sigma=n_sigma)
+        value_analytic=game_value(sol, x), value_mc=_estimate(base.costs),
+        gaps_player1=gaps[0], gaps_player2=gaps[1])
 
 
 def discrete_oracle(problem: GameProblem, x, N: int):
@@ -353,11 +348,11 @@ def discrete_oracle(problem: GameProblem, x, N: int):
 
 
 def falsify_lower_value(problem: GameProblem, x, scalars, n_paths: int,
-                        seed: int, sim_steps: int = 200):
-    """Cost table J(x; lam, 0) for constant player-1 controls lam * ones.
-
-    The caller inspects the trend; unboundedness below is never asserted."""
-    grid = TimeGrid(problem.horizon_T, sim_steps)
+                        seed: int):
+    """Cost table J(x; lam, 0) for constant player-1 controls lam * ones on
+    a 200-step grid.  The caller inspects the trend; unboundedness below is
+    never asserted."""
+    grid = TimeGrid(problem.horizon_T, 200)
     u2 = ControlLaw.constant(np.zeros(problem.m2))
     table = []
     for lam in scalars:

@@ -67,20 +67,20 @@ def example_problem(name: str) -> GameProblem:
     raise DomainError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
 
 
-def random_problem(rng: np.random.Generator, deterministic: bool = False,
-                   scale: float = 0.01) -> GameProblem:
+def random_problem(rng: np.random.Generator,
+                   deterministic: bool = False) -> GameProblem:
     """Draw one random constant-coefficient game on [0, 1].
 
     Dimensions n <= 4, m1, m2 <= 2; dynamics entries uniform on (-1, 1);
-    G, Q, S small (times ``scale``); R11 = I, R22 = -I, R12 = 0 so the
-    instance is very likely certifiable.
+    G, Q, S small (times 0.01); R11 = I, R22 = -I, R12 = 0 so the instance
+    is very likely certifiable.
     """
     n = int(rng.integers(1, 5))
     m1 = int(rng.integers(1, 3))
     m2 = int(rng.integers(1, 3))
     u = lambda r, c: rng.uniform(-1.0, 1.0, (r, c))
     z = lambda r, c: np.zeros((r, c))
-    G = scale * np.eye(n) * rng.uniform(-1.0, 1.0)
+    G = 0.01 * np.eye(n) * rng.uniform(-1.0, 1.0)
     Qm = u(n, n)
     dyn = StateDynamics(
         A=_const(u(n, n)), B1=_const(u(n, m1)), B2=_const(u(n, m2)),
@@ -88,21 +88,21 @@ def random_problem(rng: np.random.Generator, deterministic: bool = False,
         D1=_const(z(n, m1) if deterministic else u(n, m1)),
         D2=_const(z(n, m2) if deterministic else u(n, m2)))
     cost = CostWeights(
-        G=G, Q=_const(scale * (Qm + Qm.T)),
-        S1=_const(scale * u(m1, n)), S2=_const(scale * u(m2, n)),
+        G=G, Q=_const(0.01 * (Qm + Qm.T)),
+        S1=_const(0.01 * u(m1, n)), S2=_const(0.01 * u(m2, n)),
         R11=_const(np.eye(m1)), R12=_const(z(m1, m2)), R21=_const(z(m2, m1)),
         R22=_const(-np.eye(m2)))
     return GameProblem(dynamics=dyn, cost=cost, horizon_T=1.0)
 
 
-def random_certified_problem(seed: int, deterministic: bool = False,
-                             config: SolverConfig | None = None,
-                             max_tries: int = 20) -> GameProblem:
-    """Draw random instances until one passes the convexity certificate."""
-    config = config or SolverConfig(n_steps=200)
+def random_certified_problem(seed: int,
+                             deterministic: bool = False) -> GameProblem:
+    """Draw random instances until one passes the convexity certificate on
+    a 200-step grid; DomainError after 20 draws."""
+    config = SolverConfig(n_steps=200)
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(20):
         problem = random_problem(rng, deterministic=deterministic)
         if certify_A3(problem, config).certified:
             return problem
-    raise DomainError(f"no certified instance found in {max_tries} draws")
+    raise DomainError("no certified instance found in 20 draws")

@@ -24,6 +24,7 @@ companions alone.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -329,9 +330,7 @@ def solve_riccati(problem: GameProblem, config: SolverConfig,
     if isinstance(outcome, LqgError):
         # raise a copy: the stored error must never carry a traceback, whose
         # frames would keep the problem, and so its memo entry, alive
-        err = type(outcome).__new__(type(outcome), *outcome.args)
-        err.__dict__.update(vars(outcome))
-        raise err
+        raise copy.copy(outcome)
     return outcome
 
 
@@ -424,14 +423,14 @@ class ComparisonReport:
 
 
 def comparison_check(game: RiccatiSolution, p1: RiccatiSolution,
-                     p2: RiccatiSolution, tol: float = 1e-8) -> ComparisonReport:
-    """Check the sandwich P1 <= P <= P2 node-by-node."""
+                     p2: RiccatiSolution) -> ComparisonReport:
+    """Check the sandwich P1 <= P <= P2 node-by-node, to within 1e-8."""
     if not (game.grid.same_as(p1.grid) and game.grid.same_as(p2.grid)):
         raise ContractViolation("comparison_check requires a common grid")
     lower = _eig_extremes(sym(game.P_nodes - p1.P_nodes))[0]
     upper = _eig_extremes(sym(p2.P_nodes - game.P_nodes))[0]
-    both = np.minimum(lower, upper)
-    worst = int(np.argmin(both))
+    tol = 1e-8
+    worst = int(np.argmin(np.minimum(lower, upper)))
     return ComparisonReport(
         min_eig_lower=lower, min_eig_upper=upper, tolerance=tol,
         passed=bool(lower.min() >= -tol and upper.min() >= -tol),

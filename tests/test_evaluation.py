@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -222,7 +224,7 @@ class TestDeviationReplay:
         fns = [ControlLaw.from_feedback(law, i, grid).as_callable(grid)
                for i in (1, 2)]
         Zh = _simulate_core(rand_problem, *fns, x, grid, dW, n_nodes)[0]
-        saddle = (Zh[:, n:n + m1].copy(), Zh[:, n + m1:].copy())
+        saddle = (Zh[:, n:n + m1], Zh[:, n + m1:])
         for player in (0, 1):
             v = perturbation_directions(player, 1, grid,
                                         saddle[player].shape[1])[0]
@@ -250,6 +252,47 @@ class TestVerifySaddle:
         assert report.verdict == "PASS"
         assert all(g.mean >= -3 * g.std_error for g in report.gaps_player1)
         assert all(g.mean <= 3 * g.std_error for g in report.gaps_player2)
+
+    def test_base_controls_are_not_copied(self, rand_problem, cfg400):
+        # the deviations replay the base run's own control rows: the peak
+        # stays below the base history and increments plus half the bytes
+        # of a copy of the saddle controls
+        sol = solve_riccati(rand_problem, cfg400, "game")
+        law = feedback_gain(rand_problem, sol)
+        p, n_paths, n_steps = rand_problem, 2000, 200
+        words = n_paths * ((n_steps + 1) * (p.n + p.m1 + p.m2) + n_steps
+                           + (n_steps + 1) * (p.m1 + p.m2) / 2)
+        tracemalloc.start()
+        try:
+            verify_saddle(p, sol, law, np.ones(p.n), n_perturbations=1,
+                          n_paths=n_paths, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * words
+
+    def test_matches_copied_controls_reference(self, rand_problem, cfg400):
+        # the reference replays contiguous copies of the base controls
+        sol = solve_riccati(rand_problem, cfg400, "game")
+        law = feedback_gain(rand_problem, sol)
+        x, seed, grid = np.ones(rand_problem.n), 5, TimeGrid(1.0, 200)
+        fns = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
+        base = simulate(rand_problem, *fns, x, grid, 500, seed)
+        saddle = tuple(np.ascontiguousarray(U.transpose(1, 2, 0))
+                       for U in (base.u1_paths, base.u2_paths))
+        gaps = ([], [])
+        for player, m in enumerate((rand_problem.m1, rand_problem.m2)):
+            for v in perturbation_directions(seed + 1 + player, 2, grid, m):
+                costs = _simulate_core(rand_problem, *_replay(saddle, player, v),
+                                       x, grid, base.increments.T, 2)[1]
+                gaps[player].append(_estimate(costs - base.costs))
+        ref = SaddleReport(value_analytic=game_value(sol, x),
+                           value_mc=_estimate(base.costs),
+                           gaps_player1=gaps[0], gaps_player2=gaps[1])
+        report = verify_saddle(rand_problem, sol, law, x, n_perturbations=2,
+                               n_paths=500, seed=seed)
+        # repr spells each float exactly, so equal reprs are equal bits
+        assert repr(report) == repr(ref)
 
     def test_perturbation_directions_unit_norm(self, grid):
         for v in perturbation_directions(0, 4, grid, 2):

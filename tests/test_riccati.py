@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import gc
+import pickle
 import traceback
 import weakref
 
@@ -10,12 +12,13 @@ from hypothesis import strategies as st
 
 from lqgame import (
     BlowUpError, CertificateReport, CoefficientPath, ContractViolation,
-    CostWeights, GameProblem, PartialPath, RegularityError, RiccatiSolution,
-    SolverConfig, StateDynamics, TimeGrid, certify_A3, coefficients,
-    comparison_check, equivalence_report, eval_coeff, example_problem,
-    fundamental_matrix, hamiltonian, local_radius, regularized_problem,
-    representation, riccati, riccati_rhs, solve_lambda_family, solve_riccati,
-    sym,
+    CostWeights, GameProblem, OracleRegularityError, PartialPath,
+    RegularityError, RepresentationSingularError, RiccatiSolution,
+    SimulationDiverged, SingularBlockError, SolverConfig, StateDynamics,
+    TimeGrid, certify_A3, coefficients, comparison_check, equivalence_report,
+    eval_coeff, example_problem, fundamental_matrix, hamiltonian,
+    local_radius, regularized_problem, representation, riccati, riccati_rhs,
+    solve_lambda_family, solve_riccati, sym,
 )
 from lqgame.core import assemble
 from lqgame.riccati import KINDS, _solve_stack
@@ -502,6 +505,30 @@ class TestMemo:
                 a[0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             err.partial.P_nodes = sol.P_nodes
+
+
+_PARTIAL = PartialPath(np.linspace(0.5, 1.0, 3), np.ones((3, 2, 2)),
+                       np.full(3, 0.25), np.full(3, -0.5))
+
+
+class TestErrorCopies:
+    @pytest.mark.parametrize("err", [
+        RegularityError(0.5, 1, 1e-7, _PARTIAL), BlowUpError(0.5, 2e8, _PARTIAL),
+        SingularBlockError("Phi", 1e13), RepresentationSingularError(0.25, 3e10),
+        SimulationDiverged(7, 42), OracleRegularityError(3, -0.5),
+    ], ids=lambda err: type(err).__name__)
+    def test_copy_and_pickle_round_trip(self, err):
+        for clone in (copy.copy(err), pickle.loads(pickle.dumps(err))):
+            assert type(clone) is type(err)
+            assert str(clone) == str(err) and clone.args == err.args
+            assert vars(clone).keys() == vars(err).keys()
+            for name, value in vars(err).items():
+                if isinstance(value, PartialPath):
+                    for f in dataclasses.fields(PartialPath):
+                        assert np.array_equal(getattr(clone.partial, f.name),
+                                              getattr(value, f.name))
+                else:
+                    assert getattr(clone, name) == value
 
 
 class TestRegularization:
