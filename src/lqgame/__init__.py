@@ -6,7 +6,7 @@ algebraic residuals, a discrete-time oracle, and Monte-Carlo simulation."""
 from .core import (
     COND_LIMIT, SYM_RTOL, CoefficientPath, ContractViolation, CostWeights,
     DomainError, GameProblem, LqgError, SingularBlockError, StateDynamics,
-    TimeGrid, as_path, assemble_blocks, block_inverse, check_symmetric,
+    TimeGrid, assemble_blocks, block_inverse, check_symmetric,
     coefficients, eval_coeff, sym, sym_eig_extremes,
 )
 from .riccati import (

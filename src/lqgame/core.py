@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 SYM_RTOL = 1e-12
 COND_LIMIT = 1e12
@@ -49,14 +50,9 @@ class SingularBlockError(LqgError):
         super().__init__(f"block {block!r} is numerically singular (cond~{cond:.3e})")
 
 
-def _T(M: np.ndarray) -> np.ndarray:
-    """Transpose of each matrix in a stack (the last two axes)."""
-    return M.swapaxes(-1, -2)
-
-
 def sym(M: np.ndarray) -> np.ndarray:
     """Symmetric part (M + M^T)/2 of a matrix or of each matrix in a stack."""
-    return 0.5 * (M + _T(M))
+    return 0.5 * (M + M.mT)
 
 
 def _frozen(a) -> np.ndarray:
@@ -69,7 +65,7 @@ def check_symmetric(M: np.ndarray, name: str, rtol: float = SYM_RTOL) -> None:
     """Raise ContractViolation unless M, or every matrix of a stack, is
     symmetric within rtol relative to its own largest entry."""
     scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1), initial=0.0))
-    if np.any(np.abs(M - _T(M)).max(axis=(-2, -1), initial=0.0) > rtol * scale):
+    if np.any(np.abs(M - M.mT).max(axis=(-2, -1), initial=0.0) > rtol * scale):
         raise ContractViolation(f"{name} is not symmetric within {rtol:g} relative")
 
 
@@ -186,12 +182,6 @@ def eval_coeff(path: CoefficientPath, t: float) -> np.ndarray:
     if path.kind == "constant":
         return path.values
     return interpolate(path.values, path.span, t)[0]
-
-
-def as_path(x) -> CoefficientPath:
-    if isinstance(x, CoefficientPath):
-        return x
-    return CoefficientPath.constant(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,10 +383,19 @@ def coefficients(problem: GameProblem, times) -> CoefficientTable:
     return table
 
 
+# np.linalg.solve and eigvalsh as bare LAPACK gufuncs: same bits without the
+# wrappers' overhead, but a singular matrix gives NaN and a RuntimeWarning,
+# not LinAlgError, so callers first check that it is nonsingular.
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for matrix (not vector) right-hand sides b."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
 def _eig_extremes(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest and largest eigenvalue of each matrix of a stack that is
     symmetric by construction (no check); scalars for a single matrix."""
-    w = S[..., 0] if S.shape[-2:] == (1, 1) else np.linalg.eigvalsh(S)
+    w = (S[..., 0] if S.shape[-2:] == (1, 1)
+         else _umath_linalg.eigvalsh_lo(S, signature="d->d"))
     return w[..., 0][()], w[..., -1][()]
 
 
@@ -429,16 +428,16 @@ def block_inverse(M: np.ndarray, L: np.ndarray, N: np.ndarray) -> np.ndarray:
         block_inverse(*(X.reshape((-1,) + X.shape[-2:])[:j] for X in (M, L, N)))
         raise SingularBlockError("M", float(cond_M[j]))
     Minv_L = np.linalg.solve(M, L)
-    Phi = N - _T(L) @ Minv_L
+    Phi = N - L.mT @ Minv_L
     cond_Phi = np.ravel(np.linalg.cond(Phi))
     bad = np.flatnonzero(cond_Phi > COND_LIMIT)
     if bad.size:
         raise SingularBlockError("Phi", float(cond_Phi[bad[0]]))
     Phi_inv = np.linalg.inv(Phi)
     M_inv = np.linalg.inv(M)
-    top_left = M_inv + Minv_L @ Phi_inv @ _T(Minv_L)
+    top_left = M_inv + Minv_L @ Phi_inv @ Minv_L.mT
     top_right = -Minv_L @ Phi_inv
-    return np.block([[top_left, top_right], [_T(top_right), Phi_inv]])
+    return np.block([[top_left, top_right], [top_right.mT, Phi_inv]])
 
 
 def assemble(table: CoefficientTable, P: np.ndarray,
@@ -458,9 +457,9 @@ def _assemble(table: CoefficientTable, P: np.ndarray,
               m1: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """``assemble`` without the symmetry check, for a P that is symmetric by
     construction."""
-    DtP = _T(table.D) @ P
+    DtP = table.D.mT @ P
     R_P = table.R + DtP @ table.D
-    S_P = _T(table.B) @ P + DtP @ table.C + table.S
+    S_P = table.B.mT @ P + DtP @ table.C + table.S
     margin1 = _eig_extremes(sym(R_P[..., :m1, :m1]))[0]
     margin2 = _eig_extremes(sym(R_P[..., m1:, m1:]))[1]
     return R_P, S_P, (margin1, margin2)
@@ -477,7 +476,7 @@ def _fro_norms(M: np.ndarray) -> np.ndarray:
     computes it for one matrix: the dot product of the raveled matrix with
     itself."""
     flat = M.reshape(M.shape[0], 1, M.shape[-2] * M.shape[-1])
-    return np.sqrt(flat @ _T(flat))[:, 0, 0]
+    return np.sqrt(flat @ flat.mT)[:, 0, 0]
 
 
 def linear_flow(F_nodes: np.ndarray, span: float, X0: np.ndarray) -> np.ndarray:

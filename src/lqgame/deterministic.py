@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import (
     GameProblem, LqgError, TimeGrid, block_inverse, coefficients, linear_flow,
-    sym, sym_eig_extremes, _T, _fro_norms,
+    sym, sym_eig_extremes, _fro_norms,
 )
 from .riccati import (
     BlowUpError, CertificateReport, RegularityError, RiccatiSolution,
@@ -85,8 +85,8 @@ def hamiltonian(problem: GameProblem, n_steps: int = 2000) -> HamiltonianPath:
     R_inv = block_inverse(R11, R12, R22)
     Adj = A - B @ R_inv @ S
     H = np.block([
-        [Adj, -B @ R_inv @ _T(B)],
-        [-(Q - _T(S) @ R_inv @ S), -_T(Adj)],
+        [Adj, -B @ R_inv @ B.mT],
+        [-(Q - S.mT @ R_inv @ S), -Adj.mT],
     ])
     return HamiltonianPath(grid=grid, H_nodes=H)
 
@@ -116,7 +116,7 @@ def representation(problem: GameProblem,
     Psi_T = psi.Psi_nodes[-1]
     GI = np.hstack([problem.cost.G, -np.eye(n)])
     # Psi(T) Psi(t)^-1 via a linear solve against Psi(t)
-    edge = GI @ _T(np.linalg.solve(_T(psi.Psi_nodes), Psi_T.T))
+    edge = GI @ np.linalg.solve(psi.Psi_nodes.mT, Psi_T.T).mT
     Lam = edge[:, :, n:]
     # conditioning of the solve for P: Lam may shrink toward a singular
     # matrix while the remaining boundary data stays order one
@@ -131,7 +131,7 @@ def representation(problem: GameProblem,
     P = -np.linalg.solve(Lam, edge[:, :, :n])
     return RepresentationResult(
         grid=psi.grid, Lambda_nodes=Lam, P_rep_nodes=sym(P),
-        condition_numbers=cond, symmetry_defects=_fro_norms(P - _T(P)))
+        condition_numbers=cond, symmetry_defects=_fro_norms(P - P.mT))
 
 
 @dataclass

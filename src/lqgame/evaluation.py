@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import (
     ContractViolation, GameProblem, LqgError, TimeGrid, coefficients,
-    interpolate, sym, _eig_extremes,
+    interpolate, sym, _eig_extremes, _solve,
 )
 from .riccati import RiccatiSolution
 from .synthesis import FeedbackLaw, game_value
@@ -332,18 +332,18 @@ def discrete_oracle(problem: GameProblem, x, N: int):
         St = 0.5 * dt * S0 + 0.5 * dt * S1 @ M + Nu.T @ W @ M + dt * D0.T @ W @ C0
         Rt = sym(0.5 * dt * R0 + 0.5 * dt * (R1 + S1 @ Nu + Nu.T @ S1.T)
                  + Nu.T @ W @ Nu + dt * D0.T @ W @ D0)
-        # Rt and sym(Phi) are symmetric by construction: no check needed
+        # Rt and sym(Phi) are symmetric by construction (no check), and
+        # lo > 0, then hi < 0, make the matrices solved below nonsingular
         lo = _eig_extremes(Rt[:m1, :m1])[0]
         if lo <= 0:
             raise OracleRegularityError(k, lo)
-        Phi = Rt[m1:, m1:] - Rt[m1:, :m1] @ np.linalg.solve(Rt[:m1, :m1],
-                                                            Rt[:m1, m1:])
+        Phi = Rt[m1:, m1:] - Rt[m1:, :m1] @ _solve(Rt[:m1, :m1], Rt[:m1, m1:])
         hi = _eig_extremes(sym(Phi))[1]
         if hi >= 0:
             raise OracleRegularityError(k, hi)
-        K = -np.linalg.solve(Rt, St)
-        gains[k] = K
-        P = sym(Qt - St.T @ np.linalg.solve(Rt, St))
+        RinvS = _solve(Rt, St)
+        gains[k] = -RinvS
+        P = sym(Qt - St.T @ RinvS)
     return float(x @ P @ x), gains
 
 

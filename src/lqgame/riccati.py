@@ -34,7 +34,7 @@ import numpy as np
 from .core import (
     CoefficientPath, CoefficientTable, ContractViolation, CostWeights,
     GameProblem, LqgError, TimeGrid, assemble, coefficients, interpolate,
-    sym, _assemble, _eig_extremes, _fro_norms, _sample_stack, _T,
+    sym, _assemble, _eig_extremes, _fro_norms, _sample_stack, _solve,
 )
 
 KINDS = ("game", "player1", "player2")
@@ -111,9 +111,10 @@ class RiccatiSolution:
 class _Kinds(NamedTuple):
     """What the kinds of a stack's members decide: the limits of the margins
     each one checks (NaN where it checks none, as no margin compares true
-    with NaN), and (members, block) per kind present -- the members'
-    positions (a slice when all share the kind) and the control block of
-    R_P and rows of S_P that their equation uses."""
+    with NaN), and (members, block) per kind present -- the slice of the
+    members' positions and the control block of R_P and rows of S_P that
+    their equation uses.  ``of`` refuses a stack whose kinds interleave (no
+    stack the library builds does), so every group's blocks are views."""
 
     floor1: np.ndarray
     ceiling2: np.ndarray
@@ -123,11 +124,11 @@ class _Kinds(NamedTuple):
     def of(cls, kinds: np.ndarray, m1: int, eps_reg: float) -> "_Kinds":
         blocks = {"game": slice(None), "player1": slice(None, m1),
                   "player2": slice(m1, None)}
-        if kinds.size and (kinds == kinds[0]).all():
-            groups = [(slice(None), blocks[kinds[0]])]
-        else:
-            groups = [(np.flatnonzero(kinds == kind), block)
-                      for kind, block in blocks.items() if (kinds == kind).any()]
+        cuts = [0, *np.flatnonzero(kinds[1:] != kinds[:-1]) + 1, len(kinds)]
+        groups = [(slice(a, b), blocks[kinds[a]])
+                  for a, b in zip(cuts, cuts[1:]) if a < b]
+        if len(groups) > len(set(kinds)):
+            raise ContractViolation("members of one kind must be adjacent")
         return cls(np.where(kinds != "player2", eps_reg, np.nan),
                    np.where(kinds != "player1", -eps_reg, np.nan), groups)
 
@@ -148,13 +149,13 @@ def _field(row: CoefficientTable, P: np.ndarray, R_P: np.ndarray,
 
         -[P A + A'P + C'P C + Q - S_k' R_k^{-1} S_k]
 
-    with each member's kind-appropriate blocks S_k, R_k (see _Kinds).
-    """
+    with each member's blocks S_k, R_k (see _Kinds), which must pass their
+    margin checks: that makes every R_k nonsingular."""
     A, C = row.A, row.C
-    F = P @ A + _T(A) @ P + _T(C) @ P @ C + row.Q
+    F = P @ A + A.mT @ P + C.mT @ P @ C + row.Q
     for members, block in groups:
         S_k = S_P[members, block]
-        F[members] -= _T(S_k) @ np.linalg.solve(R_P[members, block, block], S_k)
+        F[members] -= S_k.mT @ _solve(R_P[members, block, block], S_k)
     return sym(-F)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import (
     ContractViolation, GameProblem, TimeGrid, assemble, block_inverse,
-    coefficients, interpolate, linear_flow, _T,
+    coefficients, interpolate, linear_flow,
 )
 from .riccati import RiccatiSolution
 
@@ -125,6 +125,6 @@ def fbsde_residual(problem: GameProblem, sol: RiccatiSolution,
     table = coefficients(problem, sol.grid.nodes)
     X, Y, Z = (V[:, :, None] for V in (triple.X_nodes, triple.Y_nodes, triple.Z_nodes))
     u = law.theta_nodes @ X
-    defect = _T(table.B) @ Y + _T(table.D) @ Z + table.S @ X + table.R @ u
+    defect = table.B.mT @ Y + table.D.mT @ Z + table.S @ X + table.R @ u
     # |v| as sqrt(v'v), the dot product np.linalg.norm takes of one vector
-    return np.sqrt(_T(defect) @ defect)[:, 0, 0]
+    return np.sqrt(defect.mT @ defect)[:, 0, 0]

@@ -10,7 +10,7 @@ from lqgame import (
     block_inverse, check_symmetric, coefficients, eval_coeff, sym,
     sym_eig_extremes,
 )
-from lqgame.core import assemble, interpolate
+from lqgame.core import _eig_extremes, _solve, assemble, interpolate
 from conftest import scalar_game
 
 
@@ -183,6 +183,41 @@ class TestEigExtremes:
         assert lo.shape == hi.shape == (5,)
         for j, M in enumerate(stack):
             assert (lo[j], hi[j]) == sym_eig_extremes(M)
+
+
+def lapack_operands(seed, lead, m, cols, view):
+    """A stack (leading axes lead) of symmetric m x m matrices and one of
+    m x cols right-hand sides.  With view, both are strided blocks of larger
+    stacks, as R_P[sl, :m1, :m1] and S_P[sl, :m1] are in the Riccati pass."""
+    rng = np.random.default_rng(seed)
+    if not view:
+        return (sym(rng.normal(size=lead + (m, m))),
+                rng.normal(size=lead + (m, cols)))
+    # one member more on the first leading axis, 1 or 2 more rows and
+    # columns, all sliced away
+    pad = int(rng.integers(1, 3))
+    big = tuple(d + (j == 0) for j, d in enumerate(lead))
+    sl = (slice(1, None),) if lead else ()
+    rows = slice(pad // 2, pad // 2 + m)
+    a = sym(rng.normal(size=big + (m + pad, m + pad)))
+    b = rng.normal(size=big + (m + pad, cols + pad))
+    return a[sl + (..., rows, rows)], b[sl + (..., rows, slice(cols))]
+
+
+class TestLapackHelpers:
+    """The direct gufunc calls return np.linalg's bits."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           lead=st.sampled_from([(), (1,), (3,), (2, 3)]),
+           m=st.integers(1, 5), cols=st.integers(1, 5), view=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_to_wrappers(self, seed, lead, m, cols, view):
+        a, b = lapack_operands(seed, lead, m, cols, view)
+        assert a.shape == lead + (m, m) and b.shape == lead + (m, cols)
+        assert bits(_solve(a, b)) == bits(np.linalg.solve(a, b))
+        w = np.linalg.eigvalsh(a)
+        lo, hi = _eig_extremes(a)
+        assert (bits(lo), bits(hi)) == (bits(w[..., 0]), bits(w[..., -1]))
 
 
 class TestBlockInverse:

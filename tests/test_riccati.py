@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import pickle
 import traceback
+import warnings
 import weakref
 
 import numpy as np
@@ -20,8 +21,8 @@ from lqgame import (
     local_radius, regularized_problem, representation, riccati, riccati_rhs,
     solve_lambda_family, solve_riccati, sym,
 )
-from lqgame.core import assemble
-from lqgame.riccati import KINDS, _solve_stack
+from lqgame.core import _solve, assemble
+from lqgame.riccati import KINDS, _Kinds, _solve_stack
 from conftest import scalar_game
 
 
@@ -338,7 +339,10 @@ class TestStackedPass:
     @settings(max_examples=150, deadline=None)
     def test_members_match_single_solves(self, seed, members, n_steps, cap):
         # members with a penalty level solve the regularized problem, as the
-        # levels of a family do; a stack of one problem shares its table
+        # levels of a family do; a stack of one problem shares its table.
+        # Each kind's members are adjacent, as in every stack the library
+        # builds (see _Kinds.of)
+        members = sorted(members, key=lambda member: KINDS.index(member[0]))
         problem = random_game(seed)
         problems = [problem if lam is None else regularized_problem(problem, lam)
                     for _, lam in members]
@@ -357,6 +361,47 @@ class TestStackedPass:
             outcomes = _solve_stack([problem] * 3, KINDS, config)
             for outcome, kind in zip(outcomes, KINDS):
                 assert_matches_reference(outcome, problem, config, kind)
+
+    def test_interleaved_kinds_refused(self, ex4_5):
+        kinds = ("player1", "game", "player1")
+        with pytest.raises(ContractViolation, match="adjacent"):
+            _Kinds.of(np.array(kinds), 1, 1e-6)
+        with pytest.raises(ContractViolation, match="adjacent"):
+            _solve_stack([ex4_5] * 3, kinds, SolverConfig(n_steps=10))
+
+    def test_groups_are_slices(self):
+        kinds = _Kinds.of(np.array(["game", "player1", "player1", "player2"]),
+                          2, 1e-6)
+        assert kinds.groups == [(slice(0, 1), slice(None)),
+                                (slice(1, 3), slice(None, 2)),
+                                (slice(3, 4), slice(2, None))]
+
+    def test_no_solve_sees_a_singular_block(self):
+        # at T, G = diag(-1/2, 1/2) makes R11 + D1'GD1 = I - dd'/2 and
+        # R22 + D2'GD2 = -I + dd'/2, d = (1, 1), exactly singular, and so the
+        # game block; the margin checks must retire every member before its
+        # solve, which would return NaN with a RuntimeWarning
+        c = CoefficientPath.constant
+        zero, eye = np.zeros((2, 2)), np.eye(2)
+        ones = np.array([[1.0, 1.0], [0.0, 0.0]])
+        dyn = StateDynamics(A=c(zero), B1=c(eye), B2=c(eye), C=c(zero),
+                            D1=c(ones), D2=c(ones[::-1]))
+        cost = CostWeights(G=np.diag([-0.5, 0.5]), Q=c(zero), S1=c(zero),
+                           S2=c(zero), R11=c(eye), R12=c(zero), R21=c(zero),
+                           R22=c(-eye))
+        problem = GameProblem(dynamics=dyn, cost=cost, horizon_T=1.0)
+        R_P, S_P, _ = assemble(coefficients(problem, 1.0).row(0),
+                               problem.cost.G, problem.m1)
+        for block in (slice(None, 2), slice(2, None), slice(None)):
+            with pytest.warns(RuntimeWarning):
+                assert np.isnan(_solve(R_P[block, block], S_P[block])).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = _solve_stack([problem] * 3, KINDS,
+                                    SolverConfig(n_steps=10))
+        for outcome, side in zip(outcomes, (1, 1, 2)):
+            assert isinstance(outcome, RegularityError)
+            assert (outcome.time, outcome.side) == (1.0, side)
 
     @pytest.mark.parametrize("name", ["ex4_5", "ex5_2", "certified"])
     def test_certificate_matches_serial(self, name, ex4_5, ex5_2, cfg400):
