@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -190,7 +191,7 @@ def save_solution(path: str, grid: TimeGrid, P_nodes, margin1, margin2,
         meta["seed"] = seed
     doc = {
         "grid": {"horizon": grid.horizon_T, "n_steps": grid.n_steps},
-        "P_nodes": np.asarray(P_nodes).tolist(),
+        "P_nodes": _node_texts(np.asarray(P_nodes)),
         "margins": {"margin1": np.asarray(margin1).tolist(),
                     "margin2": np.asarray(margin2).tolist()},
         "theta_nodes": None if theta_nodes is None
@@ -202,21 +203,57 @@ def save_solution(path: str, grid: TimeGrid, P_nodes, margin1, margin2,
         fh.write("\n")
 
 
+def _node_texts(P_nodes: np.ndarray):
+    """The text ``json.dumps`` writes for each node of a stack of square
+    float matrices, one node at a time.
+
+    A node that is finite and symmetric bit for bit, as every node of a
+    solve except perhaps its last, G, is laid out from the reprs of its
+    n(n+1)/2 distinct entries, each formatted once by ``float.__repr__``
+    as json formats it; any other node, or any other array, goes through
+    ``json.dumps``."""
+    if P_nodes.dtype != np.float64 or P_nodes.ndim != 3 \
+            or P_nodes.shape[1] != P_nodes.shape[2]:
+        yield from map(json.dumps, P_nodes.tolist())
+        return
+    n = P_nodes.shape[-1]
+    rows, cols = np.triu_indices(n)
+    slot = np.empty((n, n), dtype=int)
+    slot[rows, cols] = slot[cols, rows] = np.arange(rows.size)
+    layout = "[" + ", ".join(
+        "[" + ", ".join(f"{{{j}}}" for j in row) + "]"
+        for row in slot.tolist()) + "]"
+    bits = P_nodes.view(np.int64)
+    plain = (bits == bits.mT).all(axis=(1, 2)) \
+        & np.isfinite(P_nodes).all(axis=(1, 2))
+    upper = P_nodes[:, rows, cols]
+    for node, distinct, ok in zip(P_nodes, upper, plain):
+        if ok:
+            yield layout.format(*map(float.__repr__, distinct.tolist()))
+        else:
+            yield json.dumps(node.tolist())
+
+
 def _dump_by_item(doc: dict, fh) -> None:
     """Write the bytes of ``json.dump(doc, fh)``, encoding each top-level
-    value, and each item of a top-level list, with one ``json.dumps``.
+    value, and each item of a top-level list, with one ``json.dumps``; a
+    top-level value that is an iterator yields its items' texts.
 
     ``json.dumps`` without indent runs the C encoder, about twice as fast as
     the pure-Python one that ``json.dump`` streams through; one
     ``json.dumps`` of a whole solution would hold a piece per number in
-    memory at once, item by item it holds one node's."""
+    memory at once; item by item it holds one node's text, besides the
+    array of the distinct entries of every node that ``_node_texts``
+    takes."""
     fh.write("{")
     for i, (key, value) in enumerate(doc.items()):
         fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
         if isinstance(value, list):
+            value = map(json.dumps, value)
+        if isinstance(value, Iterator):
             fh.write("[")
-            for j, item in enumerate(value):
-                fh.write(f"{', ' if j else ''}{json.dumps(item)}")
+            for j, text in enumerate(value):
+                fh.write(f"{', ' if j else ''}{text}")
             fh.write("]")
         else:
             fh.write(json.dumps(value))

@@ -51,8 +51,13 @@ class SingularBlockError(LqgError):
 
 
 def sym(M: np.ndarray) -> np.ndarray:
-    """Symmetric part (M + M^T)/2 of a matrix or of each matrix in a stack."""
-    return 0.5 * (M + M.mT)
+    """Symmetric part (M + M^T)/2 of a float matrix or of each matrix in a
+    stack, formed in the buffer of the sum.  An exactly symmetric M comes
+    back unchanged, bit for bit, unless an entry above max/2 (~8.99e307)
+    overflows in the sum."""
+    S = M + M.mT
+    S *= 0.5
+    return S
 
 
 def _frozen(a) -> np.ndarray:
@@ -402,7 +407,7 @@ def _eig_extremes(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sym_eig_extremes(M: np.ndarray):
     """Smallest and largest eigenvalue of a symmetric matrix, or of each
     matrix of a stack as arrays over its leading axes."""
-    M = np.atleast_2d(M)
+    M = np.atleast_2d(np.asarray(M, dtype=float))
     check_symmetric(M, "sym_eig_extremes argument")
     return _eig_extremes(sym(M))
 
@@ -460,8 +465,9 @@ def _assemble(table: CoefficientTable, P: np.ndarray,
     DtP = table.D.mT @ P
     R_P = table.R + DtP @ table.D
     S_P = table.B.mT @ P + DtP @ table.C + table.S
-    margin1 = _eig_extremes(sym(R_P[..., :m1, :m1]))[0]
-    margin2 = _eig_extremes(sym(R_P[..., m1:, m1:]))[1]
+    R_sym = sym(R_P)
+    margin1 = _eig_extremes(R_sym[..., :m1, :m1])[0]
+    margin2 = _eig_extremes(R_sym[..., m1:, m1:])[1]
     return R_P, S_P, (margin1, margin2)
 
 

@@ -309,29 +309,49 @@ def discrete_oracle(problem: GameProblem, x, N: int):
     recursion on the quadratic value function.
 
     Returns (value, gains) where gains[k] maps state to the step-k saddle
-    control.  Entirely independent of the continuous Riccati solver.
+    control.  Entirely independent of the continuous Riccati solver.  Raises
+    ContractViolation for a step count N that is not a positive integer and
+    for a start state ``x`` that is not a finite vector of length n.
+
+    Every term that does not involve the value matrix P is formed once for
+    the whole grid before the recursion, by the expression a step would use
+    applied to the stacked coefficients, so each step's operands keep the
+    values and memory layout (and with them the BLAS bits) of a per-step
+    evaluation; each sum keeps its left-to-right order.
     """
+    n, m1 = problem.n, problem.m1
+    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
+        raise ContractViolation(f"step count N must be a positive integer, "
+                                f"got {N!r}")
     x = np.atleast_1d(np.asarray(x, float))
-    n, m1, m2 = problem.n, problem.m1, problem.m2
-    m = m1 + m2
+    if x.shape != (n,) or not np.isfinite(x).all():
+        raise ContractViolation(
+            f"start state x must be a finite vector of length {n}")
     T = problem.horizon_T
     dt = T / N
-    nodes = np.linspace(0.0, T, N + 1)
-    table = coefficients(problem, nodes)
+    A, B, C, D, Q, S, R = coefficients(problem, np.linspace(0.0, T, N + 1))
+
+    # one step's quadratic form in (x, u) is x'Qt x + 2 u'St x + u'Rt u, with
+    # M = I + dt A at the step's near node and W = P + dt/2 Q at its far
+    # one; St_fixed and Rt_fixed are the parts of St and Rt free of W
+    M = np.eye(n) + dt * A
+    Nu = dt * B
+    halfQ = 0.5 * dt * Q
+    dtCT, dtDT = dt * C.mT, dt * D.mT
+    S1, R1 = S[1:], R[1:]
+    St_fixed = 0.5 * dt * S[:-1] + 0.5 * dt * S1 @ M[:-1]
+    Rt_fixed = 0.5 * dt * R[:-1] + 0.5 * dt * (R1 + S1 @ Nu[:-1]
+                                                + Nu[:-1].mT @ S1.mT)
 
     P = np.array(problem.cost.G)
     gains: list[np.ndarray] = [None] * N
     for k in range(N - 1, -1, -1):
-        A0, B0, C0, D0, Q0, S0, R0 = (c[k] for c in table)
-        Q1, S1, R1 = table.Q[k + 1], table.S[k + 1], table.R[k + 1]
-        M = np.eye(n) + dt * A0
-        Nu = dt * B0
-        W = P + 0.5 * dt * Q1
-        # quadratic form of one step in (x, u): x'Qt x + 2 u'St x + u'Rt u
-        Qt = 0.5 * dt * Q0 + M.T @ W @ M + dt * C0.T @ W @ C0
-        St = 0.5 * dt * S0 + 0.5 * dt * S1 @ M + Nu.T @ W @ M + dt * D0.T @ W @ C0
-        Rt = sym(0.5 * dt * R0 + 0.5 * dt * (R1 + S1 @ Nu + Nu.T @ S1.T)
-                 + Nu.T @ W @ Nu + dt * D0.T @ W @ D0)
+        Mk, Nk = M[k], Nu[k]
+        W = P + halfQ[k + 1]
+        NuW, DW = Nk.T @ W, dtDT[k] @ W
+        Qt = halfQ[k] + Mk.T @ W @ Mk + dtCT[k] @ W @ C[k]
+        St = St_fixed[k] + NuW @ Mk + DW @ C[k]
+        Rt = sym(Rt_fixed[k] + NuW @ Nk + DW @ D[k])
         # Rt and sym(Phi) are symmetric by construction (no check), and
         # lo > 0, then hi < 0, make the matrices solved below nonsingular
         lo = _eig_extremes(Rt[:m1, :m1])[0]

@@ -2,7 +2,10 @@
 single-player companions, with strong-regularity monitoring.
 
 The integrator is a fixed-step classical fourth-order scheme running
-backward from the terminal condition, symmetrizing after every stage.
+backward from the terminal condition.  Every slope is symmetrized; after
+the first step, where G may be symmetric only to within check_symmetric's
+tolerance, every stage value and node is symmetric bit for bit, so it is
+not symmetrized again (see _solve_stack).
 Regularity margins (lambda_min of the player-1 control block, lambda_max of
 the player-2 block) are checked at every stage, not only at nodes, so a sign
 loss between nodes is caught at the stage time.
@@ -180,6 +183,10 @@ def riccati_rhs(problem: GameProblem, t: float, P: np.ndarray, kind: str,
     return _field(row, P[None], R_P[None], S_P[None], kinds.groups)[0]
 
 
+def _unchanged(X: np.ndarray) -> np.ndarray:
+    return X
+
+
 def _solve_stack(problems, kinds, config: SolverConfig,
                  halt_with: int | None = None) -> list:
     """Integrate one Riccati equation per (problem, kind) pair backward from
@@ -267,15 +274,23 @@ def _solve_stack(problems, kinds, config: SolverConfig,
     k1, (P,) = evaluate(2 * grid.n_steps, grid.n_steps,
                         np.array([p.cost.G for p in problems]),
                         node=grid.n_steps)
+    # sym returns a stage value P - c k_i, and the step's new P, unchanged
+    # bit for bit once P is exactly symmetric, as every k_i = sym(-F) is,
+    # unless an entry above max/2 overflows in its sum.  A P that passed the
+    # norm check has entries below sqrt(max), a k_i none above max/2, so
+    # that takes a factor c > 1, a step h > 1.  So sym runs on the first
+    # step, whose P is G, symmetric only within check_symmetric's rtol, and
+    # on every step of a grid with h > 1.
     for k in range(grid.n_steps, 0, -1):
         if not live.size:
             break
-        k2, (_, P, k1) = evaluate(2 * k - 1, k, sym(P - 0.5 * h * k1), P, k1)
-        k3, (_, P, k1, k2) = evaluate(2 * k - 1, k, sym(P - 0.5 * h * k2),
+        tidy = sym if k == grid.n_steps or h > 1 else _unchanged
+        k2, (_, P, k1) = evaluate(2 * k - 1, k, tidy(P - 0.5 * h * k1), P, k1)
+        k3, (_, P, k1, k2) = evaluate(2 * k - 1, k, tidy(P - 0.5 * h * k2),
                                       P, k1, k2)
-        k4, (_, P, k1, k2, k3) = evaluate(2 * k - 2, k, sym(P - h * k3),
+        k4, (_, P, k1, k2, k3) = evaluate(2 * k - 2, k, tidy(P - h * k3),
                                           P, k1, k2, k3)
-        P = sym(P - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        P = tidy(P - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
         norms = _fro_norms(P)
         bad = ~np.isfinite(norms) | (norms > config.blowup_cap)
         if bad.any():

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lqgame import (
     SolverConfig, TimeGrid, equivalence_report, example_problem, feedback_gain,
@@ -9,7 +12,7 @@ from lqgame import (
 )
 from lqgame.cli import (
     ProblemFormatError, load_problem, load_solution, main, save_plot_data,
-    save_problem, save_solution,
+    _node_texts, save_problem, save_solution,
 )
 from conftest import scalar_game
 
@@ -100,16 +103,57 @@ class TestSolutionFiles:
         assert doc["meta"]["seed"] == 0
         assert doc["meta"]["version"].startswith("lqgame-")
 
-    def test_bytes_equal_json_dump(self, tmp_path, rand_problem):
+    @pytest.mark.parametrize("variant", [
+        "solve", "inexact_last", "non_finite", "one_by_one", "negative_zero",
+        "plain_list", "integers"])
+    def test_bytes_equal_json_dump(self, tmp_path, rand_problem, variant):
+        # the file is json.dumps of its own content, and its P_nodes are
+        # laid out as json.dumps lays out np.asarray(P_nodes).tolist()
         sol = solve_riccati(rand_problem, SolverConfig(n_steps=20), "game")
         law = feedback_gain(rand_problem, sol)
+        P = np.array(sol.P_nodes)
+        if variant == "inexact_last":
+            P[-1, 0, 1] = np.nextafter(P[-1, 1, 0], np.inf)
+        elif variant == "non_finite":
+            P[1, 0, 0] = np.nan
+            P[2, 0, 1] = P[2, 1, 0] = np.inf
+            P[3, 2, 3] = P[3, 3, 2] = -np.inf
+            P[4, 1, 2], P[4, 2, 1] = np.nan, 0.5
+        elif variant == "one_by_one":
+            P = P[:, :1, :1]
+        elif variant == "negative_zero":
+            P[0] = -0.0
+            P[1, 0, 1], P[1, 1, 0] = -0.0, 0.0
+            P[2, 0, 1] = P[2, 1, 0] = -0.0
+        elif variant == "plain_list":
+            P = P.tolist()
+        elif variant == "integers":
+            P = np.rint(1e3 * P).astype(int).tolist()
         path = tmp_path / "sol.json"
-        save_solution(str(path), sol.grid, sol.P_nodes, sol.margin1_nodes,
+        save_solution(str(path), sol.grid, P, sol.margin1_nodes,
                       sol.margin2_nodes, theta_nodes=law.theta_nodes,
                       config=SolverConfig(n_steps=20), seed=3,
                       timings={"solve_s": 0.25})
         text = path.read_text()
         assert text == json.dumps(json.loads(text)) + "\n"
+        doc = json.loads(text)
+        doc["P_nodes"] = np.asarray(P).tolist()
+        assert text == json.dumps(doc) + "\n"
+
+    @given(P=arrays(np.float64, st.tuples(st.integers(0, 4),
+                                          st.shared(st.integers(1, 4), key="n"),
+                                          st.shared(st.integers(1, 4), key="n"))),
+           mirror=st.lists(st.booleans(), min_size=4, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_node_texts_equal_json_dumps(self, P, mirror):
+        # nodes mirrored bit for bit take the repr-once layout, the others
+        # json.dumps; either way the text is json.dumps of the node
+        upper = np.triu(np.ones(P.shape[1:], dtype=bool))
+        for node, on in zip(P, mirror):
+            if on:
+                node[...] = np.where(upper, node, node.T)
+        assert (list(_node_texts(P))
+                == [json.dumps(node) for node in P.tolist()])
 
     def test_plot_data_columns(self, tmp_path, rand_problem):
         sol = solve_riccati(rand_problem, SolverConfig(n_steps=20), "game")

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqgame import (
     ContractViolation, ControlLaw, CostEstimate, OracleRegularityError,
@@ -10,9 +12,9 @@ from lqgame import (
     feedback_gain, game_value, perturbation_directions, simulate,
     solve_riccati, verify_saddle,
 )
-from lqgame.core import coefficients
+from lqgame.core import _eig_extremes, _solve, coefficients, sym
 from lqgame.evaluation import _estimate, _replay, _simulate_core
-from conftest import scalar_game
+from conftest import random_game, scalar_game
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +317,53 @@ class TestVerifySaddle:
         assert g2 / g1 == pytest.approx(4.0, rel=0.05)
 
 
+def reference_oracle(problem, x, N):
+    """discrete_oracle as one loop that forms every term of a step inside
+    that step: the reference the oracle must equal bit for bit, value,
+    gains and the step and margin of an OracleRegularityError included."""
+    x = np.atleast_1d(np.asarray(x, float))
+    n, m1 = problem.n, problem.m1
+    T = problem.horizon_T
+    dt = T / N
+    nodes = np.linspace(0.0, T, N + 1)
+    table = coefficients(problem, nodes)
+
+    P = np.array(problem.cost.G)
+    gains = [None] * N
+    for k in range(N - 1, -1, -1):
+        A0, B0, C0, D0, Q0, S0, R0 = (c[k] for c in table)
+        Q1, S1, R1 = table.Q[k + 1], table.S[k + 1], table.R[k + 1]
+        M = np.eye(n) + dt * A0
+        Nu = dt * B0
+        W = P + 0.5 * dt * Q1
+        Qt = 0.5 * dt * Q0 + M.T @ W @ M + dt * C0.T @ W @ C0
+        St = 0.5 * dt * S0 + 0.5 * dt * S1 @ M + Nu.T @ W @ M + dt * D0.T @ W @ C0
+        Rt = sym(0.5 * dt * R0 + 0.5 * dt * (R1 + S1 @ Nu + Nu.T @ S1.T)
+                 + Nu.T @ W @ Nu + dt * D0.T @ W @ D0)
+        lo = _eig_extremes(Rt[:m1, :m1])[0]
+        if lo <= 0:
+            raise OracleRegularityError(k, lo)
+        Phi = Rt[m1:, m1:] - Rt[m1:, :m1] @ _solve(Rt[:m1, :m1], Rt[:m1, m1:])
+        hi = _eig_extremes(sym(Phi))[1]
+        if hi >= 0:
+            raise OracleRegularityError(k, hi)
+        RinvS = _solve(Rt, St)
+        gains[k] = -RinvS
+        P = sym(Qt - St.T @ RinvS)
+    return float(x @ P @ x), gains
+
+
+def oracle_bits(oracle, problem, x, N):
+    """The bytes of an oracle's value and gains, or of the step and margin
+    of the OracleRegularityError it raised."""
+    try:
+        value, gains = oracle(problem, x, N)
+    except OracleRegularityError as err:
+        return "error", err.step, np.float64(err.margin).tobytes()
+    return ("value", np.float64(value).tobytes(),
+            [(g.shape, g.strides, g.tobytes()) for g in gains])
+
+
 class TestDiscreteOracle:
     def test_exact_on_ex4_5(self, ex4_5):
         # continuous value is P(0) x^2 = -1 at x = 1; for this instance the
@@ -344,6 +393,52 @@ class TestDiscreteOracle:
         with pytest.raises(OracleRegularityError) as exc:
             discrete_oracle(ex5_2, [1.0], 32)
         assert exc.value.step == 31
+
+
+    @pytest.mark.parametrize("name", [
+        "constant", "sampled", "noise_free", "ex5_2", "ex4_5"])
+    def test_matches_reference(self, name, rand_problem, rand_det_problem,
+                               ex5_2, ex4_5):
+        # random_game(45) is sampled in time with n = 3, m1 = m2 = 2; ex5_2
+        # loses definiteness at the last step for every N
+        problem = {"constant": rand_problem, "sampled": random_game(45),
+                   "noise_free": rand_det_problem, "ex5_2": ex5_2,
+                   "ex4_5": ex4_5}[name]
+        x = np.linspace(-1.0, 1.0, problem.n) + 0.5
+        for N in (1, 2, 32, 200):
+            got = oracle_bits(discrete_oracle, problem, x, N)
+            assert got == oracle_bits(reference_oracle, problem, x, N)
+        assert (got[0] == "error") == (name == "ex5_2")
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(1, 40),
+           noise=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_random_games(self, seed, N, noise):
+        # random_game's scales make about half of these lose definiteness
+        problem = random_game(seed, noise=noise)
+        x = np.random.default_rng(seed).normal(size=problem.n)
+        assert (oracle_bits(discrete_oracle, problem, x, N)
+                == oracle_bits(reference_oracle, problem, x, N))
+
+    @pytest.mark.parametrize("N", [0, -3, 2.5, 4.0, "8", None, True])
+    def test_bad_step_count_refused(self, rand_problem, N):
+        with pytest.raises(ContractViolation, match="N must be a positive"):
+            discrete_oracle(rand_problem, np.ones(rand_problem.n), N)
+
+    def test_numpy_step_count_accepted(self, rand_problem):
+        x = np.ones(rand_problem.n)
+        assert (oracle_bits(discrete_oracle, rand_problem, x, np.int64(8))
+                == oracle_bits(discrete_oracle, rand_problem, x, 8))
+
+    @pytest.mark.parametrize("x", [[1.0], np.ones(5), [[1.0] * 4],
+                                   [1.0, np.nan, 1.0, 1.0],
+                                   [np.inf, 0.0, 0.0, 0.0]])
+    def test_bad_start_state_refused(self, rand_problem, x):
+        assert rand_problem.n == 4
+        with pytest.raises(ContractViolation,
+                           match="start state x must be a finite vector "
+                                 "of length 4"):
+            discrete_oracle(rand_problem, x, 8)
 
 
 class TestFalsifier:

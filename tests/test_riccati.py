@@ -23,7 +23,7 @@ from lqgame import (
 )
 from lqgame.core import _solve, assemble
 from lqgame.riccati import KINDS, _Kinds, _solve_stack
-from conftest import scalar_game
+from conftest import random_game, scalar_game
 
 
 def reference_solve(problem, config, kind):
@@ -158,41 +158,6 @@ def assert_same_certificate(report, ref):
             assert sol is None
         else:
             assert_same_solution(sol, ref_sol)
-
-
-def random_game(seed: int, dims=None, noise: bool = True) -> GameProblem:
-    """A small game, constant or sampled in time, at scales where the
-    equations of all three kinds often lose a margin at T or later, or blow
-    up; dims (n, m1, m2) are drawn up to (3, 2, 2) unless given, and
-    C = D1 = D2 = 0 unless noise."""
-    rng = np.random.default_rng(seed)
-    n, m1, m2 = dims or (int(v) for v in rng.integers(1, [4, 3, 3]))
-    scale = float(rng.choice([0.3, 1.0, 3.0]))
-    k = 3 if rng.integers(2) else 1
-
-    def path(M):
-        return (CoefficientPath.sampled(M, 1.0) if k > 1
-                else CoefficientPath.constant(M[0]))
-
-    def rand(rows, cols, factor=1.0):
-        return factor * scale * rng.uniform(-1.0, 1.0, (k, rows, cols))
-
-    def sym_rand(rows, shift):
-        M = rand(rows, rows)
-        return 0.5 * (M + M.transpose(0, 2, 1)) + shift * np.eye(rows)
-
-    R12 = 0.3 * rand(m1, m2)
-    G = rand(n, n)[0]
-    dyn = StateDynamics(A=path(rand(n, n)), B1=path(rand(n, m1)),
-                        B2=path(rand(n, m2)), C=path(rand(n, n, noise)),
-                        D1=path(rand(n, m1, noise)), D2=path(rand(n, m2, noise)))
-    cost = CostWeights(
-        G=0.5 * (G + G.T), Q=path(sym_rand(n, 0.0)), S1=path(rand(m1, n)),
-        S2=path(rand(m2, n)),
-        R11=path(sym_rand(m1, float(rng.choice([0.5, 2.0, 6.0])))),
-        R12=path(R12), R21=path(R12.transpose(0, 2, 1)),
-        R22=path(sym_rand(m2, -float(rng.choice([0.5, 2.0, 6.0])))))
-    return GameProblem(dynamics=dyn, cost=cost, horizon_T=1.0)
 
 
 class TestRhs:
@@ -450,6 +415,62 @@ class TestStackedPass:
         assert report.riccati is None
         assert_same_certificate(report.certificate,
                                 certify_A3(problem, cfg400))
+
+
+def _overflow_game(q_samples, T, d):
+    """A scalar game with sampled Q, A = B1 = B2 = C = 0 and D1 = D2 = d, for
+    Q values near the largest float."""
+    c = CoefficientPath.constant
+    dyn = StateDynamics(A=c(0.0), B1=c(0.0), B2=c(0.0), C=c(0.0), D1=c(d),
+                        D2=c(d))
+    Q = CoefficientPath.sampled(np.reshape(q_samples, (-1, 1, 1)), T)
+    cost = CostWeights(G=[[0.0]], Q=Q, S1=c(0.0), S2=c(0.0), R11=c(1.0),
+                       R12=c(0.0), R21=c(0.0), R22=c(-1.0))
+    return GameProblem(dynamics=dyn, cost=cost, horizon_T=T)
+
+
+class TestSymmetrization:
+    """The stacked pass skips the sym of a stage value and of a step's new
+    P where it is the identity; every member must still equal
+    reference_solve, which symmetrizes at every stage."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_inexactly_symmetric_G(self, seed):
+        # G symmetric within check_symmetric's 1e-12 but not bit for bit:
+        # the first step's stage values and new P must be symmetrized
+        problem = random_game(seed, dims=(3, 1, 2))
+        G = np.array(problem.cost.G)
+        G[0, 2] = G[0, 2] * (1 + 1e-13) + 1e-14
+        problem = dataclasses.replace(
+            problem, cost=dataclasses.replace(problem.cost, G=G))
+        assert sym(G).tobytes() != G.tobytes()
+        config = SolverConfig(n_steps=20)
+        for outcome, kind in zip(_solve_stack([problem] * 3, KINDS, config),
+                                 KINDS):
+            assert_matches_reference(outcome, problem, config, kind)
+
+    @pytest.mark.parametrize("d", [0.0, 1.0])
+    @pytest.mark.parametrize("q_samples, T, n_steps", [
+        # h = 4: a stage value P - 2 k_2 reaches 0.6 max, which sym makes
+        # inf; sym stays on such a grid, and without it the norms of the
+        # failures read inf where the reference has nan
+        ([0.3, 0.0, 0.0], 8.0, 2),
+        # h = 1/4: a k_i is -inf at t = 3/8, so stage values overflow, but
+        # no finite one passes max/2 and sym is skipped after step one
+        ([0, 0, 0, 1.0, 0, 0, 0, 0, 0], 1.0, 4),
+    ])
+    def test_overflowing_stage_values(self, q_samples, T, n_steps, d):
+        problem = _overflow_game(np.array(q_samples) * np.finfo(float).max,
+                                 T, d)
+        for cap in (1e8, np.inf):
+            config = SolverConfig(n_steps=n_steps, blowup_cap=cap)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                outcomes = _solve_stack([problem] * 3, KINDS, config)
+                for outcome, kind in zip(outcomes, KINDS):
+                    assert isinstance(outcome, (RegularityError, BlowUpError))
+                    assert outcome.partial.times.size > 1
+                    assert_matches_reference(outcome, problem, config, kind)
 
 
 def solve_or_error(problem, config, kind):
