@@ -6,18 +6,18 @@ algebraic residuals, a discrete-time oracle, and Monte-Carlo simulation."""
 from .core import (
     COND_LIMIT, SYM_RTOL, CoefficientPath, ContractViolation, CostWeights,
     DomainError, GameProblem, LqgError, SingularBlockError, StateDynamics,
-    TimeGrid, assemble_blocks, block_inverse, check_symmetric,
-    coefficients, eval_coeff, sym, sym_eig_extremes,
+    TimeGrid, block_inverse, check_symmetric, coefficients, sym,
+    sym_eig_extremes,
 )
 from .riccati import (
     BlowUpError, CertificateReport, ComparisonReport, PartialPath,
     RegularityError, RegularizedFamily, RiccatiSolution, SolverConfig,
-    certify_A3, comparison_check, local_radius, regularized_problem,
-    riccati_rhs, solve_lambda_family, solve_riccati,
+    certify_A3, comparison_check, regularized_problem, solve_lambda_family,
+    solve_riccati,
 )
 from .synthesis import (
-    AdjointTriple, ClosedLoopSystem, FeedbackLaw, adjoint_from_state,
-    closed_loop, fbsde_residual, feedback_gain, game_value, mean_state_path,
+    ClosedLoopSystem, FeedbackLaw, closed_loop, fbsde_residual, feedback_gain,
+    game_value, mean_state_path,
 )
 from .evaluation import (
     ControlLaw, CostEstimate, OracleRegularityError, PathEnsemble,
@@ -26,9 +26,9 @@ from .evaluation import (
     verify_saddle,
 )
 from .deterministic import (
-    EquivalenceReport, FundamentalMatrix, HamiltonianPath,
-    NotDeterministicError, RepresentationResult, RepresentationSingularError,
-    equivalence_report, fundamental_matrix, hamiltonian, representation,
+    EquivalenceReport, NotDeterministicError, RepresentationResult,
+    RepresentationSingularError, equivalence_report, fundamental_matrix,
+    hamiltonian, representation,
 )
 from .fixtures import (
     EXAMPLE_NAMES, example_problem, random_certified_problem, random_problem,

@@ -139,9 +139,11 @@ def load_problem(path: str) -> GameProblem:
     except ContractViolation as err:
         raise ProblemFormatError(str(err)) from None
 
-    dims = doc["dims"]
-    declared = tuple(_parse(f"dims.{key}", int, dims.get(key, -1))
-                     for key in ("n", "m1", "m2"))
+    declared = tuple(doc["dims"].get(key) for key in ("n", "m1", "m2"))
+    for key, value in zip(("n", "m1", "m2"), declared):
+        if type(value) is not int:      # not a float, a bool or a string
+            raise ProblemFormatError(
+                f"dims.{key}: expected a JSON integer, got {value!r}")
     if declared != (problem.n, problem.m1, problem.m2):
         raise ProblemFormatError(
             f"dims: declared {declared}, coefficients imply "
@@ -310,11 +312,15 @@ def _float_list(text: str) -> list[float]:
 # refused value into exit 2 before any command runs
 
 
-def _path_count(text: str) -> int:
-    n_paths = _parse("--paths", int, text)
-    if n_paths < 1:
-        raise ProblemFormatError(f"--paths: need at least 1 path, got {n_paths}")
-    return n_paths
+def _integer(flag: str, least: int):
+    """The flag type of an integer of at least ``least``."""
+    def parse(text: str) -> int:
+        value = _parse(flag, int, text)
+        if value < least:
+            raise ProblemFormatError(
+                f"{flag}: need an integer >= {least}, got {value}")
+        return value
+    return parse
 
 
 def _penalty_levels(text: str) -> list[float]:
@@ -577,8 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--problem", default=None)
         p.add_argument("--steps", type=int, default=2000)
         p.add_argument("--eps-reg", type=float, default=1e-6, dest="eps_reg")
-        p.add_argument("--paths", type=_path_count, default=10_000)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--paths", type=_integer("--paths", 1), default=10_000)
+        p.add_argument("--seed", type=_integer("--seed", 0), default=0)
         p.add_argument("--x", default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--lambda", type=_penalty_levels, default=None,

@@ -74,6 +74,14 @@ def check_symmetric(M: np.ndarray, name: str, rtol: float = SYM_RTOL) -> None:
         raise ContractViolation(f"{name} is not symmetric within {rtol:g} relative")
 
 
+def _check_integer(value, name: str, least: int) -> None:
+    """Refuse, naming it, a value that is not an integer >= least."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < least):
+        raise ContractViolation(
+            f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Uniform grid t_k = k*T/n_steps on [0, T]."""
@@ -84,8 +92,7 @@ class TimeGrid:
     def __post_init__(self):
         if not 0 <= self.horizon_T < np.inf:
             raise ContractViolation("horizon_T must be finite and nonnegative")
-        if self.n_steps < 2:
-            raise ContractViolation("n_steps must be >= 2")
+        _check_integer(self.n_steps, "n_steps", 2)
 
     @property
     def dt(self) -> float:
@@ -176,17 +183,6 @@ def interpolate(values: np.ndarray, span: float, times) -> np.ndarray:
     w = (s - i).reshape((-1,) + (1,) * (values.ndim - 1))
     return np.where(w == 0.0, values[i],
                     (1.0 - w) * values[i] + w * values[i + 1])
-
-
-def eval_coeff(path: CoefficientPath, t: float) -> np.ndarray:
-    """Evaluate a coefficient path at time t.
-
-    Constant paths return the stored matrix; sampled paths return the linear
-    interpolation between the bracketing sample nodes (exact at nodes).
-    """
-    if path.kind == "constant":
-        return path.values
-    return interpolate(path.values, path.span, t)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,9 +361,9 @@ def coefficients(problem: GameProblem, times) -> CoefficientTable:
     """Evaluate every coefficient path once at each of ``times`` and stack
     the two players' blocks.
 
-    Row j of each array equals ``eval_coeff`` of the paths at ``times[j]``,
-    bit for bit.  Raises DomainError for a time outside the span of a
-    sampled path.
+    Row j holds each constant path's matrix and each sampled path's
+    ``interpolate`` at ``times[j]``, bit for bit.  Raises DomainError for a
+    time outside the span of a sampled path.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     dyn, cost = problem.dynamics, problem.cost
@@ -469,12 +465,6 @@ def _assemble(table: CoefficientTable, P: np.ndarray,
     margin1 = _eig_extremes(R_sym[..., :m1, :m1])[0]
     margin2 = _eig_extremes(R_sym[..., m1:, m1:])[1]
     return R_P, S_P, (margin1, margin2)
-
-
-def assemble_blocks(problem: GameProblem, P: np.ndarray,
-                    t: float) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    """Form R_P and S_P and the margins at time t, as ``assemble`` does."""
-    return assemble(coefficients(problem, t).row(0), np.atleast_2d(P), problem.m1)
 
 
 def _fro_norms(M: np.ndarray) -> np.ndarray:

@@ -33,23 +33,6 @@ class RepresentationSingularError(LqgError):
 
 
 @dataclass(frozen=True, eq=False)
-class HamiltonianPath:
-    """Node values of the 2n x 2n Hamiltonian block matrix
-    [[A - B R^-1 S, -B R^-1 B'], [-(Q - S' R^-1 S), -(A - B R^-1 S)']]."""
-
-    grid: TimeGrid
-    H_nodes: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class FundamentalMatrix:
-    """Psi(t_k) with Psi(0) = I; det Psi stays 1 since trace H = 0."""
-
-    grid: TimeGrid
-    Psi_nodes: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class RepresentationResult:
     """Boundary matrices, recovered Riccati path, and diagnostics."""
 
@@ -60,8 +43,13 @@ class RepresentationResult:
     symmetry_defects: np.ndarray
 
 
-def hamiltonian(problem: GameProblem, n_steps: int = 2000) -> HamiltonianPath:
-    """Assemble the Hamiltonian block matrix at every grid node.
+def hamiltonian(problem: GameProblem, n_steps: int = 2000) -> np.ndarray:
+    """The 2n x 2n Hamiltonian block matrix
+
+        [[A - B R^-1 S, -B R^-1 B'], [-(Q - S' R^-1 S), -(A - B R^-1 S)']]
+
+    at every node of the uniform grid of n_steps steps on [0, T], stacked
+    as an (n_steps+1, 2n, 2n) array.
 
     Requires C = D1 = D2 = 0, R11 positive definite and R22 negative
     definite at every node; raises RegularityError at the first node where
@@ -88,23 +76,27 @@ def hamiltonian(problem: GameProblem, n_steps: int = 2000) -> HamiltonianPath:
         [Adj, -B @ R_inv @ B.mT],
         [-(Q - S.mT @ R_inv @ S), -Adj.mT],
     ])
-    return HamiltonianPath(grid=grid, H_nodes=H)
+    return H
 
 
-def fundamental_matrix(h: HamiltonianPath) -> FundamentalMatrix:
-    """Forward fourth-order integration of Psi' = H Psi, Psi(0) = I.
+def fundamental_matrix(H_nodes: np.ndarray, horizon_T: float) -> np.ndarray:
+    """Forward fourth-order integration of Psi' = H Psi, Psi(0) = I, with H
+    given at the nodes of the uniform grid on [0, horizon_T]; returns Psi
+    at every node.  det Psi stays 1 since trace H = 0.
 
     Raises BlowUpError at the first node where Psi is not finite."""
-    Psi = linear_flow(h.H_nodes, h.grid.horizon_T, np.eye(h.H_nodes.shape[-1]))
+    Psi = linear_flow(H_nodes, horizon_T, np.eye(H_nodes.shape[-1]))
     finite = np.isfinite(Psi).all(axis=(1, 2))
     if not finite.all():
-        raise BlowUpError(h.grid.nodes[np.argmin(finite)], float("inf"))
-    return FundamentalMatrix(grid=h.grid, Psi_nodes=Psi)
+        grid = TimeGrid(horizon_T, len(H_nodes) - 1)
+        raise BlowUpError(grid.nodes[np.argmin(finite)], float("inf"))
+    return Psi
 
 
 def representation(problem: GameProblem,
-                   psi: FundamentalMatrix) -> RepresentationResult:
-    """Recover P(t) from the fundamental matrix:
+                   Psi_nodes: np.ndarray) -> RepresentationResult:
+    """Recover P(t) from the fundamental matrix Psi at the nodes of the
+    uniform grid on [0, T]:
 
         Lambda(t) = (G, -I) Psi(T) Psi(t)^-1 (0; I)
         P(t)      = -Lambda(t)^-1 (G, -I) Psi(T) Psi(t)^-1 (I; 0)
@@ -113,10 +105,11 @@ def representation(problem: GameProblem,
     solve for P has condition above 1e10 raises RepresentationSingularError.
     """
     n = problem.n
-    Psi_T = psi.Psi_nodes[-1]
+    grid = TimeGrid(problem.horizon_T, len(Psi_nodes) - 1)
+    Psi_T = Psi_nodes[-1]
     GI = np.hstack([problem.cost.G, -np.eye(n)])
     # Psi(T) Psi(t)^-1 via a linear solve against Psi(t)
-    edge = GI @ np.linalg.solve(psi.Psi_nodes.mT, Psi_T.T).mT
+    edge = GI @ np.linalg.solve(Psi_nodes.mT, Psi_T.T).mT
     Lam = edge[:, :, n:]
     # conditioning of the solve for P: Lam may shrink toward a singular
     # matrix while the remaining boundary data stays order one
@@ -126,11 +119,11 @@ def representation(problem: GameProblem,
                      where=sigma_min > 0)
     bad = np.flatnonzero(cond > 1e10)
     if bad.size:
-        raise RepresentationSingularError(float(psi.grid.nodes[bad[0]]),
+        raise RepresentationSingularError(float(grid.nodes[bad[0]]),
                                           float(cond[bad[0]]))
     P = -np.linalg.solve(Lam, edge[:, :, :n])
     return RepresentationResult(
-        grid=psi.grid, Lambda_nodes=Lam, P_rep_nodes=sym(P),
+        grid=grid, Lambda_nodes=Lam, P_rep_nodes=sym(P),
         condition_numbers=cond, symmetry_defects=_fro_norms(P - P.mT))
 
 
@@ -171,8 +164,8 @@ def equivalence_report(problem: GameProblem,
 
     rep, rep_failure = None, None
     try:
-        rep = representation(
-            problem, fundamental_matrix(hamiltonian(problem, config.n_steps)))
+        rep = representation(problem, fundamental_matrix(
+            hamiltonian(problem, config.n_steps), problem.horizon_T))
     except (RegularityError, BlowUpError, RepresentationSingularError) as err:
         rep_failure = f"{type(err).__name__}: {err}"
 

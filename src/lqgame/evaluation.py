@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import (
     ContractViolation, GameProblem, LqgError, TimeGrid, coefficients,
-    interpolate, sym, _eig_extremes, _solve,
+    interpolate, sym, _check_integer, _eig_extremes, _solve,
 )
 from .riccati import RiccatiSolution
 from .synthesis import FeedbackLaw, game_value
@@ -131,7 +131,8 @@ def brownian_increments(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
     Row k, step k of every path, is drawn from child k of
     ``SeedSequence(seed)``, so the draw is independent of evaluation order
     and the first paths of an ensemble do not change when more are
-    requested."""
+    requested.  Raises ContractViolation unless seed is an integer >= 0."""
+    _check_integer(seed, "seed", 0)
     scale = np.sqrt(grid.dt)
     return np.stack([
         np.random.default_rng(c).normal(0.0, scale, n_paths)
@@ -220,10 +221,10 @@ def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
     Each step operates on contiguous length-``n_paths`` rows, one per state
     and control component, and reads row k of the time-major increments;
     the returned ensemble's path arrays and increments are transposed views
-    of those buffers (see PathEnsemble).  Raises ContractViolation for a
-    start state ``x`` that is not a finite vector of length n."""
-    if n_paths < 1:
-        raise ContractViolation("n_paths must be >= 1")
+    of those buffers (see PathEnsemble).  Raises ContractViolation unless
+    n_paths is an integer >= 1, seed one >= 0 and the start state ``x`` a
+    finite vector of length n."""
+    _check_integer(n_paths, "n_paths", 1)
     if u1.dim() != problem.m1 or u2.dim() != problem.m2:
         raise ContractViolation("control dimensions do not match the problem")
     dW = brownian_increments(seed, n_paths, grid)

@@ -36,8 +36,8 @@ import numpy as np
 
 from .core import (
     CoefficientPath, CoefficientTable, ContractViolation, CostWeights,
-    GameProblem, LqgError, TimeGrid, assemble, coefficients, interpolate,
-    sym, _assemble, _eig_extremes, _fro_norms, _sample_stack, _solve,
+    GameProblem, LqgError, TimeGrid, coefficients, sym, _assemble,
+    _check_integer, _eig_extremes, _fro_norms, _sample_stack, _solve,
 )
 
 KINDS = ("game", "player1", "player2")
@@ -88,8 +88,7 @@ class SolverConfig:
             raise ContractViolation("eps_reg must be finite and positive")
         if not self.blowup_cap > 1:
             raise ContractViolation("blowup_cap must exceed 1")
-        if self.n_steps < 2:
-            raise ContractViolation("n_steps must be >= 2")
+        _check_integer(self.n_steps, "n_steps", 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,10 +104,6 @@ class RiccatiSolution:
 
     def P0(self) -> np.ndarray:
         return self.P_nodes[0]
-
-    def P_at(self, t: float) -> np.ndarray:
-        """Linear interpolation of the node values."""
-        return interpolate(self.P_nodes, self.grid.horizon_T, t)[0]
 
 
 class _Kinds(NamedTuple):
@@ -160,27 +155,6 @@ def _field(row: CoefficientTable, P: np.ndarray, R_P: np.ndarray,
         S_k = S_P[members, block]
         F[members] -= S_k.mT @ _solve(R_P[members, block, block], S_k)
     return sym(-F)
-
-
-def riccati_rhs(problem: GameProblem, t: float, P: np.ndarray, kind: str,
-                eps_reg: float = 1e-6) -> np.ndarray:
-    """Time derivative dP/dt of the (game or single-player) Riccati equation:
-
-        -[P A + A'P + C'P C + Q - S_P' R_P^{-1} S_P]
-
-    with the kind-appropriate sub-blocks of B, D, S, R.  Raises
-    RegularityError when the relevant margin is at or past eps_reg.
-    """
-    if kind not in KINDS:
-        raise ContractViolation(f"unknown kind {kind!r}")
-    row = coefficients(problem, t).row(0)
-    P = np.atleast_2d(P)
-    R_P, S_P, margins = assemble(row, P, problem.m1)
-    kinds = _Kinds.of(np.array([kind]), problem.m1, eps_reg)
-    sides = kinds.failing_sides(*margins)
-    if sides is not None:
-        raise RegularityError(t, int(sides[0]), margins[sides[0] - 1])
-    return _field(row, P[None], R_P[None], S_P[None], kinds.groups)[0]
 
 
 def _unchanged(X: np.ndarray) -> np.ndarray:
@@ -511,13 +485,3 @@ def solve_lambda_family(problem: GameProblem, lambdas,
     P0 = [s.P0() if s is not None else None for s in solutions]
     return RegularizedFamily(lambdas=lambdas, solutions=solutions,
                              failures=failures, P0_values=P0)
-
-
-def local_radius(problem: GameProblem, alpha: float) -> float:
-    """Diagnostic ball radius alpha / (4 (|D|_inf^2 + 1)) for the local
-    solvability estimate; informational only, never used to pick steps."""
-    d1 = _sample_stack(problem.dynamics.D1)
-    d2 = _sample_stack(problem.dynamics.D2)
-    d_inf_sq = max(float(np.sum(m * m)) for m in d1) + \
-        max(float(np.sum(m * m)) for m in d2)
-    return alpha / (4.0 * (d_inf_sq + 1.0))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import (
     ContractViolation, GameProblem, TimeGrid, assemble, block_inverse,
-    coefficients, interpolate, linear_flow,
+    coefficients, linear_flow,
 )
 from .riccati import RiccatiSolution
 
@@ -32,16 +32,6 @@ class FeedbackLaw:
         if self.theta_nodes.shape[0] != self.grid.n_steps + 1:
             raise ContractViolation("one gain per grid node required")
 
-    def theta1_nodes(self) -> np.ndarray:
-        return self.theta_nodes[:, :self.m1, :]
-
-    def theta2_nodes(self) -> np.ndarray:
-        return self.theta_nodes[:, self.m1:, :]
-
-    def theta_at(self, t: float) -> np.ndarray:
-        """Linear interpolation between node gains."""
-        return interpolate(self.theta_nodes, self.grid.horizon_T, t)[0]
-
 
 @dataclass(frozen=True, eq=False)
 class ClosedLoopSystem:
@@ -50,16 +40,6 @@ class ClosedLoopSystem:
     grid: TimeGrid
     drift_nodes: np.ndarray
     diffusion_nodes: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class AdjointTriple:
-    """State, costate, and martingale-integrand paths reconstructed from the
-    Riccati solution along a state path."""
-
-    X_nodes: np.ndarray
-    Y_nodes: np.ndarray
-    Z_nodes: np.ndarray
 
 
 def feedback_gain(problem: GameProblem, sol: RiccatiSolution) -> FeedbackLaw:
@@ -99,32 +79,21 @@ def mean_state_path(system: ClosedLoopSystem, x) -> np.ndarray:
     return linear_flow(system.drift_nodes, system.grid.horizon_T, x)
 
 
-def adjoint_from_state(problem: GameProblem, sol: RiccatiSolution,
-                       law: FeedbackLaw, X_path: np.ndarray) -> AdjointTriple:
-    """Reconstruct Y = P X and Z = P (C X + D u) with u = Theta X along a
-    state path on the solution grid."""
-    X_path = np.atleast_2d(np.asarray(X_path, dtype=float))
-    if X_path.shape[0] != sol.grid.n_steps + 1:
-        raise ContractViolation("state path must live on the solution grid")
-    table = coefficients(problem, sol.grid.nodes)
-    X = X_path[:, :, None]
-    u = law.theta_nodes @ X
-    Y = sol.P_nodes @ X
-    Z = sol.P_nodes @ (table.C @ X + table.D @ u)
-    return AdjointTriple(X_nodes=X_path, Y_nodes=Y[:, :, 0], Z_nodes=Z[:, :, 0])
-
-
 def fbsde_residual(problem: GameProblem, sol: RiccatiSolution,
                    law: FeedbackLaw, X_path: np.ndarray) -> np.ndarray:
     """Per-node norm of the stationarity defect B'Y + D'Z + S X + R u along
-    a state path, with Y, Z reconstructed from P.  Vanishes up to rounding
-    for the synthesized saddle law."""
+    a state path on the solution grid, with u = Theta X and the adjoint
+    pair Y = P X, Z = P (C X + D u) reconstructed from P.  Vanishes up to
+    rounding for the synthesized saddle law."""
     if not sol.grid.same_as(law.grid):
         raise ContractViolation("solution and law grids differ")
-    triple = adjoint_from_state(problem, sol, law, X_path)
+    X = np.atleast_2d(np.asarray(X_path, dtype=float))[:, :, None]
+    if X.shape[0] != sol.grid.n_steps + 1:
+        raise ContractViolation("state path must live on the solution grid")
     table = coefficients(problem, sol.grid.nodes)
-    X, Y, Z = (V[:, :, None] for V in (triple.X_nodes, triple.Y_nodes, triple.Z_nodes))
     u = law.theta_nodes @ X
+    Y = sol.P_nodes @ X
+    Z = sol.P_nodes @ (table.C @ X + table.D @ u)
     defect = table.B.mT @ Y + table.D.mT @ Z + table.S @ X + table.R @ u
     # |v| as sqrt(v'v), the dot product np.linalg.norm takes of one vector
     return np.sqrt(defect.mT @ defect)[:, 0, 0]

@@ -98,13 +98,14 @@ def test_criterion_5_deterministic_representation(deterministic_instances):
     worst_lam = 0.0
     worst_det = 0.0
     for problem, _ in deterministic_instances:
-        psi = fundamental_matrix(hamiltonian(problem, BULK_CONFIG.n_steps))
+        psi = fundamental_matrix(hamiltonian(problem, BULK_CONFIG.n_steps),
+                                 problem.horizon_T)
         rep = representation(problem, psi)
         sol = solve_riccati(problem, BULK_CONFIG, "game")
         cross = max(np.linalg.norm(a - b)
                     for a, b in zip(rep.P_rep_nodes, sol.P_nodes))
         lam_defect = np.abs(rep.Lambda_nodes[-1] + np.eye(problem.n)).max()
-        det_defect = np.abs(np.linalg.det(psi.Psi_nodes) - 1.0).max()
+        det_defect = np.abs(np.linalg.det(psi) - 1.0).max()
         assert cross <= 1e-6
         assert lam_defect <= 1e-10
         assert det_defect <= 1e-6

@@ -306,8 +306,14 @@ class TestMalformedInput:
             Q={"constant": [[float("nan")]]})),
         ("dynamics.A", lambda d: d["dynamics"].update(A={"samples": {
             "times": [0.0, 1.0], "values": [[[0.0]], [[float("-inf")]]]}})),
+        # each would truncate or convert to the true dimension, 1
+        ("dims.n", lambda d: d["dims"].update(n=1.7)),
+        ("dims.n", lambda d: d["dims"].update(n=1.0)),
+        ("dims.m1", lambda d: d["dims"].update(m1=True)),
+        ("dims.m2", lambda d: d["dims"].update(m2="1")),
     ], ids=["dims", "dims.n", "horizon", "cost.G", "cost.G-nan",
-            "horizon-inf", "cost.Q-nan", "dynamics.A-inf"])
+            "horizon-inf", "cost.Q-nan", "dynamics.A-inf", "dims.n-fraction",
+            "dims.n-float", "dims.m1-bool", "dims.m2-string"])
     def test_malformed_field(self, capsys, tmp_path, ex4_5, field, edit):
         path = _edited_file(tmp_path, ex4_5, edit)
         self._exits_2_naming(capsys, ["certify", "--problem", path], field)
@@ -360,6 +366,23 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --out: ")
         assert not (tmp_path / "no").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["verify"], ["pipeline"], ["solve"], ["example", "ex3_2"],
+    ], ids=lambda argv: "-".join(argv))
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "one"])
+    def test_bad_seed_refused_before_solve(self, capsys, tmp_path, rand_file,
+                                           argv, seed):
+        out = tmp_path / "out"
+        out.mkdir()
+        if argv[0] != "example":
+            argv = argv + ["--problem", rand_file, "--out", str(out)]
+        assert main(argv + ["--steps", "50", "--paths", "50",
+                            "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err
+        assert captured.out == ""      # the command never started
+        assert not any(out.iterdir())
 
     def test_zero_paths_refused_before_solve(self, capsys, rand_file):
         assert main(["simulate", "--problem", rand_file, "--paths", "0"]) == 2

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from lqgame import (
     CoefficientPath, ContractViolation, CostWeights, DomainError, GameProblem,
-    SingularBlockError, StateDynamics, TimeGrid, assemble_blocks,
-    block_inverse, check_symmetric, coefficients, eval_coeff, sym,
-    sym_eig_extremes,
+    SingularBlockError, StateDynamics, TimeGrid, block_inverse,
+    check_symmetric, coefficients, sym, sym_eig_extremes,
 )
 from lqgame.core import _eig_extremes, _solve, assemble, interpolate
 from conftest import scalar_game
@@ -33,26 +34,35 @@ class TestTimeGrid:
             TimeGrid(-1.0, 10)
 
 
+def drift_game(A: CoefficientPath) -> GameProblem:
+    """A game on [0, 1] whose drift A is the given 1x1 path."""
+    p = scalar_game()
+    return GameProblem(dynamics=dataclasses.replace(p.dynamics, A=A),
+                       cost=p.cost, horizon_T=1.0)
+
+
 class TestCoefficientPath:
     def test_constant_evaluates_everywhere(self):
-        p = CoefficientPath.constant([[1.0, 2.0]])
-        assert np.array_equal(eval_coeff(p, 0.3), [[1.0, 2.0]])
+        p = drift_game(CoefficientPath.constant([[1.5]]))
+        assert np.array_equal(coefficients(p, [0.0, 0.3, 1.0]).A,
+                              [[[1.5]]] * 3)
 
     def test_sampled_exact_at_nodes(self):
         stack = np.arange(5, dtype=float).reshape(5, 1, 1)
-        p = CoefficientPath.sampled(stack, 1.0)
-        for k, t in enumerate(np.linspace(0, 1, 5)):
-            assert eval_coeff(p, t)[0, 0] == stack[k, 0, 0]
+        p = drift_game(CoefficientPath.sampled(stack, 1.0))
+        A = coefficients(p, np.linspace(0, 1, 5)).A
+        assert A.tobytes() == stack.tobytes()
 
     def test_sampled_linear_between_nodes(self):
         stack = np.array([0.0, 2.0]).reshape(2, 1, 1)
-        p = CoefficientPath.sampled(stack, 1.0)
-        assert eval_coeff(p, 0.25)[0, 0] == pytest.approx(0.5)
+        p = drift_game(CoefficientPath.sampled(stack, 1.0))
+        assert coefficients(p, 0.25).A[0, 0, 0] == pytest.approx(0.5)
 
     @given(t=st.floats(0.0, 1.0), a=st.floats(-3, 3), b=st.floats(-3, 3))
     def test_interpolation_stays_between_samples(self, t, a, b):
-        p = CoefficientPath.sampled(np.array([a, b]).reshape(2, 1, 1), 1.0)
-        v = eval_coeff(p, t)[0, 0]
+        p = drift_game(CoefficientPath.sampled(
+            np.array([a, b]).reshape(2, 1, 1), 1.0))
+        v = coefficients(p, t).A[0, 0, 0]
         assert min(a, b) - 1e-12 <= v <= max(a, b) + 1e-12
 
     # spans reach down to 1e-290: below that span/k can be subnormal, and
@@ -67,9 +77,9 @@ class TestCoefficientPath:
         assert got.tobytes() == v.tobytes()
 
     def test_outside_span_is_domain_error(self):
-        p = CoefficientPath.sampled(np.zeros((2, 1, 1)), 1.0)
+        p = drift_game(CoefficientPath.sampled(np.zeros((2, 1, 1)), 1.0))
         with pytest.raises(DomainError):
-            eval_coeff(p, 1.5)
+            coefficients(p, 1.5)
 
     def test_values_are_frozen(self):
         p = CoefficientPath.constant([[1.0]])
@@ -388,16 +398,24 @@ class TestCoefficientTable:
                 assert bits(row) == bits(want), (name, t)
                 assert row.flags.c_contiguous, name
             for name, path in paths.items():
-                assert bits(eval_coeff(path, t)) == bits(ev[name])
+                own = (path.values if path.kind == "constant"
+                       else interpolate(path.values, path.span, t)[0])
+                assert bits(own) == bits(ev[name])
         if any(samples):
             for t in (-0.01 * T, 1.01 * T):
                 with pytest.raises(DomainError):
                     coefficients(p, [0.5 * T, t])
 
 
+def assemble_at(problem: GameProblem, P, t: float):
+    """R_P, S_P and the margins of one P at one time."""
+    return assemble(coefficients(problem, t).row(0), np.atleast_2d(P),
+                    problem.m1)
+
+
 class TestAssembleBlocks:
     def test_margins_without_noise_are_R_blocks(self, ex4_5):
-        R_P, S_P, (m1, m2) = assemble_blocks(ex4_5, np.array([[7.0]]), 0.2)
+        R_P, S_P, (m1, m2) = assemble_at(ex4_5, [[7.0]], 0.2)
         assert m1 == pytest.approx(1.0)
         assert m2 == pytest.approx(-2.0 / 3.0)
         # no D, so R_P is untouched by P while S_P = B'P
@@ -406,7 +424,7 @@ class TestAssembleBlocks:
 
     def test_diffusion_shifts_margins(self):
         p = scalar_game(D1=1.0, D2=1.0, R11=1.0, R22=-1.0)
-        _, _, (m1, m2) = assemble_blocks(p, np.array([[0.5]]), 0.0)
+        _, _, (m1, m2) = assemble_at(p, [[0.5]], 0.0)
         assert m1 == pytest.approx(1.5)
         assert m2 == pytest.approx(-0.5)
 
@@ -424,4 +442,4 @@ class TestAssembleBlocks:
 
     def test_asymmetric_P_rejected(self, ex4_5):
         with pytest.raises(ContractViolation):
-            assemble_blocks(ex4_5, np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
+            assemble_at(ex4_5, [[0.0, 1.0], [0.0, 0.0]], 0.0)

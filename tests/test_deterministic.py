@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from lqgame import (
-    BlowUpError, CoefficientPath, CostWeights, GameProblem, HamiltonianPath,
+    BlowUpError, CoefficientPath, CostWeights, GameProblem,
     NotDeterministicError, RegularityError, RepresentationSingularError,
     SolverConfig, StateDynamics, TimeGrid, equivalence_report,
     fundamental_matrix, hamiltonian, representation, solve_riccati,
@@ -17,8 +17,8 @@ def det_ham(rand_det_problem):
 
 
 @pytest.fixture(scope="module")
-def det_psi(det_ham):
-    return fundamental_matrix(det_ham)
+def det_psi(rand_det_problem, det_ham):
+    return fundamental_matrix(det_ham, rand_det_problem.horizon_T)
 
 
 class TestHamiltonian:
@@ -27,17 +27,17 @@ class TestHamiltonian:
             hamiltonian(ex3_4)
 
     def test_trace_free(self, det_ham):
-        traces = np.trace(det_ham.H_nodes, axis1=1, axis2=2)
+        traces = np.trace(det_ham, axis1=1, axis2=2)
         assert np.abs(traces).max() < 1e-12
 
     def test_ex4_5_hamiltonian(self, ex4_5):
         # B R^-1 B' = 1 - 3/2 = -1/2 and everything else vanishes
-        h = hamiltonian(ex4_5, n_steps=10)
-        assert np.allclose(h.H_nodes[0], [[0.0, 0.5], [0.0, 0.0]])
+        H = hamiltonian(ex4_5, n_steps=10)
+        assert np.allclose(H[0], [[0.0, 0.5], [0.0, 0.0]])
 
     def test_shape(self, rand_det_problem, det_ham):
         n = rand_det_problem.n
-        assert det_ham.H_nodes.shape == (401, 2 * n, 2 * n)
+        assert det_ham.shape == (401, 2 * n, 2 * n)
 
     @staticmethod
     def sampled_R_game(R11, R22):
@@ -69,19 +69,20 @@ class TestHamiltonian:
 
 class TestFundamentalMatrix:
     def test_starts_at_identity(self, det_psi):
-        dim = det_psi.Psi_nodes.shape[-1]
-        assert np.array_equal(det_psi.Psi_nodes[0], np.eye(dim))
+        dim = det_psi.shape[-1]
+        assert np.array_equal(det_psi[0], np.eye(dim))
 
-    def test_matches_matrix_exponential(self, det_ham, det_psi):
+    def test_matches_matrix_exponential(self, rand_det_problem, det_ham,
+                                        det_psi):
         # constant-coefficient problem, so Psi(t) = expm(t H) exactly;
         # the exponential is an independent route to the same matrix
-        H = det_ham.H_nodes[0]
+        H = det_ham[0]
+        nodes = TimeGrid(rand_det_problem.horizon_T, 400).nodes
         for k in (100, 250, 400):
-            t = det_psi.grid.nodes[k]
-            assert np.abs(det_psi.Psi_nodes[k] - expm(t * H)).max() < 1e-8
+            assert np.abs(det_psi[k] - expm(nodes[k] * H)).max() < 1e-8
 
     def test_unit_determinant(self, det_psi):
-        dets = np.linalg.det(det_psi.Psi_nodes)
+        dets = np.linalg.det(det_psi)
         assert np.abs(dets - 1.0).max() < 1e-6
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -91,7 +92,7 @@ class TestFundamentalMatrix:
         H = np.zeros((11, 2, 2))
         H[4:] = 1e300 * np.eye(2)
         with pytest.raises(BlowUpError) as exc:
-            fundamental_matrix(HamiltonianPath(grid=grid, H_nodes=H))
+            fundamental_matrix(H, grid.horizon_T)
         assert exc.value.time == grid.nodes[4]
         assert exc.value.norm == np.inf
 
@@ -119,7 +120,7 @@ class TestRepresentation:
         # G = -2 with only player 1 acting: P = -1/(t - 1/2) escapes at
         # t = 1/2, where the boundary matrix degenerates
         p = scalar_game(B1=1.0, B2=0.0, G=-2.0, R11=1.0, R22=-1.0)
-        psi = fundamental_matrix(hamiltonian(p, n_steps=400))
+        psi = fundamental_matrix(hamiltonian(p, n_steps=400), p.horizon_T)
         with pytest.raises(RepresentationSingularError) as exc:
             representation(p, psi)
         assert exc.value.time == pytest.approx(0.5, abs=0.05)

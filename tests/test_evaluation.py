@@ -45,6 +45,15 @@ class TestBrownianIncrements:
                 0.0, np.sqrt(grid.dt), 8)
             assert dW[k].tobytes() == row.tobytes()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_bad_seed_refused(self, grid, seed):
+        with pytest.raises(ContractViolation, match="seed"):
+            brownian_increments(seed, 4, grid)
+
+    def test_numpy_integer_seed_accepted(self, grid):
+        a = brownian_increments(np.int64(42), 4, grid)
+        assert a.tobytes() == brownian_increments(42, 4, grid).tobytes()
+
     def test_ito_isometry(self, grid):
         dW = brownian_increments(0, 4000, grid)
         W_T = dW.sum(axis=0)

@@ -17,12 +17,11 @@ from lqgame import (
     RegularityError, RepresentationSingularError, RiccatiSolution,
     SimulationDiverged, SingularBlockError, SolverConfig, StateDynamics,
     TimeGrid, certify_A3, coefficients, comparison_check, equivalence_report,
-    eval_coeff, example_problem, fundamental_matrix, hamiltonian,
-    local_radius, regularized_problem, representation, riccati, riccati_rhs,
-    solve_lambda_family, solve_riccati, sym,
+    example_problem, fundamental_matrix, hamiltonian, regularized_problem,
+    representation, riccati, solve_lambda_family, solve_riccati, sym,
 )
-from lqgame.core import _solve, assemble
-from lqgame.riccati import KINDS, _Kinds, _solve_stack
+from lqgame.core import _assemble, _solve, assemble
+from lqgame.riccati import KINDS, _field, _Kinds, _solve_stack
 from conftest import random_game, scalar_game
 
 
@@ -160,15 +159,25 @@ def assert_same_certificate(report, ref):
             assert_same_solution(sol, ref_sol)
 
 
+def field_at(problem, t, P, kind="game"):
+    """dP/dt of one equation at one time and one P, through the solver's own
+    field (no margin check)."""
+    row = coefficients(problem, t).row(0)
+    P = np.asarray(P, dtype=float)[None]
+    R_P, S_P, _ = _assemble(row, P, problem.m1)
+    groups = _Kinds.of(np.array([kind]), problem.m1, 1e-6).groups
+    return _field(row, P, R_P, S_P, groups)[0]
+
+
 class TestRhs:
     def test_ex4_5_rhs_at_terminal(self, ex4_5):
         # closed form P' = -P^2/2, so at P = G = -2 the slope is -2
-        F = riccati_rhs(ex4_5, 1.0, np.array([[-2.0]]), "game")
+        F = field_at(ex4_5, 1.0, [[-2.0]])
         assert F[0, 0] == pytest.approx(-2.0, abs=1e-12)
 
     def test_player1_rhs_is_P_squared(self, ex4_5):
         # frozen-opponent equation for player 1: P' = P^2
-        F = riccati_rhs(ex4_5, 0.8, np.array([[-2.0]]), "player1")
+        F = field_at(ex4_5, 0.8, [[-2.0]], "player1")
         assert F[0, 0] == pytest.approx(4.0, abs=1e-12)
 
     def test_rhs_is_symmetric(self, rand_problem):
@@ -177,17 +186,8 @@ class TestRhs:
         for _ in range(10):
             P = np.eye(n) * 0.1 + 0.01 * rng.normal(size=(n, n))
             P = 0.5 * (P + P.T)
-            F = riccati_rhs(rand_problem, 0.3, P, "game")
+            F = field_at(rand_problem, 0.3, P)
             assert np.array_equal(F, F.T)
-
-    def test_margin_violation_raises(self):
-        p = scalar_game(D2=1.0, R22=-1.0, G=1.0)
-        with pytest.raises(RegularityError):
-            riccati_rhs(p, 1.0, np.array([[1.0]]), "game")
-
-    def test_unknown_kind(self, ex4_5):
-        with pytest.raises(ContractViolation):
-            riccati_rhs(ex4_5, 0.0, np.zeros((1, 1)), "players")
 
 
 class TestSolve:
@@ -222,15 +222,12 @@ class TestSolve:
         scale = 1.0 + np.abs(sol.P_nodes).max()
         for k in range(1, sol.grid.n_steps, 37):
             dP = (sol.P_nodes[k + 1] - sol.P_nodes[k - 1]) / (2 * dt)
-            F = riccati_rhs(rand_problem, sol.grid.nodes[k], sol.P_nodes[k],
-                            "game")
+            F = field_at(rand_problem, sol.grid.nodes[k], sol.P_nodes[k])
             assert np.abs(dP - F).max() <= 10.0 * dt ** 2 * scale
 
-    def test_interpolation_exact_at_nodes(self, rand_problem, cfg400):
-        sol = solve_riccati(rand_problem, cfg400, "game")
-        k = 123
-        assert np.allclose(sol.P_at(sol.grid.nodes[k]), sol.P_nodes[k],
-                           rtol=0, atol=1e-14)
+    def test_unknown_kind(self, ex4_5, cfg400):
+        with pytest.raises(ContractViolation, match="players"):
+            solve_riccati(ex4_5, cfg400, "players")
 
     def test_ex5_2_regularity_failure_at_terminal(self, ex5_2, cfg400):
         # margin2 = R22 + D2' G D2 = 0 at t = T, within eps of the threshold
@@ -263,11 +260,22 @@ class TestSolve:
 
     @pytest.mark.parametrize("field, value", [
         ("eps_reg", np.nan), ("eps_reg", np.inf), ("eps_reg", -np.inf),
-        ("blowup_cap", np.nan),
+        ("blowup_cap", np.nan), ("n_steps", 200.0), ("n_steps", 2.5),
+        ("n_steps", "200"), ("n_steps", True),
     ])
     def test_non_finite_config_refused(self, field, value):
         with pytest.raises(ContractViolation, match=field):
             SolverConfig(**{field: value})
+        if field == "n_steps":
+            with pytest.raises(ContractViolation, match=field):
+                TimeGrid(1.0, value)
+
+    def test_numpy_integer_steps_accepted(self, ex4_5):
+        steps = np.int64(50)
+        assert TimeGrid(1.0, steps).nodes.shape == (51,)
+        sol = solve_riccati(ex4_5, SolverConfig(n_steps=steps))
+        ref = solve_riccati(ex4_5, SolverConfig(n_steps=50))
+        assert sol.P_nodes.tobytes() == ref.P_nodes.tobytes()
 
 
 class TestCertificate:
@@ -400,7 +408,7 @@ class TestStackedPass:
                              reference_solve(problem, cfg400, "game"))
         assert report.riccati_failure is None
         rep = representation(problem, fundamental_matrix(
-            hamiltonian(problem, cfg400.n_steps)))
+            hamiltonian(problem, cfg400.n_steps), problem.horizon_T))
         cross = float(max(np.linalg.norm(a - b)
                           for a, b in zip(rep.P_rep_nodes, sol.P_nodes)))
         assert _bits(report.cross_error) == _bits(cross)
@@ -601,9 +609,9 @@ class TestRegularization:
     def test_shift_moves_R_blocks(self, ex5_2):
         shifted = regularized_problem(ex5_2, 0.25)
         t = 0.4
-        assert eval_coeff(shifted.cost.R11, t)[0, 0] == pytest.approx(
-            0.4 ** 2 + 0.25)
-        assert eval_coeff(shifted.cost.R22, t)[0, 0] == pytest.approx(-1.25)
+        R = coefficients(shifted, t).R[0]
+        assert R[0, 0] == pytest.approx(0.4 ** 2 + 0.25)
+        assert R[1, 1] == pytest.approx(-1.25)
 
     def test_family_records_failures(self, ex5_2, cfg400):
         fam = solve_lambda_family(ex5_2, [0.5, 1e-9], cfg400)
@@ -635,9 +643,3 @@ class TestRegularization:
                          (sol.margin1_nodes, ref.margin1_nodes),
                          (sol.margin2_nodes, ref.margin2_nodes)):
                 assert a.tobytes() == b.tobytes()
-
-
-def test_local_radius_formula():
-    p = scalar_game(D1=2.0, D2=1.0)
-    # |D|^2 = 4 + 1
-    assert local_radius(p, 3.0) == pytest.approx(3.0 / (4.0 * 6.0))

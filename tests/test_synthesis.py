@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqgame import (
-    ContractViolation, SolverConfig, adjoint_from_state, closed_loop,
-    fbsde_residual, feedback_gain, game_value, mean_state_path,
-    solve_riccati,
+    ContractViolation, SolverConfig, closed_loop, coefficients, fbsde_residual,
+    feedback_gain, game_value, mean_state_path, solve_riccati,
 )
+from lqgame.core import assemble
 
 
 @pytest.fixture(scope="module")
@@ -34,30 +34,16 @@ class TestFeedbackGain:
     def test_gain_consistent_with_stationarity(self, rand_problem, rand_sol,
                                                rand_law):
         # (R + D'PD) Theta + (B'P + D'PC + S) = 0 at every node
-        from lqgame import assemble_blocks
-        for t, P, Th in zip(rand_sol.grid.nodes[::50],
-                            rand_sol.P_nodes[::50],
-                            rand_law.theta_nodes[::50]):
-            R_P, S_P, _ = assemble_blocks(rand_problem, P, t)
-            assert np.abs(R_P @ Th + S_P).max() < 1e-10
+        table = coefficients(rand_problem, rand_sol.grid.nodes)
+        for j in range(0, rand_sol.grid.n_steps + 1, 50):
+            R_P, S_P, _ = assemble(table.row(j), rand_sol.P_nodes[j],
+                                   rand_problem.m1)
+            assert np.abs(R_P @ rand_law.theta_nodes[j] + S_P).max() < 1e-10
 
     def test_rejects_single_player_solution(self, rand_problem, cfg400):
         p2 = solve_riccati(rand_problem, cfg400, "player2")
         with pytest.raises(ContractViolation):
             feedback_gain(rand_problem, p2)
-
-    def test_theta_at_interpolates(self, rand_law):
-        k = 17
-        t = rand_law.grid.nodes[k]
-        assert np.allclose(rand_law.theta_at(t), rand_law.theta_nodes[k],
-                           rtol=0, atol=1e-13)
-        mid = 0.5 * (rand_law.grid.nodes[k] + rand_law.grid.nodes[k + 1])
-        expect = 0.5 * (rand_law.theta_nodes[k] + rand_law.theta_nodes[k + 1])
-        assert np.allclose(rand_law.theta_at(mid), expect, rtol=0, atol=1e-13)
-
-    def test_player_row_split(self, rand_problem, rand_law):
-        assert rand_law.theta1_nodes().shape[1] == rand_problem.m1
-        assert rand_law.theta2_nodes().shape[1] == rand_problem.m2
 
 
 class TestGameValue:
@@ -94,12 +80,20 @@ class TestClosedLoop:
 
 class TestFbsdeResidual:
     def test_adjoint_is_P_times_state(self, rand_problem, rand_sol, rand_law):
+        # along the mean closed-loop path, Y = P X with Z = P (C X + D u)
+        # solves the adjoint equation dY/dt = -(A'Y + C'Z + Q X + S'u)
         system = closed_loop(rand_problem, rand_law)
-        X = mean_state_path(system, np.ones(rand_problem.n))
-        triple = adjoint_from_state(rand_problem, rand_sol, rand_law, X)
-        for P, Xk, Yk in zip(rand_sol.P_nodes[::97], X[::97],
-                             triple.Y_nodes[::97]):
-            assert np.allclose(Yk, P @ Xk, rtol=0, atol=1e-14)
+        X = mean_state_path(system, np.ones(rand_problem.n))[:, :, None]
+        table = coefficients(rand_problem, rand_sol.grid.nodes)
+        u = rand_law.theta_nodes @ X
+        Y = rand_sol.P_nodes @ X
+        Z = rand_sol.P_nodes @ (table.C @ X + table.D @ u)
+        drift = -(table.A.mT @ Y + table.C.mT @ Z + table.Q @ X
+                  + table.S.mT @ u)
+        dt = rand_sol.grid.dt
+        dY = (Y[2:] - Y[:-2]) / (2 * dt)
+        scale = 1.0 + np.abs(Y).max()
+        assert np.abs(dY - drift[1:-1]).max() <= 10.0 * dt ** 2 * scale
 
     def test_residual_vanishes_on_saddle_law(self, rand_problem, rand_sol,
                                              rand_law):
@@ -124,10 +118,8 @@ class TestFbsdeResidual:
 
     def test_matches_per_node_loop(self, rand_problem, rand_sol, rand_law):
         # reference: the node-by-node formulas, bit for bit
-        from lqgame import coefficients
         system = closed_loop(rand_problem, rand_law)
         X = mean_state_path(system, np.ones(rand_problem.n))
-        triple = adjoint_from_state(rand_problem, rand_sol, rand_law, X)
         res = fbsde_residual(rand_problem, rand_sol, rand_law, X)
         table = coefficients(rand_problem, rand_sol.grid.nodes)
         for j, (P, Th, x) in enumerate(zip(rand_sol.P_nodes,
@@ -137,8 +129,6 @@ class TestFbsdeResidual:
             Y, Z = P @ x, P @ (C @ x + D @ u)
             assert system.drift_nodes[j].tobytes() == (A + B @ Th).tobytes()
             assert system.diffusion_nodes[j].tobytes() == (C + D @ Th).tobytes()
-            assert triple.Y_nodes[j].tobytes() == Y.tobytes()
-            assert triple.Z_nodes[j].tobytes() == Z.tobytes()
             assert res[j] == np.linalg.norm(B.T @ Y + D.T @ Z + S @ x + R @ u)
 
     def test_grid_mismatch_rejected(self, rand_problem, rand_law):
