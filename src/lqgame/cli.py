@@ -300,7 +300,8 @@ def _config(args) -> SolverConfig:
     try:
         return SolverConfig(eps_reg=args.eps_reg, n_steps=args.steps)
     except ContractViolation as err:
-        # the message names the field of --eps-reg or --steps
+        # the message names eps_reg: the flag types let through only a
+        # value of --eps-reg that is not positive
         raise ProblemFormatError(str(err)) from None
 
 
@@ -386,8 +387,8 @@ def run(args) -> int:
                 print(f"lambda={lam:g}: P(0) trace {np.trace(sol.P0()):.8g}")
         return EXIT_OK
 
-    # the game outcome is its solution or the solver's error; the solve,
-    # asked for before the certificate is read, shares its backward pass
+    # the game outcome is its solution or the solver's error; a certificate
+    # integrates it in its own backward pass, so the solve looks it up
     t0 = time.perf_counter()
     cert = certify_A3(problem, config) if "certify" in stages else None
     game = None
@@ -581,8 +582,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in (*_STAGES, "example"):
         p = sub.add_parser(name)
         p.add_argument("--problem", default=None)
-        p.add_argument("--steps", type=int, default=2000)
-        p.add_argument("--eps-reg", type=float, default=1e-6, dest="eps_reg")
+        p.add_argument("--steps", type=_integer("--steps", 2), default=2000)
+        # named as SolverConfig names it when it refuses a value <= 0
+        p.add_argument("--eps-reg", dest="eps_reg", default=1e-6,
+                       type=lambda text: _parse("eps_reg", float, text))
         p.add_argument("--paths", type=_integer("--paths", 1), default=10_000)
         p.add_argument("--seed", type=_integer("--seed", 0), default=0)
         p.add_argument("--x", default=None)

@@ -93,6 +93,7 @@ class TimeGrid:
         if not 0 <= self.horizon_T < np.inf:
             raise ContractViolation("horizon_T must be finite and nonnegative")
         _check_integer(self.n_steps, "n_steps", 2)
+        object.__setattr__(self, "n_steps", int(self.n_steps))
 
     @property
     def dt(self) -> float:

@@ -20,9 +20,8 @@ The outcomes of a problem's equations are kept per problem object and
 solver config while the problem lives (``_outcomes``), and a later
 ``solve_riccati`` or ``equivalence_report`` of the same problem and config
 reuses them.  Their arrays are read-only, since callers share them.  The
-certificate is worked out when its report is first read, so a solve asked
-for before then shares its pass, while a report read at once costs the two
-companions alone.
+certificate integrates the game equation in the same pass as its two
+companions, so a game solve after it is a lookup.
 """
 
 from __future__ import annotations
@@ -89,6 +88,7 @@ class SolverConfig:
         if not self.blowup_cap > 1:
             raise ContractViolation("blowup_cap must exceed 1")
         _check_integer(self.n_steps, "n_steps", 2)
+        object.__setattr__(self, "n_steps", int(self.n_steps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +161,7 @@ def _unchanged(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _solve_stack(problems, kinds, config: SolverConfig,
-                 halt_with: int | None = None) -> list:
+def _solve_stack(problems, kinds, config: SolverConfig) -> list:
     """Integrate one Riccati equation per (problem, kind) pair backward from
     P(T) = G in one pass over one grid, each stage once for the whole stack.
 
@@ -172,9 +171,8 @@ def _solve_stack(problems, kinds, config: SolverConfig,
     at a stage, or whose P passes the blow-up cap, leaves the stack there.
     Returns one outcome per member: its RiccatiSolution, or the
     RegularityError or BlowUpError, with partial path, that a pass over it
-    alone raises; both equal those of that pass bit for bit.  When the
-    member at index ``halt_with`` fails, the pass ends and the members still
-    in the stack keep None.  The arrays of the outcomes are read-only.
+    alone raises; both equal those of that pass bit for bit.  The arrays of
+    the outcomes are read-only.
     """
     problem = problems[0]
     grid = TimeGrid(problem.horizon_T, config.n_steps)
@@ -218,8 +216,6 @@ def _solve_stack(problems, kinds, config: SolverConfig,
                 nodes[done:], P_out[i, done:], margin_out[0, i, done:],
                 margin_out[1, i, done:]))
         keep = ~bad
-        if halt_with is not None and outcomes[halt_with] is not None:
-            keep[:] = False
         live = live[keep]
         live_kinds = _Kinds.of(kinds[live], m1, eps)
         return keep
@@ -279,31 +275,22 @@ def _solve_stack(problems, kinds, config: SolverConfig,
     return outcomes
 
 
-# per problem object and solver config, {kind: its outcome, or None while
-# only an unread certificate has asked for it}; an entry goes with its
-# problem, which is frozen, hashes by identity and has read-only arrays
+# per problem object and solver config, {kind: its outcome}; an entry goes
+# with its problem, which is frozen, hashes by identity and has read-only
+# arrays
 _MEMO = weakref.WeakKeyDictionary()
 
 
-def _outcomes(problem: GameProblem, config: SolverConfig, kinds,
-              halt_with: str | None = None) -> list:
+def _outcomes(problem: GameProblem, config: SolverConfig, kinds) -> list:
     """The outcome (solution or error) of each equation of ``kinds`` on
     problem under config.  Those not yet stored are integrated in one
-    backward pass, together with those an unread certificate of the problem
-    and config asked for.  A failure of the kind ``halt_with`` ends the
-    pass; the equations it cut short get None and are not stored."""
+    backward pass and stored."""
     memo = _MEMO.setdefault(problem, {}).setdefault(config, {})
-    todo = [kind for kind, outcome in memo.items() if outcome is None]
-    todo += [kind for kind in kinds if kind not in memo]
+    todo = [kind for kind in kinds if kind not in memo]
     if todo:
-        halt = todo.index(halt_with) if halt_with in todo else None
-        stack = _solve_stack([problem] * len(todo), todo, config, halt)
-        for kind, outcome in zip(todo, stack):
-            if outcome is None:
-                memo.pop(kind, None)
-            else:
-                memo[kind] = outcome
-    return [memo.get(kind) for kind in kinds]
+        memo.update(zip(todo, _solve_stack([problem] * len(todo), todo,
+                                           config)))
+    return [memo[kind] for kind in kinds]
 
 
 def solve_riccati(problem: GameProblem, config: SolverConfig,
@@ -342,31 +329,25 @@ class CertificateReport:
         return self.status == "CERTIFIED"
 
 
-class _UnreadCertificate(CertificateReport):
-    """certify_A3's report until it is first read.  Reading any attribute
-    works the certificate out and turns the report into the plain
-    CertificateReport of that outcome."""
+def certify_A3(problem: GameProblem, config: SolverConfig) -> CertificateReport:
+    """Solve the two frozen-opponent Riccati equations, and the game
+    equation, in one backward pass.
 
-    def __init__(self, problem: GameProblem, config: SolverConfig):
-        self._source = (problem, config)
+    Success of both companions (with strong regularity) is sufficient
+    evidence for saddle synthesis to proceed; failure of either yields
+    NOT_CERTIFIED with the side and time, player 1's deciding when both
+    fail.  No converse claim is made: game-Riccati solvability does not
+    imply this certificate.
 
-    def __getattribute__(self, name):
-        report = _certificate(*object.__getattribute__(self, "_source"))
-        self.__dict__ = vars(report)
-        self.__class__ = CertificateReport
-        return getattr(self, name)
-
-
-def _certificate(problem: GameProblem,
-                 config: SolverConfig) -> CertificateReport:
-    """The certificate of the two frozen-opponent outcomes; a player-1
-    failure decides it, and ends a pass that has not integrated them yet."""
-    p1, = _outcomes(problem, config, ("player1",), halt_with="player1")
+    The game outcome is stored with the two companions', so a later
+    ``solve_riccati`` or ``equivalence_report`` of the same problem object
+    and config makes no pass of its own.
+    """
+    p1, p2, _ = _outcomes(problem, config, ("player1", "player2", "game"))
     if isinstance(p1, LqgError):
         return CertificateReport(
             status="NOT_CERTIFIED", failing_side=1, failure_time=p1.time,
             failure_reason=type(p1).__name__)
-    p2, = _outcomes(problem, config, ("player2",))
     if isinstance(p2, LqgError):
         return CertificateReport(
             status="NOT_CERTIFIED", p1=p1, failing_side=2, failure_time=p2.time,
@@ -376,26 +357,6 @@ def _certificate(problem: GameProblem,
         min_margin1=float(p1.margin1_nodes.min()),
         max_margin2=float(p2.margin2_nodes.max()),
         p1=p1, p2=p2)
-
-
-def certify_A3(problem: GameProblem, config: SolverConfig) -> CertificateReport:
-    """Solve the two frozen-opponent Riccati equations in one backward pass.
-
-    Success of both (with strong regularity) is sufficient evidence for
-    saddle synthesis to proceed; failure of either yields NOT_CERTIFIED with
-    the side and time, player 1's deciding when both fail.  No converse
-    claim is made: game-Riccati solvability does not imply this certificate.
-
-    The report is worked out when first read.  A report read at once costs
-    the pass over the two equations, which a player-1 failure ends.  A solve
-    of the same problem object and config asked for before the first read
-    (``solve_riccati``, ``equivalence_report``) integrates its equation in
-    the same pass as the certificate's two.
-    """
-    memo = _MEMO.setdefault(problem, {}).setdefault(config, {})
-    if not isinstance(memo.setdefault("player1", None), LqgError):
-        memo.setdefault("player2", None)
-    return _UnreadCertificate(problem, config)
 
 
 @dataclass

@@ -93,9 +93,9 @@ def passes(monkeypatch):
     calls = []
     solve_stack = riccati._solve_stack
 
-    def recorded(problems, kinds, config, halt_with=None):
+    def recorded(problems, kinds, config):
         calls.append(tuple(kinds))
-        return solve_stack(problems, kinds, config, halt_with)
+        return solve_stack(problems, kinds, config)
 
     monkeypatch.setattr(riccati, "_solve_stack", recorded)
     return calls

@@ -103,6 +103,19 @@ class TestSolutionFiles:
         assert doc["meta"]["seed"] == 0
         assert doc["meta"]["version"].startswith("lqgame-")
 
+    def test_numpy_integer_steps(self, tmp_path):
+        # n_steps is stored as an int, so a NumPy integer writes the same file
+        assert type(TimeGrid(1.0, np.int64(50)).n_steps) is int
+        files = []
+        for steps in (50, np.int64(50)):
+            config = SolverConfig(n_steps=steps)
+            sol = solve_riccati(example_problem("ex4_5"), config, "game")
+            path = tmp_path / f"{type(steps).__name__}.json"
+            save_solution(str(path), sol.grid, sol.P_nodes, sol.margin1_nodes,
+                          sol.margin2_nodes, config=config, seed=0)
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
+
     @pytest.mark.parametrize("variant", [
         "solve", "inexact_last", "non_finite", "one_by_one", "negative_zero",
         "plain_list", "integers"])
@@ -326,6 +339,8 @@ class TestMalformedInput:
         ("simulate", "--x", "nan", "--x"),
         ("solve", "--lambda", "1.0,inf", "--lambda"),
         ("certify", "--eps-reg", "nan", "eps_reg"),
+        ("certify", "--eps-reg", "x", "eps_reg"),
+        ("certify", "--steps", "1.5", "--steps"),
     ])
     def test_non_finite_flag(self, capsys, ex4_5_file, command, flag, value,
                              field):
@@ -405,13 +420,20 @@ class TestStagedRunner:
               "--paths", "200", "--out", str(tmp_path)])
         assert passes == [("player1", "player2", "game")]
 
-    def test_certify_solves_its_two_equations_alone(self, tmp_path, passes,
-                                                    rand_problem):
+    def test_certify_makes_the_one_pass(self, tmp_path, passes, rand_problem):
         path = tmp_path / "p.json"
         save_problem(rand_problem, str(path))
         passes.clear()      # the fixture's draw, when it is built here
         assert main(["certify", "--problem", str(path), "--steps", "200"]) == 0
-        assert passes == [("player1", "player2")]
+        assert passes == [("player1", "player2", "game")]
+
+    def test_det_rep_makes_the_one_pass(self, tmp_path, passes,
+                                        rand_det_problem):
+        path = tmp_path / "p.json"
+        save_problem(rand_det_problem, str(path))
+        passes.clear()      # the fixture's draw, when it is built here
+        assert main(["det-rep", "--problem", str(path), "--steps", "200"]) == 0
+        assert passes == [("player1", "player2", "game")]
 
     def test_pipeline_cross_checks_noise_free_game(self, capsys, tmp_path,
                                                    rand_det_problem):

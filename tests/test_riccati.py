@@ -490,9 +490,9 @@ def solve_or_error(problem, config, kind):
 
 
 class TestMemo:
-    """Outcomes are kept per problem object and config.  A solve asked for
-    before the certificate is read joins the certificate's pass; a
-    certificate read at once costs its two equations alone."""
+    """Outcomes are kept per problem object and config.  A certificate
+    integrates its two equations and the game's in one pass, which later
+    solves of any kind reuse."""
 
     def test_one_pass_per_problem(self, passes, cfg400):
         problem = random_game(1, dims=(3, 1, 2), noise=False)
@@ -504,15 +504,14 @@ class TestMemo:
 
     @pytest.mark.parametrize("name", ["ex4_5", "certified"])
     def test_certificate_read_at_once(self, passes, name, cfg400):
-        # ex4_5: player 1's blow-up at t = 0.5 ends the pass, so player 2
-        # is not stored and a solve of it makes a pass of its own
+        # ex4_5: player 1's blow-up at t = 0.5 leaves player 2 and the game
+        # in the pass, which integrates them to 0
         problem = (random_game(34, dims=(3, 1, 2)) if name == "certified"
                    else example_problem(name))
         assert certify_A3(problem, cfg400).certified == (name == "certified")
         solve_or_error(problem, cfg400, "game")
         solve_or_error(problem, cfg400, "player2")
-        assert passes == [("player1", "player2"), ("game",)] + (
-            [("player2",)] if name == "ex4_5" else [])
+        assert passes == [("player1", "player2", "game")]
 
     def test_config_is_part_of_the_key(self, passes, cfg400):
         problem = random_game(1, dims=(3, 1, 2), noise=False)
@@ -529,8 +528,7 @@ class TestMemo:
     @pytest.mark.parametrize("name", ["ex4_5", "ex5_2", "certified"])
     def test_outcomes_match_reference(self, name, read_first, cfg400):
         # ex4_5: player 1 blows up while player 2 and the game integrate to
-        # 0 in the same pass, unless the certificate was read first; ex5_2:
-        # all three fail, with partial paths
+        # 0 in the same pass; ex5_2: all three fail, with partial paths
         problem = (random_game(34, dims=(3, 1, 2)) if name == "certified"
                    else example_problem(name))
         ref = reference_certificate(problem, cfg400)
@@ -546,18 +544,21 @@ class TestMemo:
 
     def test_entry_goes_with_its_problem(self, cfg400):
         # the game fails at T: a raised and caught error must not keep the
-        # problem alive through its traceback, nor a certificate once read
-        problem = scalar_game(B1=1.0, B2=1.0, R22=0.0)
-        cert = certify_A3(problem, cfg400)
-        assert isinstance(solve_or_error(problem, cfg400, "game"),
-                          RegularityError)
-        assert cert.failing_side == 2
-        gc.collect()
-        alive, size = weakref.ref(problem), len(riccati._MEMO)
-        del problem
-        gc.collect()
-        assert alive() is None
-        assert len(riccati._MEMO) == size - 1
+        # problem alive through its traceback, nor a certificate, read or
+        # never read
+        for read in (True, False):
+            problem = scalar_game(B1=1.0, B2=1.0, R22=0.0)
+            cert = certify_A3(problem, cfg400)
+            if read:
+                assert isinstance(solve_or_error(problem, cfg400, "game"),
+                                  RegularityError)
+                assert cert.failing_side == 2
+            gc.collect()
+            alive, size = weakref.ref(problem), len(riccati._MEMO)
+            del problem
+            gc.collect()
+            assert alive() is None
+            assert len(riccati._MEMO) == size - 1
 
     def test_stored_error_raised_afresh(self, cfg400):
         problem = scalar_game(B1=1.0, B2=1.0, R22=0.0)
