@@ -1,8 +1,9 @@
 """Monte-Carlo evaluation of the game: component-major Euler--Maruyama path
 simulation (one contiguous row of paths per state and control component)
-that prices each path inside its stepping loop, empirical saddle
-verification with common random numbers, an exact discrete-time oracle, and
-the lower-value falsifier."""
+that steps in two node slabs, records only the rows its caller reads and
+prices each path inside its stepping loop, empirical saddle verification
+with common random numbers, an exact discrete-time oracle, and the
+lower-value falsifier."""
 
 from __future__ import annotations
 
@@ -58,7 +59,12 @@ class ControlLaw:
 
     @classmethod
     def constant(cls, value) -> "ControlLaw":
-        return cls(kind="constant", value=np.atleast_1d(np.asarray(value, float)))
+        """Raises ContractViolation unless value is a scalar or a vector
+        with finite entries."""
+        value = np.atleast_1d(np.asarray(value, float))
+        if value.ndim != 1 or not np.isfinite(value).all():
+            raise ContractViolation("value must be a finite vector")
+        return cls(kind="constant", value=value)
 
     def dim(self) -> int:
         if self.kind == "feedback":
@@ -75,6 +81,16 @@ class ControlLaw:
         value = self.value[:, None]
         return lambda k, X: np.broadcast_to(value, (value.shape[0], X.shape[1]))
 
+    def on_history(self, Xh: np.ndarray) -> np.ndarray:
+        """The controls at every node of a state history: (n_nodes, n,
+        n_paths) -> (n_nodes, m, n_paths), node k by the (m, n) @ (n,
+        n_paths) product the stepping loop makes; a read-only broadcast for
+        a constant law."""
+        if self.kind == "feedback":
+            return np.matmul(self.gains, Xh)
+        return np.broadcast_to(self.value[:, None],
+                               (Xh.shape[0], self.value.shape[0], Xh.shape[2]))
+
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
@@ -82,19 +98,35 @@ class PathEnsemble:
     Brownian increments can be reused across control variants.  Each
     path's payoff is priced by `simulate` inside its stepping loop.
 
-    The histories are stored component-major, node by node, in one
-    ``(n_nodes, n + m1 + m2, n_paths)`` buffer and the increments in the
-    time-major ``(n_steps, n_paths)`` array `brownian_increments` draws;
-    the fields below are transposed views of those buffers, not copies."""
+    Only the states are stored, component-major, node by node, in one
+    ``(n_nodes, n, n_paths)`` buffer, and the increments in the time-major
+    ``(n_steps, n_paths)`` array `brownian_increments` draws; `X_paths` and
+    `increments` are transposed views of those buffers, not copies.  The
+    control paths are computed from the states and the two laws on each
+    access, bit for bit the rows the stepping loop used."""
 
     grid: TimeGrid
     n_paths: int
     seed: int
     increments: np.ndarray   # (n_paths, n_steps)
     X_paths: np.ndarray      # (n_paths, n_nodes, n)
-    u1_paths: np.ndarray     # (n_paths, n_nodes, m1)
-    u2_paths: np.ndarray     # (n_paths, n_nodes, m2)
     costs: np.ndarray        # (n_paths,) terminal plus running cost
+    u1: ControlLaw
+    u2: ControlLaw
+
+    @property
+    def u1_paths(self) -> np.ndarray:
+        """(n_paths, n_nodes, m1), computed from the states when read."""
+        return self._controls(self.u1)
+
+    @property
+    def u2_paths(self) -> np.ndarray:
+        """(n_paths, n_nodes, m2), computed from the states when read."""
+        return self._controls(self.u2)
+
+    def _controls(self, law: ControlLaw) -> np.ndarray:
+        Xh = self.X_paths.transpose(1, 2, 0)
+        return law.on_history(Xh).transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -134,9 +166,10 @@ def brownian_increments(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
     requested.  Raises ContractViolation unless seed is an integer >= 0."""
     _check_integer(seed, "seed", 0)
     scale = np.sqrt(grid.dt)
-    return np.stack([
-        np.random.default_rng(c).normal(0.0, scale, n_paths)
-        for c in np.random.SeedSequence(seed).spawn(grid.n_steps)])
+    dW = np.empty((grid.n_steps, n_paths))
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(grid.n_steps)):
+        dW[k] = np.random.default_rng(child).normal(0.0, scale, n_paths)
+    return dW
 
 
 def _quadratic_form(M: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -151,7 +184,7 @@ def _quadratic_form(M: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
-                   dW: np.ndarray, slots: int):
+                   dW: np.ndarray, keep: slice | None):
     """Vectorized Euler--Maruyama over an ensemble, component-major: node k
     of all paths is the slab ``z = (x; u1; u2)`` of shape (d, n_paths), one
     contiguous row per component.  Controls are callables
@@ -159,12 +192,13 @@ def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
     increments time-major, (n_steps, n_paths), as `brownian_increments`
     returns them.
 
-    Node k is written to slot ``k % slots`` of the returned buffer, so
-    ``slots = n_nodes`` keeps the whole history and ``slots = 2`` only the
-    current and the next node.  Also returns each path's cost, accumulated
-    in the loop: node k's running cost z'Mz times its trapezoid weight (dt/2
-    at the two end nodes, dt inside), added in time order, plus the
-    terminal term x'Gx."""
+    The loop steps in two slabs, the current and the next node.  Rows
+    ``keep`` of each node's z are copied into the returned history, shaped
+    (n_nodes, rows, n_paths); with ``keep = None`` no history is kept and
+    None is returned in its place.  Also returns each path's cost,
+    accumulated in the loop: node k's running cost z'Mz times its trapezoid
+    weight (dt/2 at the two end nodes, dt inside), added in time order, plus
+    the terminal term x'Gx."""
     n_paths = dW.shape[1]
     n, m1 = problem.n, problem.m1
     x = np.atleast_1d(np.asarray(x, float))
@@ -180,20 +214,24 @@ def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
     K = np.block([[table.A, table.B], [table.C, table.D]])
     M = np.block([[table.Q, table.S.swapaxes(1, 2)], [table.S, table.R]])
 
-    Zh = np.empty((slots, n + m1 + problem.m2, n_paths))
-    Zh[0, :n] = x[:, None]
+    slabs = np.empty((2, n + m1 + problem.m2, n_paths))
+    slabs[0, :n] = x[:, None]
+    history = None if keep is None else \
+        np.empty((n_nodes,) + slabs[0, keep].shape)
     cost = np.zeros(n_paths)
     # an overflowing step is reported as SimulationDiverged below; one
     # errstate for the whole loop, since entering it costs more than a step
     # at small ensembles
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_nodes):
-            Z = Zh[k % slots]
+            Z = slabs[k % 2]
             X = Z[:n]
             Z[n:n + m1] = u1_fn(k, X)
             Z[n + m1:] = u2_fn(k, X)
+            if history is not None:
+                history[k] = Z[keep]
             if k < grid.n_steps:
-                X_next = Zh[(k + 1) % slots, :n]
+                X_next = slabs[(k + 1) % 2, :n]
                 Y = K[k] @ Z
                 np.multiply(dt, Y[:n], out=X_next)
                 X_next += X
@@ -210,7 +248,20 @@ def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
             ell *= 0.5 * dt if k in (0, grid.n_steps) else dt
             cost += ell
         cost += _quadratic_form(problem.cost.G, X)
-    return Zh, cost
+    return history, cost
+
+
+def _run(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
+         grid: TimeGrid, n_paths: int, seed: int, keep: slice):
+    """Check an ensemble's size and control dimensions, draw its increments
+    and step it, keeping rows ``keep`` of z; returns (increments, history,
+    costs)."""
+    _check_integer(n_paths, "n_paths", 1)
+    if u1.dim() != problem.m1 or u2.dim() != problem.m2:
+        raise ContractViolation("control dimensions do not match the problem")
+    dW = brownian_increments(seed, n_paths, grid)
+    return (dW, *_simulate_core(problem, u1.as_callable(grid),
+                                u2.as_callable(grid), x, grid, dW, keep))
 
 
 def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
@@ -219,24 +270,18 @@ def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
     each path as it is stepped.
 
     Each step operates on contiguous length-``n_paths`` rows, one per state
-    and control component, and reads row k of the time-major increments;
-    the returned ensemble's path arrays and increments are transposed views
-    of those buffers (see PathEnsemble).  Raises ContractViolation unless
-    n_paths is an integer >= 1, seed one >= 0 and the start state ``x`` a
-    finite vector of length n."""
-    _check_integer(n_paths, "n_paths", 1)
-    if u1.dim() != problem.m1 or u2.dim() != problem.m2:
-        raise ContractViolation("control dimensions do not match the problem")
-    dW = brownian_increments(seed, n_paths, grid)
-    Zh, costs = _simulate_core(problem, u1.as_callable(grid),
-                               u2.as_callable(grid), x, grid, dW,
-                               grid.n_steps + 1)
-    n, m1 = problem.n, problem.m1
-    paths = Zh.transpose(2, 0, 1)
+    and control component, and reads row k of the time-major increments.
+    Only the state rows are recorded: the returned ensemble's `X_paths` and
+    `increments` are transposed views of the state history and the
+    increments, and its control paths are computed from the states when
+    read (see PathEnsemble).  Raises ContractViolation unless n_paths is an
+    integer >= 1, seed one >= 0 and the start state ``x`` a finite vector
+    of length n."""
+    dW, Xh, costs = _run(problem, u1, u2, x, grid, n_paths, seed,
+                         slice(0, problem.n))
     return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed,
-                        increments=dW.T, X_paths=paths[:, :, :n],
-                        u1_paths=paths[:, :, n:n + m1],
-                        u2_paths=paths[:, :, n + m1:], costs=costs)
+                        increments=dW.T, X_paths=Xh.transpose(2, 0, 1),
+                        costs=costs, u1=u1, u2=u2)
 
 
 def _estimate(values: np.ndarray) -> CostEstimate:
@@ -280,27 +325,33 @@ def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
     deviations with the same Brownian increments (common random numbers) and
     report the perturbation-gap statistics against 3 standard errors.
 
-    The saddle controls become open-loop processes, replayed per path from
-    the base run's own history: node k's controls are contiguous
-    (m, n_paths) rows of its component-major buffer, so nothing is copied.
-    A deviation adds a deterministic direction to one player's process and
-    keeps no history: only its running cost and the state and control slabs
-    of the current and the next node."""
+    The base run records only the control rows of its nodes, one
+    (n_nodes, m1 + m2, n_paths) history, and the saddle controls become
+    open-loop processes replayed per path from it: node k's controls are
+    contiguous (m, n_paths) rows, so nothing is copied.  A deviation adds a
+    deterministic direction to one player's process and keeps no history:
+    only its running cost and the state and control slabs of the current
+    and the next node.  Raises ContractViolation unless n_perturbations is
+    an integer >= 1 and sim_steps one >= 2, before anything is drawn."""
+    _check_integer(n_perturbations, "n_perturbations", 1)
+    _check_integer(sim_steps, "sim_steps", 2)
     grid = TimeGrid(problem.horizon_T, sim_steps)
+    n, m1 = problem.n, problem.m1
     feedback = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
-    base = simulate(problem, *feedback, x, grid, n_paths, seed)
-    saddle = (base.u1_paths.transpose(1, 2, 0), base.u2_paths.transpose(1, 2, 0))
+    dW, Uh, base_costs = _run(problem, *feedback, x, grid, n_paths, seed,
+                              slice(n, None))
+    saddle = (Uh[:, :m1], Uh[:, m1:])
 
     gaps = ([], [])
-    for player, m in enumerate((problem.m1, problem.m2)):
+    for player, m in enumerate((m1, problem.m2)):
         for v in perturbation_directions(seed + 1 + player, n_perturbations,
                                          grid, m):
             costs = _simulate_core(problem, *_replay(saddle, player, v),
-                                   x, grid, base.increments.T, 2)[1]
-            gaps[player].append(_estimate(costs - base.costs))
+                                   x, grid, dW, None)[1]
+            gaps[player].append(_estimate(costs - base_costs))
 
     return SaddleReport(
-        value_analytic=game_value(sol, x), value_mc=_estimate(base.costs),
+        value_analytic=game_value(sol, x), value_mc=_estimate(base_costs),
         gaps_player1=gaps[0], gaps_player2=gaps[1])
 
 
@@ -372,12 +423,16 @@ def falsify_lower_value(problem: GameProblem, x, scalars, n_paths: int,
                         seed: int):
     """Cost table J(x; lam, 0) for constant player-1 controls lam * ones on
     a 200-step grid.  The caller inspects the trend; unboundedness below is
-    never asserted."""
+    never asserted.  Raises ContractViolation, before any simulation,
+    unless every scalar is finite."""
+    scalars = [float(lam) for lam in scalars]
+    if not np.isfinite(scalars).all():
+        raise ContractViolation("scalars must be finite")
     grid = TimeGrid(problem.horizon_T, 200)
     u2 = ControlLaw.constant(np.zeros(problem.m2))
     table = []
     for lam in scalars:
-        u1 = ControlLaw.constant(float(lam) * np.ones(problem.m1))
+        u1 = ControlLaw.constant(lam * np.ones(problem.m1))
         ens = simulate(problem, u1, u2, x, grid, n_paths, seed)
-        table.append((float(lam), estimate_cost(problem, ens)))
+        table.append((lam, estimate_cost(problem, ens)))
     return table

@@ -13,6 +13,7 @@ from lqgame import (
     solve_riccati, verify_saddle,
 )
 from lqgame.core import _eig_extremes, _solve, coefficients, sym
+from lqgame import evaluation
 from lqgame.evaluation import _estimate, _replay, _simulate_core
 from conftest import random_game, scalar_game
 
@@ -20,6 +21,24 @@ from conftest import random_game, scalar_game
 @pytest.fixture(scope="module")
 def grid():
     return TimeGrid(1.0, 200)
+
+
+def ensemble_bytes(problem, n_paths, n_steps, rows):
+    """Bytes of an (n_steps + 1, rows, n_paths) history and the (n_steps,
+    n_paths) increments, plus a slack of 16 node slabs (d, n_paths) for the
+    two node slabs, a step's temporaries and the coefficient table."""
+    d = problem.n + problem.m1 + problem.m2
+    return 8 * n_paths * ((n_steps + 1) * rows + n_steps + 16 * d)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBrownianIncrements:
@@ -53,6 +72,17 @@ class TestBrownianIncrements:
     def test_numpy_integer_seed_accepted(self, grid):
         a = brownian_increments(np.int64(42), 4, grid)
         assert a.tobytes() == brownian_increments(42, 4, grid).tobytes()
+
+    @pytest.mark.parametrize("n_paths", [1, 64, 10_000])
+    def test_matches_stacked_rows(self, grid, n_paths):
+        # the reference draws each step's row and stacks the list
+        ref = np.stack([
+            np.random.default_rng(c).normal(0.0, np.sqrt(grid.dt), n_paths)
+            for c in np.random.SeedSequence(7).spawn(grid.n_steps)])
+        dW = brownian_increments(7, n_paths, grid)
+        assert dW.shape == ref.shape and dW.tobytes() == ref.tobytes()
+        small = brownian_increments(7, 1, grid)
+        assert small.tobytes() == np.ascontiguousarray(dW[:, :1]).tobytes()
 
     def test_ito_isometry(self, grid):
         dW = brownian_increments(0, 4000, grid)
@@ -98,6 +128,50 @@ class TestSimulate:
         out = u1.as_callable(grid)(0, X)
         assert np.allclose(out, law.theta_nodes[0][:rand_problem.m1] @ X)
 
+    @pytest.mark.parametrize("n_paths", [1, 64, 500])
+    @pytest.mark.parametrize("kind", ["feedback", "constant"])
+    def test_paths_are_the_loop_rows(self, rand_problem, cfg400, grid,
+                                     n_paths, kind):
+        # the ensemble keeps the states; the control paths it computes from
+        # them are the rows of a run that keeps every row of z
+        p = rand_problem
+        if kind == "feedback":
+            law = feedback_gain(p, solve_riccati(p, cfg400, "game"))
+            u = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
+        else:
+            u = [ControlLaw.constant(np.linspace(-1.0, 2.0, m))
+                 for m in (p.m1, p.m2)]
+        x = np.linspace(-1.0, 1.0, p.n)
+        ens = simulate(p, *u, x, grid, n_paths, 3)
+        dW = brownian_increments(3, n_paths, grid)
+        Zh, costs = _simulate_core(p, *(c.as_callable(grid) for c in u), x,
+                                   grid, dW, slice(None))
+        paths = Zh.transpose(2, 0, 1)
+        n, m1 = p.n, p.m1
+        for got, want in ((ens.X_paths, paths[:, :, :n]),
+                          (ens.u1_paths, paths[:, :, n:n + m1]),
+                          (ens.u2_paths, paths[:, :, n + m1:]),
+                          (ens.costs, costs)):
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert ens.u1_paths is not ens.u1_paths
+
+    def test_history_bounded(self, rand_problem, cfg400, grid):
+        # the ensemble records the states only: the peak stays below the
+        # state history and increments plus the slack
+        p, n_paths = rand_problem, 2000
+        law = feedback_gain(p, solve_riccati(p, cfg400, "game"))
+        u = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
+        peak = traced_peak(simulate, p, *u, np.ones(p.n), grid, n_paths, 5)
+        assert peak < ensemble_bytes(p, n_paths, grid.n_steps, p.n)
+
+    @pytest.mark.parametrize("value", [[np.nan], np.inf, [0.0, -np.inf],
+                                       [[1.0, 2.0]]])
+    def test_bad_constant_refused(self, value):
+        with pytest.raises(ContractViolation,
+                           match="value must be a finite vector"):
+            ControlLaw.constant(value)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_state_refused(self, rand_problem, cfg400, grid,
                                             bad):
@@ -120,9 +194,9 @@ class TestSimulate:
         dW = np.zeros((grid.n_steps, 5))
         dW[6, 3] = 1e10
         zero = ControlLaw.constant([0.0]).as_callable(grid)
-        slots = 2 if rolling else grid.n_steps + 1
+        keep = None if rolling else slice(None)
         with pytest.raises(SimulationDiverged) as exc:
-            _simulate_core(p, zero, zero, [1.0], grid, dW, slots)
+            _simulate_core(p, zero, zero, [1.0], grid, dW, keep)
         assert (exc.value.path, exc.value.step) == (3, 7)
 
     def test_large_finite_states_are_not_a_divergence(self):
@@ -132,7 +206,7 @@ class TestSimulate:
         dW[2, 1:] = 1.2e308
         zero = ControlLaw.constant([0.0]).as_callable(grid)
         Zh, _ = _simulate_core(scalar_game(C=1.0), zero, zero, [1.0], grid,
-                               dW, grid.n_steps + 1)
+                               dW, slice(None))
         assert np.array_equal(Zh[-1, 0], [1.0, 1.2e308, 1.2e308])
 
 
@@ -230,19 +304,19 @@ class TestDeviationReplay:
         law = feedback_gain(rand_problem, sol)
         x = np.ones(rand_problem.n)
         n, m1 = rand_problem.n, rand_problem.m1
-        n_nodes = grid.n_steps + 1
         dW = brownian_increments(3, n_paths, grid)
         fns = [ControlLaw.from_feedback(law, i, grid).as_callable(grid)
                for i in (1, 2)]
-        Zh = _simulate_core(rand_problem, *fns, x, grid, dW, n_nodes)[0]
+        Zh = _simulate_core(rand_problem, *fns, x, grid, dW, slice(None))[0]
         saddle = (Zh[:, n:n + m1], Zh[:, n + m1:])
         for player in (0, 1):
             v = perturbation_directions(player, 1, grid,
                                         saddle[player].shape[1])[0]
             replay = _replay(saddle, player, v)
             hist, full = _simulate_core(rand_problem, *replay, x, grid, dW,
-                                        n_nodes)
-            rolling = _simulate_core(rand_problem, *replay, x, grid, dW, 2)[1]
+                                        slice(None))
+            rolling = _simulate_core(rand_problem, *replay, x, grid, dW,
+                                     None)[1]
             assert rolling.tobytes() == full.tobytes()
             paths = hist.transpose(2, 0, 1)
             ref = reference_costs(rand_problem, grid, paths[:, :, :n],
@@ -265,22 +339,34 @@ class TestVerifySaddle:
         assert all(g.mean <= 3 * g.std_error for g in report.gaps_player2)
 
     def test_base_controls_are_not_copied(self, rand_problem, cfg400):
-        # the deviations replay the base run's own control rows: the peak
-        # stays below the base history and increments plus half the bytes
-        # of a copy of the saddle controls
+        # the base run records its control rows only and the deviations
+        # replay them: the peak stays below the control history and
+        # increments plus the slack
         sol = solve_riccati(rand_problem, cfg400, "game")
         law = feedback_gain(rand_problem, sol)
-        p, n_paths, n_steps = rand_problem, 2000, 200
-        words = n_paths * ((n_steps + 1) * (p.n + p.m1 + p.m2) + n_steps
-                           + (n_steps + 1) * (p.m1 + p.m2) / 2)
-        tracemalloc.start()
-        try:
-            verify_saddle(p, sol, law, np.ones(p.n), n_perturbations=1,
-                          n_paths=n_paths, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * words
+        p, n_paths = rand_problem, 2000
+        peak = traced_peak(verify_saddle, p, sol, law, np.ones(p.n),
+                           n_perturbations=1, n_paths=n_paths, seed=5)
+        assert peak < ensemble_bytes(p, n_paths, 200, p.m1 + p.m2)
+
+    @pytest.mark.parametrize("name,value", [
+        ("n_perturbations", 0), ("n_perturbations", -1),
+        ("n_perturbations", 1.5), ("n_perturbations", True),
+        ("sim_steps", 1), ("sim_steps", 2.0), ("sim_steps", True)])
+    def test_bad_count_refused_before_draw(self, rand_problem, cfg400,
+                                           monkeypatch, name, value):
+        sol = solve_riccati(rand_problem, cfg400, "game")
+        law = feedback_gain(rand_problem, sol)
+
+        def draw(*args):
+            raise AssertionError("increments drawn")
+
+        monkeypatch.setattr(evaluation, "brownian_increments", draw)
+        counts = {"n_perturbations": 1, "sim_steps": 200, name: value}
+        with pytest.raises(ContractViolation,
+                           match=f"{name} must be an integer >= "):
+            verify_saddle(rand_problem, sol, law, np.ones(rand_problem.n),
+                          n_paths=4, seed=0, **counts)
 
     def test_matches_copied_controls_reference(self, rand_problem, cfg400):
         # the reference replays contiguous copies of the base controls
@@ -295,7 +381,7 @@ class TestVerifySaddle:
         for player, m in enumerate((rand_problem.m1, rand_problem.m2)):
             for v in perturbation_directions(seed + 1 + player, 2, grid, m):
                 costs = _simulate_core(rand_problem, *_replay(saddle, player, v),
-                                       x, grid, base.increments.T, 2)[1]
+                                       x, grid, base.increments.T, None)[1]
                 gaps[player].append(_estimate(costs - base.costs))
         ref = SaddleReport(value_analytic=game_value(sol, x),
                            value_mc=_estimate(base.costs),
@@ -458,3 +544,8 @@ class TestFalsifier:
             assert est.mean == pytest.approx(-(1.0 + 2.0 * lam), abs=1e-8)
         means = [est.mean for _, est in table]
         assert means[0] > means[1] > means[2]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scalar_refused(self, ex3_2, bad):
+        with pytest.raises(ContractViolation, match="scalars must be finite"):
+            falsify_lower_value(ex3_2, [1.0], [0.0, bad], 8, 0)
