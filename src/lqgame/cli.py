@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from collections.abc import Iterator
+import zipfile
 
 import numpy as np
 
@@ -182,8 +182,17 @@ def save_solution(path: str, grid: TimeGrid, P_nodes, margin1, margin2,
                   theta_nodes=None, config: SolverConfig | None = None,
                   seed: int | None = None,
                   timings: dict | None = None) -> None:
-    """Write a solution file.  Matrices round-trip bit-exactly because JSON
-    floats are emitted with shortest-round-trip precision."""
+    """Write a solution file: an uncompressed ``.npz`` archive, written to
+    ``path`` as given (no ``.npz`` is appended).
+
+    Its entries are the float64 arrays ``P_nodes`` (n_nodes, n, n),
+    ``margin1`` and ``margin2`` (n_nodes,), and ``theta_nodes`` (n_nodes,
+    m1 + m2, n) when the gains are given, plus ``head``, a 0-d unicode
+    array holding ``{"grid": {"horizon", "n_steps"}, "meta": {...}}`` as
+    JSON text.  No entry is pickled, so ``np.load(path,
+    allow_pickle=False)`` opens it, and every array reads back bit for
+    bit.  ``solution.csv`` (``save_plot_data``) is the export for reading
+    by hand."""
     meta = {"version": f"lqgame-{__version__}", "timings": timings or {}}
     if config is not None:
         meta["config"] = {"eps_reg": config.eps_reg,
@@ -191,86 +200,63 @@ def save_solution(path: str, grid: TimeGrid, P_nodes, margin1, margin2,
                           "n_steps": config.n_steps}
     if seed is not None:
         meta["seed"] = seed
-    doc = {
-        "grid": {"horizon": grid.horizon_T, "n_steps": grid.n_steps},
-        "P_nodes": _node_texts(np.asarray(P_nodes)),
-        "margins": {"margin1": np.asarray(margin1).tolist(),
-                    "margin2": np.asarray(margin2).tolist()},
-        "theta_nodes": None if theta_nodes is None
-        else np.asarray(theta_nodes).tolist(),
-        "meta": meta,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        _dump_by_item(doc, fh)
-        fh.write("\n")
+    head = {"grid": {"horizon": grid.horizon_T, "n_steps": grid.n_steps},
+            "meta": meta}
+    entries = {"P_nodes": P_nodes, "margin1": margin1, "margin2": margin2}
+    if theta_nodes is not None:
+        entries["theta_nodes"] = theta_nodes
+    with open(path, "wb") as fh:
+        np.savez(fh, head=np.array(json.dumps(head)),
+                 **{name: np.asarray(value, dtype=float)
+                    for name, value in entries.items()})
 
 
-def _node_texts(P_nodes: np.ndarray):
-    """The text ``json.dumps`` writes for each node of a stack of square
-    float matrices, one node at a time.
-
-    A node that is finite and symmetric bit for bit, as every node of a
-    solve except perhaps its last, G, is laid out from the reprs of its
-    n(n+1)/2 distinct entries, each formatted once by ``float.__repr__``
-    as json formats it; any other node, or any other array, goes through
-    ``json.dumps``."""
-    if P_nodes.dtype != np.float64 or P_nodes.ndim != 3 \
-            or P_nodes.shape[1] != P_nodes.shape[2]:
-        yield from map(json.dumps, P_nodes.tolist())
-        return
-    n = P_nodes.shape[-1]
-    rows, cols = np.triu_indices(n)
-    slot = np.empty((n, n), dtype=int)
-    slot[rows, cols] = slot[cols, rows] = np.arange(rows.size)
-    layout = "[" + ", ".join(
-        "[" + ", ".join(f"{{{j}}}" for j in row) + "]"
-        for row in slot.tolist()) + "]"
-    bits = P_nodes.view(np.int64)
-    plain = (bits == bits.mT).all(axis=(1, 2)) \
-        & np.isfinite(P_nodes).all(axis=(1, 2))
-    upper = P_nodes[:, rows, cols]
-    for node, distinct, ok in zip(P_nodes, upper, plain):
-        if ok:
-            yield layout.format(*map(float.__repr__, distinct.tolist()))
-        else:
-            yield json.dumps(node.tolist())
+# what np.load and reading an entry raise on a file that is not a whole
+# solution archive; an object array is a ValueError, as it is not unpickled
+_NOT_AN_ARCHIVE = (ValueError, OSError, EOFError, NotImplementedError,
+                   zipfile.BadZipFile)
 
 
-def _dump_by_item(doc: dict, fh) -> None:
-    """Write the bytes of ``json.dump(doc, fh)``, encoding each top-level
-    value, and each item of a top-level list, with one ``json.dumps``; a
-    top-level value that is an iterator yields its items' texts.
-
-    ``json.dumps`` without indent runs the C encoder, about twice as fast as
-    the pure-Python one that ``json.dump`` streams through; one
-    ``json.dumps`` of a whole solution would hold a piece per number in
-    memory at once; item by item it holds one node's text, besides the
-    array of the distinct entries of every node that ``_node_texts``
-    takes."""
-    fh.write("{")
-    for i, (key, value) in enumerate(doc.items()):
-        fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-        if isinstance(value, list):
-            value = map(json.dumps, value)
-        if isinstance(value, Iterator):
-            fh.write("[")
-            for j, text in enumerate(value):
-                fh.write(f"{', ' if j else ''}{text}")
-            fh.write("]")
-        else:
-            fh.write(json.dumps(value))
-    fh.write("}")
+def _entry(archive, path: str, name: str) -> np.ndarray:
+    """One entry of a solution archive; a missing or unreadable one is
+    refused by name."""
+    try:
+        return archive[name]
+    except KeyError:
+        raise ProblemFormatError(f"{path}: no entry {name!r}") from None
+    except _NOT_AN_ARCHIVE as err:
+        raise ProblemFormatError(f"{path}: entry {name!r}: {err}") from None
 
 
 def load_solution(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["P_nodes"] = np.array(doc["P_nodes"], dtype=float)
-    doc["margins"] = {k: np.array(v, dtype=float)
-                      for k, v in doc["margins"].items()}
-    if doc.get("theta_nodes") is not None:
-        doc["theta_nodes"] = np.array(doc["theta_nodes"], dtype=float)
-    return doc
+    """Read a file that ``save_solution`` wrote, as the dict ``grid``,
+    ``P_nodes``, ``margins`` (``margin1``, ``margin2``), ``theta_nodes``
+    (None when not stored) and ``meta``.  A file that is not such an
+    archive raises ProblemFormatError naming the path and the entry."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except OSError as err:
+        raise ProblemFormatError(f"cannot read {path} ({err})") from None
+    except _NOT_AN_ARCHIVE:
+        archive = None      # NumPy's message would suggest unpickling
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ProblemFormatError(f"{path}: not a solution archive (the .npz "
+                                 f"file that save_solution writes)")
+    with archive:
+        try:
+            head = json.loads(str(_entry(archive, path, "head")))
+            grid, meta = head["grid"], head["meta"]
+        except (ValueError, TypeError, KeyError) as err:
+            raise ProblemFormatError(
+                f"{path}: entry 'head' is not the grid and meta as JSON "
+                f"({err!r})") from None
+        return {"grid": grid,
+                "P_nodes": _entry(archive, path, "P_nodes"),
+                "margins": {name: _entry(archive, path, name)
+                            for name in ("margin1", "margin2")},
+                "theta_nodes": _entry(archive, path, "theta_nodes")
+                if "theta_nodes" in archive.files else None,
+                "meta": meta}
 
 
 def save_plot_data(path: str, grid: TimeGrid, P_nodes, margin1, margin2) -> None:
@@ -436,7 +422,7 @@ def run(args) -> int:
         print(f"value <P(0)x,x> = {game_value(game, x):.8g}")
     if args.out and command in ("solve", "synthesize", "pipeline"):
         try:
-            save_solution(f"{args.out}/solution.json", game.grid, game.P_nodes,
+            save_solution(f"{args.out}/solution.npz", game.grid, game.P_nodes,
                           game.margin1_nodes, game.margin2_nodes,
                           theta_nodes=None if law is None else law.theta_nodes,
                           config=config, seed=args.seed, timings=timings)
@@ -445,7 +431,7 @@ def run(args) -> int:
                            game.margin2_nodes)
         except OSError as err:
             raise ProblemFormatError(f"--out: {err}") from None
-        print(f"wrote {args.out}/solution.json and .csv")
+        print(f"wrote {args.out}/solution.npz and .csv")
     if command in ("solve", "synthesize"):
         return EXIT_OK
 

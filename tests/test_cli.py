@@ -1,10 +1,8 @@
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from lqgame import (
     SolverConfig, TimeGrid, equivalence_report, example_problem, feedback_gain,
@@ -12,7 +10,7 @@ from lqgame import (
 )
 from lqgame.cli import (
     ProblemFormatError, load_problem, load_solution, main, save_plot_data,
-    _node_texts, save_problem, save_solution,
+    save_problem, save_solution,
 )
 from conftest import scalar_game
 
@@ -92,16 +90,21 @@ class TestProblemFiles:
 class TestSolutionFiles:
     def test_bit_exact_round_trip(self, tmp_path, ex4_5):
         sol = solve_riccati(ex4_5, SolverConfig(n_steps=50), "game")
-        path = tmp_path / "sol.json"
+        path = tmp_path / "sol.npz"
         save_solution(str(path), sol.grid, sol.P_nodes, sol.margin1_nodes,
                       sol.margin2_nodes, config=SolverConfig(n_steps=50),
                       seed=0)
         doc = load_solution(str(path))
         assert np.array_equal(doc["P_nodes"], sol.P_nodes)
         assert np.array_equal(doc["margins"]["margin1"], sol.margin1_nodes)
+        assert doc["grid"] == {"horizon": 1.0, "n_steps": 50}
         assert doc["meta"]["config"]["n_steps"] == 50
         assert doc["meta"]["seed"] == 0
         assert doc["meta"]["version"].startswith("lqgame-")
+
+    def test_saved_without_gains_loads_none(self, tmp_path, rand_problem):
+        doc = load_solution(str(self._solved_file(tmp_path, rand_problem)))
+        assert doc["theta_nodes"] is None
 
     def test_numpy_integer_steps(self, tmp_path):
         # n_steps is stored as an int, so a NumPy integer writes the same file
@@ -110,7 +113,7 @@ class TestSolutionFiles:
         for steps in (50, np.int64(50)):
             config = SolverConfig(n_steps=steps)
             sol = solve_riccati(example_problem("ex4_5"), config, "game")
-            path = tmp_path / f"{type(steps).__name__}.json"
+            path = tmp_path / f"{type(steps).__name__}.npz"
             save_solution(str(path), sol.grid, sol.P_nodes, sol.margin1_nodes,
                           sol.margin2_nodes, config=config, seed=0)
             files.append(path.read_bytes())
@@ -120,8 +123,9 @@ class TestSolutionFiles:
         "solve", "inexact_last", "non_finite", "one_by_one", "negative_zero",
         "plain_list", "integers"])
     def test_bytes_equal_json_dump(self, tmp_path, rand_problem, variant):
-        # the file is json.dumps of its own content, and its P_nodes are
-        # laid out as json.dumps lays out np.asarray(P_nodes).tolist()
+        # P_nodes of any of these layouts loads as float64, bit-equal to
+        # np.asarray(P, dtype=float); the head entry holds the bytes that
+        # json.dumps writes of the grid and meta
         sol = solve_riccati(rand_problem, SolverConfig(n_steps=20), "game")
         law = feedback_gain(rand_problem, sol)
         P = np.array(sol.P_nodes)
@@ -142,31 +146,86 @@ class TestSolutionFiles:
             P = P.tolist()
         elif variant == "integers":
             P = np.rint(1e3 * P).astype(int).tolist()
-        path = tmp_path / "sol.json"
+        path = tmp_path / "sol.json"      # save_solution appends no .npz
         save_solution(str(path), sol.grid, P, sol.margin1_nodes,
                       sol.margin2_nodes, theta_nodes=law.theta_nodes,
                       config=SolverConfig(n_steps=20), seed=3,
                       timings={"solve_s": 0.25})
-        text = path.read_text()
-        assert text == json.dumps(json.loads(text)) + "\n"
-        doc = json.loads(text)
-        doc["P_nodes"] = np.asarray(P).tolist()
-        assert text == json.dumps(doc) + "\n"
+        doc = load_solution(str(path))
+        want = np.asarray(P, dtype=float)
+        assert doc["P_nodes"].dtype == np.float64
+        assert doc["P_nodes"].shape == want.shape
+        assert doc["P_nodes"].tobytes() == want.tobytes()
+        assert doc["theta_nodes"].tobytes() == law.theta_nodes.tobytes()
+        assert doc["meta"]["timings"] == {"solve_s": 0.25}
+        with np.load(str(path), allow_pickle=False) as archive:
+            assert sorted(archive.files) == [
+                "P_nodes", "head", "margin1", "margin2", "theta_nodes"]
+            assert str(archive["head"]) == json.dumps(
+                {"grid": doc["grid"], "meta": doc["meta"]})
 
-    @given(P=arrays(np.float64, st.tuples(st.integers(0, 4),
-                                          st.shared(st.integers(1, 4), key="n"),
-                                          st.shared(st.integers(1, 4), key="n"))),
-           mirror=st.lists(st.booleans(), min_size=4, max_size=4))
-    @settings(max_examples=200, deadline=None)
-    def test_node_texts_equal_json_dumps(self, P, mirror):
-        # nodes mirrored bit for bit take the repr-once layout, the others
-        # json.dumps; either way the text is json.dumps of the node
-        upper = np.triu(np.ones(P.shape[1:], dtype=bool))
-        for node, on in zip(P, mirror):
-            if on:
-                node[...] = np.where(upper, node, node.T)
-        assert (list(_node_texts(P))
-                == [json.dumps(node) for node in P.tolist()])
+    @staticmethod
+    def _archive(path, **entries):
+        """An archive of a well-formed head and margins, plus ``entries``."""
+        with open(path, "wb") as fh:
+            np.savez(fh, head=np.array(json.dumps({"grid": {}, "meta": {}})),
+                     margin1=np.ones(3), margin2=np.ones(3), **entries)
+        return str(path)
+
+    def _solved_file(self, tmp_path, rand_problem):
+        sol = solve_riccati(rand_problem, SolverConfig(n_steps=20), "game")
+        path = tmp_path / "sol.npz"
+        save_solution(str(path), sol.grid, sol.P_nodes, sol.margin1_nodes,
+                      sol.margin2_nodes)
+        return path
+
+    def test_refuses_old_json_solution(self, tmp_path):
+        path = tmp_path / "solution.json"
+        path.write_text(json.dumps({"grid": {"horizon": 1.0, "n_steps": 1},
+                                    "P_nodes": [[[1.0]], [[0.0]]]}) + "\n")
+        with pytest.raises(ProblemFormatError,
+                           match=re.escape(f"{path}: not a solution archive")):
+            load_solution(str(path))
+
+    def test_refuses_truncated_archive(self, tmp_path, rand_problem):
+        path = self._solved_file(tmp_path, rand_problem)
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(ProblemFormatError,
+                           match=re.escape(f"{path}: not a solution archive")):
+            load_solution(str(path))
+
+    def test_refuses_archive_without_P_nodes(self, tmp_path):
+        path = self._archive(tmp_path / "sol.npz")
+        with pytest.raises(ProblemFormatError,
+                           match=re.escape(f"{path}: no entry 'P_nodes'")):
+            load_solution(path)
+
+    def test_refuses_pickled_entry(self, tmp_path, monkeypatch):
+        # an object array is refused by name and never unpickled
+        for name in ("load", "loads"):
+            monkeypatch.setattr(f"pickle.{name}", lambda *a, **k: pytest.fail(
+                "load_solution unpickled an entry"))
+        path = self._archive(tmp_path / "sol.npz",
+                             P_nodes=np.array([{"a": 1}], dtype=object))
+        with pytest.raises(ProblemFormatError, match=re.escape(
+                f"{path}: entry 'P_nodes': Object arrays")):
+            load_solution(path)
+
+    def test_corrupted_byte_loads_or_is_refused(self, tmp_path):
+        # whichever byte of a small archive is corrupted, the file loads or
+        # is refused with ProblemFormatError, never with a raw zipfile,
+        # NumPy or JSON error
+        path = tmp_path / "sol.npz"
+        save_solution(str(path), TimeGrid(1.0, 2), np.ones((3, 1, 1)),
+                      np.ones(3), np.ones(3), theta_nodes=np.ones((3, 2, 1)))
+        data = path.read_bytes()
+        for k in range(len(data)):
+            path.write_bytes(data[:k] + bytes([data[k] ^ 0xFF]) + data[k + 1:])
+            try:
+                load_solution(str(path))
+            except ProblemFormatError:
+                pass
 
     def test_plot_data_columns(self, tmp_path, rand_problem):
         sol = solve_riccati(rand_problem, SolverConfig(n_steps=20), "game")
@@ -196,18 +255,18 @@ class TestCommands:
         code = main(["solve", "--problem", rand_file, "--steps", "200",
                      "--out", str(out)])
         assert code == 0
-        assert (out / "solution.json").exists()
+        assert (out / "solution.npz").exists()
         assert (out / "solution.csv").exists()
 
-    def test_synthesize_writes_json_and_csv(self, capsys, tmp_path, rand_file):
+    def test_synthesize_writes_npz_and_csv(self, capsys, tmp_path, rand_file):
         solved, synthesized = tmp_path / "solved", tmp_path / "synthesized"
         for command, out in (("solve", solved), ("synthesize", synthesized)):
             out.mkdir()
             assert main([command, "--problem", rand_file, "--steps", "200",
                          "--out", str(out)]) == 0
-        assert f"wrote {synthesized}/solution.json and .csv" in \
+        assert f"wrote {synthesized}/solution.npz and .csv" in \
             capsys.readouterr().out
-        assert load_solution(str(synthesized / "solution.json"))[
+        assert load_solution(str(synthesized / "solution.npz"))[
             "theta_nodes"] is not None
         # the same P and margins, so the same table
         assert (synthesized / "solution.csv").read_bytes() == \
@@ -226,7 +285,7 @@ class TestCommands:
         code = main(["pipeline", "--problem", rand_file, "--steps", "400",
                      "--paths", "2000", "--out", str(out)])
         assert code == 0
-        doc = load_solution(str(out / "solution.json"))
+        doc = load_solution(str(out / "solution.npz"))
         assert doc["theta_nodes"] is not None
 
     def test_pipeline_ex4_5_not_certified_still_writes(self, tmp_path,
@@ -236,7 +295,7 @@ class TestCommands:
         code = main(["pipeline", "--problem", ex4_5_file, "--steps", "400",
                      "--out", str(out)])
         assert code == 2
-        assert (out / "solution.json").exists()
+        assert (out / "solution.npz").exists()
 
     def test_pipeline_ex5_2_regularity_exit(self, tmp_path, ex5_2):
         path = tmp_path / "ex5_2.json"
