@@ -1,9 +1,10 @@
 """Monte-Carlo evaluation of the game: component-major Euler--Maruyama path
 simulation (one contiguous row of paths per state and control component)
-that steps in two node slabs, records only the rows its caller reads and
-prices each path inside its stepping loop, empirical saddle verification
-with common random numbers, an exact discrete-time oracle, and the
-lower-value falsifier."""
+that steps in two node slabs with one stacked product per node, records
+only the rows its caller reads and prices each path inside its stepping
+loop, on a Brownian draw shared by the runs of one seed and size;
+empirical saddle verification with common random numbers, an exact
+discrete-time oracle, and the lower-value falsifier."""
 
 from __future__ import annotations
 
@@ -102,13 +103,14 @@ class PathEnsemble:
     ``(n_nodes, n, n_paths)`` buffer, and the increments in the time-major
     ``(n_steps, n_paths)`` array `brownian_increments` draws; `X_paths` and
     `increments` are transposed views of those buffers, not copies.  The
-    control paths are computed from the states and the two laws on each
-    access, bit for bit the rows the stepping loop used."""
+    increments are the read-only draw that every run of the same seed and
+    size shares.  The control paths are computed from the states and the
+    two laws on each access, bit for bit the rows the stepping loop used."""
 
     grid: TimeGrid
     n_paths: int
     seed: int
-    increments: np.ndarray   # (n_paths, n_steps)
+    increments: np.ndarray   # (n_paths, n_steps), read-only
     X_paths: np.ndarray      # (n_paths, n_nodes, n)
     costs: np.ndarray        # (n_paths,) terminal plus running cost
     u1: ControlLaw
@@ -157,25 +159,57 @@ class SaddleReport:
         self.verdict = "PASS" if ok else "FAIL"
 
 
+# the last draw of `brownian_increments`: (key, read-only increments)
+_last_draw = None
+
+
 def brownian_increments(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
-    """Increments dW_k ~ N(0, dt), time-major, shaped (n_steps, n_paths).
+    """Increments dW_k ~ N(0, dt), time-major, shaped (n_steps, n_paths),
+    read-only.
 
     Row k, step k of every path, is drawn from child k of
     ``SeedSequence(seed)``, so the draw is independent of evaluation order
     and the first paths of an ensemble do not change when more are
-    requested.  Raises ContractViolation unless seed is an integer >= 0."""
+    requested.  The last draw is kept, keyed by (seed, n_paths, horizon_T,
+    n_steps), and a call with that key returns the same array: `simulate`
+    and `verify_saddle` on one seed and size draw once.  So one draw of
+    n_steps * n_paths doubles stays alive after the call; a call with
+    another key lets go of it before drawing.  Raises ContractViolation
+    unless seed is an integer >= 0 and n_paths one >= 1."""
+    global _last_draw
     _check_integer(seed, "seed", 0)
+    _check_integer(n_paths, "n_paths", 1)
+    # hex() tells a horizon of -0.0, whose draw NumPy refuses (scale < 0),
+    # from 0.0
+    key = (int(seed), int(n_paths), float(grid.horizon_T).hex(), grid.n_steps)
+    last = _last_draw
+    if last is not None and last[0] == key:
+        return last[1]
+    # drop every reference to the kept draw before the new one is made
+    _last_draw = last = None
     scale = np.sqrt(grid.dt)
     dW = np.empty((grid.n_steps, n_paths))
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(grid.n_steps)):
         dW[k] = np.random.default_rng(child).normal(0.0, scale, n_paths)
+    dW.flags.writeable = False
+    _last_draw = (key, dW)
     return dW
 
 
-def _quadratic_form(M: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """z'Mz for every column z of ``Z``, shaped (d, n_paths): the d rows of
-    ``(M @ Z) * Z`` added one after another."""
-    W = M @ Z
+def _step_table(problem: GameProblem, grid: TimeGrid) -> np.ndarray:
+    """Per node, the (2n + d, d) matrix ``[[A, B], [C, D], [Q, S'], [S,
+    R]]`` whose product with z = (x; u1; u2) stacks the drift, the diffusion
+    and ``M z``, where z'Mz is the running cost; shaped (n_nodes, 2n + d,
+    d)."""
+    t = coefficients(problem, grid.nodes)
+    return np.block([[t.A, t.B], [t.C, t.D],
+                     [t.Q, t.S.swapaxes(1, 2)], [t.S, t.R]])
+
+
+def _quadratic_form(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """z'Mz for every column z of ``Z``, shaped (d, n_paths), from the
+    product ``W = M @ Z``, which it overwrites: the d rows of ``W * Z``
+    added one after another."""
     W *= Z
     s = W[0]
     for row in W[1:]:
@@ -183,22 +217,30 @@ def _quadratic_form(M: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return s
 
 
-def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
-                   dW: np.ndarray, keep: slice | None):
+def _simulate_core(problem: GameProblem, KM: np.ndarray, u1_fn, u2_fn, x,
+                   grid: TimeGrid, dW: np.ndarray, keep: slice | None,
+                   test_each_step: bool = False):
     """Vectorized Euler--Maruyama over an ensemble, component-major: node k
     of all paths is the slab ``z = (x; u1; u2)`` of shape (d, n_paths), one
-    contiguous row per component.  Controls are callables
-    (step, states (n, n_paths)) -> controls (m, n_paths); ``dW`` holds the
-    increments time-major, (n_steps, n_paths), as `brownian_increments`
-    returns them.
+    contiguous row per component.  ``KM`` is the problem's `_step_table` on
+    ``grid``; controls are callables (step, states (n, n_paths)) -> controls
+    (m, n_paths); ``dW`` holds the increments time-major, (n_steps,
+    n_paths), as `brownian_increments` returns them.
 
-    The loop steps in two slabs, the current and the next node.  Rows
-    ``keep`` of each node's z are copied into the returned history, shaped
-    (n_nodes, rows, n_paths); with ``keep = None`` no history is kept and
-    None is returned in its place.  Also returns each path's cost,
-    accumulated in the loop: node k's running cost z'Mz times its trapezoid
-    weight (dt/2 at the two end nodes, dt inside), added in time order, plus
-    the terminal term x'Gx."""
+    The loop steps in two slabs, the current and the next node.  Each node
+    takes one product ``KM[k] @ z``, into one buffer the run reuses, whose
+    row blocks are the drift, the diffusion and ``M z``.  Rows ``keep`` of each node's z are copied into
+    the returned history, shaped (n_nodes, rows, n_paths); with ``keep =
+    None`` no history is kept and None is returned in its place.  Also
+    returns each path's cost, accumulated in the loop: node k's running
+    cost z'Mz times its trapezoid weight (dt/2 at the two end nodes, dt
+    inside), added in time order, plus the terminal term x'Gx.
+
+    Divergence is tested once, on the last node's states: a state entry
+    that is not finite stays so through every later step.  A run that fails
+    that test is repeated with a test after each step, which raises
+    SimulationDiverged naming the first step and, at that step, the lowest
+    path with a non-finite state."""
     n_paths = dW.shape[1]
     n, m1 = problem.n, problem.m1
     x = np.atleast_1d(np.asarray(x, float))
@@ -208,20 +250,14 @@ def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
     dt = grid.dt
     n_nodes = grid.n_steps + 1
 
-    # per node, (drift; diffusion) = K (x; u1; u2) and the running
-    # integrand is the quadratic form z'Mz in z = (x, u1, u2)
-    table = coefficients(problem, grid.nodes)
-    K = np.block([[table.A, table.B], [table.C, table.D]])
-    M = np.block([[table.Q, table.S.swapaxes(1, 2)], [table.S, table.R]])
-
-    slabs = np.empty((2, n + m1 + problem.m2, n_paths))
+    slabs = np.empty((2, KM.shape[2], n_paths))
     slabs[0, :n] = x[:, None]
+    Y = np.empty((KM.shape[1], n_paths))   # each node's product, in turn
     history = None if keep is None else \
         np.empty((n_nodes,) + slabs[0, keep].shape)
     cost = np.zeros(n_paths)
-    # an overflowing step is reported as SimulationDiverged below; one
-    # errstate for the whole loop, since entering it costs more than a step
-    # at small ensembles
+    # one errstate for the whole loop, since entering it costs more than a
+    # step at small ensembles
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_nodes):
             Z = slabs[k % 2]
@@ -230,37 +266,43 @@ def _simulate_core(problem: GameProblem, u1_fn, u2_fn, x, grid: TimeGrid,
             Z[n + m1:] = u2_fn(k, X)
             if history is not None:
                 history[k] = Z[keep]
+            np.matmul(KM[k], Z, out=Y)
             if k < grid.n_steps:
                 X_next = slabs[(k + 1) % 2, :n]
-                Y = K[k] @ Z
                 np.multiply(dt, Y[:n], out=X_next)
                 X_next += X
-                noise = Y[n:]
+                noise = Y[n:2 * n]
                 noise *= dW[k]
                 X_next += noise
-                # the sum is the cheap test; it also overflows on large
-                # finite states, which are not a divergence
-                if not np.isfinite(X_next.sum()):
+                if test_each_step and not _all_finite(X_next):
                     bad = ~np.isfinite(X_next).all(axis=0)
-                    if bad.any():
-                        raise SimulationDiverged(int(np.argmax(bad)), k + 1)
-            ell = _quadratic_form(M[k], Z)
+                    raise SimulationDiverged(int(np.argmax(bad)), k + 1)
+            ell = _quadratic_form(Y[2 * n:], Z)
             ell *= 0.5 * dt if k in (0, grid.n_steps) else dt
             cost += ell
-        cost += _quadratic_form(problem.cost.G, X)
+        cost += _quadratic_form(problem.cost.G @ X, X)
+        # a state that is not finite stays so, hence this repeat raises
+        if not test_each_step and not _all_finite(X):
+            _simulate_core(problem, KM, u1_fn, u2_fn, x, grid, dW, None, True)
     return history, cost
 
 
-def _run(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
-         grid: TimeGrid, n_paths: int, seed: int, keep: slice):
-    """Check an ensemble's size and control dimensions, draw its increments
-    and step it, keeping rows ``keep`` of z; returns (increments, history,
-    costs)."""
-    _check_integer(n_paths, "n_paths", 1)
+def _all_finite(X: np.ndarray) -> bool:
+    """Whether every state is finite.  The sum is the cheap test; it also
+    overflows on large finite states, which are not a divergence."""
+    return np.isfinite(X.sum()) or np.isfinite(X).all()
+
+
+def _run(problem: GameProblem, KM: np.ndarray, u1: ControlLaw,
+         u2: ControlLaw, x, grid: TimeGrid, n_paths: int, seed: int,
+         keep: slice):
+    """Check an ensemble's control dimensions, draw its increments (which
+    checks its size) and step it, keeping rows ``keep`` of z; returns
+    (increments, history, costs)."""
     if u1.dim() != problem.m1 or u2.dim() != problem.m2:
         raise ContractViolation("control dimensions do not match the problem")
     dW = brownian_increments(seed, n_paths, grid)
-    return (dW, *_simulate_core(problem, u1.as_callable(grid),
+    return (dW, *_simulate_core(problem, KM, u1.as_callable(grid),
                                 u2.as_callable(grid), x, grid, dW, keep))
 
 
@@ -277,8 +319,8 @@ def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
     read (see PathEnsemble).  Raises ContractViolation unless n_paths is an
     integer >= 1, seed one >= 0 and the start state ``x`` a finite vector
     of length n."""
-    dW, Xh, costs = _run(problem, u1, u2, x, grid, n_paths, seed,
-                         slice(0, problem.n))
+    dW, Xh, costs = _run(problem, _step_table(problem, grid), u1, u2, x,
+                         grid, n_paths, seed, slice(0, problem.n))
     return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed,
                         increments=dW.T, X_paths=Xh.transpose(2, 0, 1),
                         costs=costs, u1=u1, u2=u2)
@@ -297,7 +339,12 @@ def estimate_cost(problem: GameProblem, ensemble: PathEnsemble) -> CostEstimate:
 
 def perturbation_directions(seed: int, count: int, grid: TimeGrid,
                             m: int) -> list[np.ndarray]:
-    """Deterministic sampled control paths with unit L2([0,T]) norm."""
+    """Deterministic sampled control paths with unit L2([0,T]) norm.
+    Raises ContractViolation unless seed is an integer >= 0 and count and m
+    ones >= 1."""
+    _check_integer(seed, "seed", 0)
+    _check_integer(count, "count", 1)
+    _check_integer(m, "m", 1)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(0xD1,)))
     out = []
@@ -331,14 +378,17 @@ def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
     contiguous (m, n_paths) rows, so nothing is copied.  A deviation adds a
     deterministic direction to one player's process and keeps no history:
     only its running cost and the state and control slabs of the current
-    and the next node.  Raises ContractViolation unless n_perturbations is
-    an integer >= 1 and sim_steps one >= 2, before anything is drawn."""
+    and the next node.  The base run and every deviation share one draw of
+    the increments and one `_step_table`.  Raises ContractViolation unless
+    n_perturbations is an integer >= 1 and sim_steps one >= 2, before
+    anything is drawn."""
     _check_integer(n_perturbations, "n_perturbations", 1)
     _check_integer(sim_steps, "sim_steps", 2)
     grid = TimeGrid(problem.horizon_T, sim_steps)
     n, m1 = problem.n, problem.m1
     feedback = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
-    dW, Uh, base_costs = _run(problem, *feedback, x, grid, n_paths, seed,
+    KM = _step_table(problem, grid)
+    dW, Uh, base_costs = _run(problem, KM, *feedback, x, grid, n_paths, seed,
                               slice(n, None))
     saddle = (Uh[:, :m1], Uh[:, m1:])
 
@@ -346,7 +396,7 @@ def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
     for player, m in enumerate((m1, problem.m2)):
         for v in perturbation_directions(seed + 1 + player, n_perturbations,
                                          grid, m):
-            costs = _simulate_core(problem, *_replay(saddle, player, v),
+            costs = _simulate_core(problem, KM, *_replay(saddle, player, v),
                                    x, grid, dW, None)[1]
             gaps[player].append(_estimate(costs - base_costs))
 

@@ -14,7 +14,7 @@ from lqgame import (
 )
 from lqgame.core import _eig_extremes, _solve, coefficients, sym
 from lqgame import evaluation
-from lqgame.evaluation import _estimate, _replay, _simulate_core
+from lqgame.evaluation import _estimate, _replay, _simulate_core, _step_table
 from conftest import random_game, scalar_game
 
 
@@ -39,6 +39,22 @@ def traced_peak(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def spawns(monkeypatch):
+    """The `SeedSequence.spawn` calls made after an empty draw memo, one
+    entry per call."""
+    calls = []
+
+    class Counting(np.random.SeedSequence):
+        def spawn(self, n_children):
+            calls.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counting)
+    monkeypatch.setattr(evaluation, "_last_draw", None)
+    return calls
 
 
 class TestBrownianIncrements:
@@ -72,6 +88,37 @@ class TestBrownianIncrements:
     def test_numpy_integer_seed_accepted(self, grid):
         a = brownian_increments(np.int64(42), 4, grid)
         assert a.tobytes() == brownian_increments(42, 4, grid).tobytes()
+
+    @pytest.mark.parametrize("n_paths", [0, -1, 2.5, True, "3"])
+    def test_bad_n_paths_refused(self, grid, n_paths):
+        with pytest.raises(ContractViolation, match="n_paths"):
+            brownian_increments(0, n_paths, grid)
+
+    def test_repeat_is_the_kept_read_only_draw(self, grid, spawns):
+        a = brownian_increments(42, 8, grid)
+        b = brownian_increments(42, 8, TimeGrid(1.0, 200))
+        assert b is a and len(spawns) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            b[0, 0] = 1.0
+        assert a.tobytes() == brownian_increments(42, 8, grid).tobytes()
+
+    @pytest.mark.parametrize("seed,n_paths,grid_args", [
+        (43, 8, (1.0, 200)), (42, 9, (1.0, 200)), (42, 8, (1.0, 100)),
+        (42, 8, (2.0, 200))])
+    def test_other_key_is_a_miss(self, grid, spawns, seed, n_paths,
+                                 grid_args):
+        a = brownian_increments(42, 8, grid)
+        b = brownian_increments(seed, n_paths, TimeGrid(*grid_args))
+        assert len(spawns) == 2 and b.shape == (grid_args[1], n_paths)
+        assert b.tobytes() != a.tobytes()
+        # one draw is kept: the first key draws again
+        assert brownian_increments(42, 8, grid).tobytes() == a.tobytes()
+        assert len(spawns) == 3
+
+    def test_numpy_integer_seed_is_a_hit(self, grid, spawns):
+        a = brownian_increments(42, 8, grid)
+        assert brownian_increments(np.int64(42), np.int64(8), grid) is a
+        assert len(spawns) == 1
 
     @pytest.mark.parametrize("n_paths", [1, 64, 10_000])
     def test_matches_stacked_rows(self, grid, n_paths):
@@ -144,7 +191,8 @@ class TestSimulate:
         x = np.linspace(-1.0, 1.0, p.n)
         ens = simulate(p, *u, x, grid, n_paths, 3)
         dW = brownian_increments(3, n_paths, grid)
-        Zh, costs = _simulate_core(p, *(c.as_callable(grid) for c in u), x,
+        Zh, costs = _simulate_core(p, _step_table(p, grid),
+                                   *(c.as_callable(grid) for c in u), x,
                                    grid, dW, slice(None))
         paths = Zh.transpose(2, 0, 1)
         n, m1 = p.n, p.m1
@@ -196,8 +244,51 @@ class TestSimulate:
         zero = ControlLaw.constant([0.0]).as_callable(grid)
         keep = None if rolling else slice(None)
         with pytest.raises(SimulationDiverged) as exc:
-            _simulate_core(p, zero, zero, [1.0], grid, dW, keep)
+            _simulate_core(p, _step_table(p, grid), zero, zero, [1.0], grid,
+                           dW, keep)
         assert (exc.value.path, exc.value.step) == (3, 7)
+
+    @pytest.mark.parametrize("rolling", [False, True])
+    def test_earliest_step_and_lowest_path_named(self, grid, rolling):
+        # path 0 overflows at step 12, paths 4 and 2 at step 5
+        p = scalar_game(C=1e300)
+        dW = np.zeros((grid.n_steps, 5))
+        dW[11, 0] = dW[4, 4] = dW[4, 2] = 1e10
+        zero = ControlLaw.constant([0.0]).as_callable(grid)
+        keep = None if rolling else slice(None)
+        with pytest.raises(SimulationDiverged) as exc:
+            _simulate_core(p, _step_table(p, grid), zero, zero, [1.0], grid,
+                           dW, keep)
+        assert (exc.value.path, exc.value.step) == (2, 5)
+
+    def test_nan_state_is_a_divergence(self, grid):
+        # drift 1e300 x - 1e300 x: 0 at x = 1, inf - inf = nan once one
+        # hand-made increment takes path 3 to x = 1 + 1e10 at step 7
+        p = scalar_game(B1=1e300, B2=-1e300, C=1.0)
+        dW = np.zeros((grid.n_steps, 5))
+        dW[6, 3] = 1e10
+
+        def same(k, X):
+            return X
+
+        with pytest.raises(SimulationDiverged) as exc:
+            _simulate_core(p, _step_table(p, grid), same, same, [1.0], grid,
+                           dW, None)
+        assert (exc.value.path, exc.value.step) == (3, 8)
+
+    def test_divergence_in_a_deviation_replay(self, grid):
+        # finite saddle controls of 1e10 on path 3 at node 9 and on path 2
+        # at node 5, through B1 = 1e300, overflow the next step's state
+        p = scalar_game(B1=1e300)
+        U1 = np.zeros((grid.n_steps + 1, 1, 4))
+        U1[9, 0, 3] = U1[5, 0, 2] = 1e10
+        saddle = (U1, np.zeros_like(U1))
+        v = np.zeros((grid.n_steps + 1, 1))
+        dW = brownian_increments(0, 4, grid)
+        with pytest.raises(SimulationDiverged) as exc:
+            _simulate_core(p, _step_table(p, grid), *_replay(saddle, 0, v),
+                           [1.0], grid, dW, None)
+        assert (exc.value.path, exc.value.step) == (2, 6)
 
     def test_large_finite_states_are_not_a_divergence(self):
         # two finite states of 1.2e308 overflow their sum, not the state
@@ -205,8 +296,9 @@ class TestSimulate:
         dW = np.zeros((grid.n_steps, 3))
         dW[2, 1:] = 1.2e308
         zero = ControlLaw.constant([0.0]).as_callable(grid)
-        Zh, _ = _simulate_core(scalar_game(C=1.0), zero, zero, [1.0], grid,
-                               dW, slice(None))
+        p = scalar_game(C=1.0)
+        Zh, _ = _simulate_core(p, _step_table(p, grid), zero, zero, [1.0],
+                               grid, dW, slice(None))
         assert np.array_equal(Zh[-1, 0], [1.0, 1.2e308, 1.2e308])
 
 
@@ -307,15 +399,17 @@ class TestDeviationReplay:
         dW = brownian_increments(3, n_paths, grid)
         fns = [ControlLaw.from_feedback(law, i, grid).as_callable(grid)
                for i in (1, 2)]
-        Zh = _simulate_core(rand_problem, *fns, x, grid, dW, slice(None))[0]
+        KM = _step_table(rand_problem, grid)
+        Zh = _simulate_core(rand_problem, KM, *fns, x, grid, dW,
+                            slice(None))[0]
         saddle = (Zh[:, n:n + m1], Zh[:, n + m1:])
         for player in (0, 1):
             v = perturbation_directions(player, 1, grid,
                                         saddle[player].shape[1])[0]
             replay = _replay(saddle, player, v)
-            hist, full = _simulate_core(rand_problem, *replay, x, grid, dW,
-                                        slice(None))
-            rolling = _simulate_core(rand_problem, *replay, x, grid, dW,
+            hist, full = _simulate_core(rand_problem, KM, *replay, x, grid,
+                                        dW, slice(None))
+            rolling = _simulate_core(rand_problem, KM, *replay, x, grid, dW,
                                      None)[1]
             assert rolling.tobytes() == full.tobytes()
             paths = hist.transpose(2, 0, 1)
@@ -380,8 +474,10 @@ class TestVerifySaddle:
         gaps = ([], [])
         for player, m in enumerate((rand_problem.m1, rand_problem.m2)):
             for v in perturbation_directions(seed + 1 + player, 2, grid, m):
-                costs = _simulate_core(rand_problem, *_replay(saddle, player, v),
-                                       x, grid, base.increments.T, None)[1]
+                costs = _simulate_core(rand_problem,
+                                       _step_table(rand_problem, grid),
+                                       *_replay(saddle, player, v), x, grid,
+                                       base.increments.T, None)[1]
                 gaps[player].append(_estimate(costs - base.costs))
         ref = SaddleReport(value_analytic=game_value(sol, x),
                            value_mc=_estimate(base.costs),
@@ -395,6 +491,28 @@ class TestVerifySaddle:
         for v in perturbation_directions(0, 4, grid, 2):
             norm_sq = np.trapezoid(np.sum(v * v, axis=1), dx=grid.dt)
             assert norm_sq == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name,value", [
+        ("count", 0), ("count", -2), ("count", 1.5), ("seed", -1),
+        ("seed", 2.0), ("m", 0), ("m", True)])
+    def test_bad_perturbation_input_refused(self, grid, name, value):
+        args = {"seed": 0, "count": 2, "m": 1, name: value}
+        with pytest.raises(ContractViolation,
+                           match=f"{name} must be an integer >= "):
+            perturbation_directions(args["seed"], args["count"], grid,
+                                    args["m"])
+
+    def test_simulate_then_verify_draws_once(self, rand_problem, cfg400,
+                                             grid, spawns):
+        sol = solve_riccati(rand_problem, cfg400, "game")
+        law = feedback_gain(rand_problem, sol)
+        x = np.ones(rand_problem.n)
+        ens = simulate(rand_problem, ControlLaw.from_feedback(law, 1, grid),
+                       ControlLaw.from_feedback(law, 2, grid), x, grid, 64, 5)
+        report = verify_saddle(rand_problem, sol, law, x, n_perturbations=1,
+                               n_paths=64, seed=5)
+        assert spawns == [grid.n_steps]
+        assert report.value_mc == estimate_cost(rand_problem, ens)
 
     def test_gap_scales_quadratically(self, ex3_4):
         # deviating player 2 by c*v changes the cost by exactly -2 c^2 |v|^2
