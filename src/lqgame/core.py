@@ -82,6 +82,15 @@ def _check_integer(value, name: str, least: int) -> None:
             f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_horizon(T):
+    """Refuse a horizon that is not finite and nonnegative; return it, with
+    -0.0 (which passes, but whose Brownian draw NumPy refuses as a negative
+    scale) as 0.0 and every other value as given."""
+    if not 0 <= T < np.inf:
+        raise ContractViolation("horizon_T must be finite and nonnegative")
+    return abs(T) if T == 0 else T
+
+
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Uniform grid t_k = k*T/n_steps on [0, T]."""
@@ -90,8 +99,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not 0 <= self.horizon_T < np.inf:
-            raise ContractViolation("horizon_T must be finite and nonnegative")
+        object.__setattr__(self, "horizon_T", _check_horizon(self.horizon_T))
         _check_integer(self.n_steps, "n_steps", 2)
         object.__setattr__(self, "n_steps", int(self.n_steps))
 
@@ -289,8 +297,7 @@ class GameProblem:
     horizon_T: float
 
     def __post_init__(self):
-        if not 0 <= self.horizon_T < np.inf:
-            raise ContractViolation("horizon_T must be finite and nonnegative")
+        object.__setattr__(self, "horizon_T", _check_horizon(self.horizon_T))
         dyn, cost = self.dynamics, self.cost
         if (dyn.n, dyn.m1, dyn.m2) != (cost.n, cost.m1, cost.m2):
             raise ContractViolation(

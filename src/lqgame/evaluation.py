@@ -1,10 +1,12 @@
 """Monte-Carlo evaluation of the game: component-major Euler--Maruyama path
 simulation (one contiguous row of paths per state and control component)
-that steps in two node slabs with one stacked product per node, records
-only the rows its caller reads and prices each path inside its stepping
-loop, on a Brownian draw shared by the runs of one seed and size;
-empirical saddle verification with common random numbers, an exact
-discrete-time oracle, and the lower-value falsifier."""
+that steps in two node slabs with one stacked product per node, advances a
+run by segments of nodes from its states and cost, keeps no per-node
+history that its caller does not read and prices each path inside its
+stepping loop, on a Brownian draw shared by the runs of one seed and size;
+empirical saddle verification with common random numbers, its runs
+advanced together block by block; an exact discrete-time oracle, and the
+lower-value falsifier."""
 
 from __future__ import annotations
 
@@ -99,31 +101,45 @@ class PathEnsemble:
     Brownian increments can be reused across control variants.  Each
     path's payoff is priced by `simulate` inside its stepping loop.
 
-    Only the states are stored, component-major, node by node, in one
-    ``(n_nodes, n, n_paths)`` buffer, and the increments in the time-major
-    ``(n_steps, n_paths)`` array `brownian_increments` draws; `X_paths` and
-    `increments` are transposed views of those buffers, not copies.  The
-    increments are the read-only draw that every run of the same seed and
-    size shares.  The control paths are computed from the states and the
-    two laws on each access, bit for bit the rows the stepping loop used."""
+    No per-node history is stored: only each path's cost, the increments,
+    and what it takes to run the ensemble again (the problem, the start
+    state ``x`` and the two laws).  `increments` is a transposed view of
+    the time-major ``(n_steps, n_paths)`` array `brownian_increments` draws,
+    the read-only draw that every run of the same seed and size shares;
+    the ensemble holds it, so it outlives a later draw with another key.
+    `X_paths` repeats the ensemble's run on those increments with the state
+    rows kept, and the control paths are computed from those states and the
+    two laws, all afresh on each access and bit for bit the rows the
+    stepping loop used."""
 
     grid: TimeGrid
     n_paths: int
     seed: int
     increments: np.ndarray   # (n_paths, n_steps), read-only
-    X_paths: np.ndarray      # (n_paths, n_nodes, n)
     costs: np.ndarray        # (n_paths,) terminal plus running cost
     u1: ControlLaw
     u2: ControlLaw
+    problem: GameProblem
+    x: np.ndarray            # (n,) start state
+
+    @property
+    def X_paths(self) -> np.ndarray:
+        """(n_paths, n_nodes, n), computed by a repeated run when read."""
+        grid = self.grid
+        Xh = _simulate_core(self.problem, _step_table(self.problem, grid),
+                            self.u1.as_callable(grid),
+                            self.u2.as_callable(grid), self.x, grid,
+                            self.increments.T, slice(0, self.problem.n))[0]
+        return Xh.transpose(2, 0, 1)
 
     @property
     def u1_paths(self) -> np.ndarray:
-        """(n_paths, n_nodes, m1), computed from the states when read."""
+        """(n_paths, n_nodes, m1), computed from `X_paths` when read."""
         return self._controls(self.u1)
 
     @property
     def u2_paths(self) -> np.ndarray:
-        """(n_paths, n_nodes, m2), computed from the states when read."""
+        """(n_paths, n_nodes, m2), computed from `X_paths` when read."""
         return self._controls(self.u2)
 
     def _controls(self, law: ControlLaw) -> np.ndarray:
@@ -179,9 +195,7 @@ def brownian_increments(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
     global _last_draw
     _check_integer(seed, "seed", 0)
     _check_integer(n_paths, "n_paths", 1)
-    # hex() tells a horizon of -0.0, whose draw NumPy refuses (scale < 0),
-    # from 0.0
-    key = (int(seed), int(n_paths), float(grid.horizon_T).hex(), grid.n_steps)
+    key = (int(seed), int(n_paths), float(grid.horizon_T), grid.n_steps)
     last = _last_draw
     if last is not None and last[0] == key:
         return last[1]
@@ -217,93 +231,132 @@ def _quadratic_form(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return s
 
 
-def _simulate_core(problem: GameProblem, KM: np.ndarray, u1_fn, u2_fn, x,
-                   grid: TimeGrid, dW: np.ndarray, keep: slice | None,
-                   test_each_step: bool = False):
+class _Stepper:
     """Vectorized Euler--Maruyama over an ensemble, component-major: node k
     of all paths is the slab ``z = (x; u1; u2)`` of shape (d, n_paths), one
     contiguous row per component.  ``KM`` is the problem's `_step_table` on
-    ``grid``; controls are callables (step, states (n, n_paths)) -> controls
-    (m, n_paths); ``dW`` holds the increments time-major, (n_steps,
-    n_paths), as `brownian_increments` returns them.
+    ``grid``; ``dW`` holds the increments time-major, (n_steps, n_paths), as
+    `brownian_increments` returns them.
 
-    The loop steps in two slabs, the current and the next node.  Each node
-    takes one product ``KM[k] @ z``, into one buffer the run reuses, whose
-    row blocks are the drift, the diffusion and ``M z``.  Rows ``keep`` of each node's z are copied into
-    the returned history, shaped (n_nodes, rows, n_paths); with ``keep =
-    None`` no history is kept and None is returned in its place.  Also
-    returns each path's cost, accumulated in the loop: node k's running
-    cost z'Mz times its trapezoid weight (dt/2 at the two end nodes, dt
-    inside), added in time order, plus the terminal term x'Gx.
+    A run steps in two slabs, the current and the next node, and each node
+    takes one product ``KM[k] @ z`` into one buffer, whose row blocks are
+    the drift, the diffusion and ``M z``.  The slabs and the buffer belong
+    to the stepper and serve every run it advances, one segment of nodes at
+    a time: a run between segments is only its states and its cost."""
 
-    Divergence is tested once, on the last node's states: a state entry
-    that is not finite stays so through every later step.  A run that fails
-    that test is repeated with a test after each step, which raises
-    SimulationDiverged naming the first step and, at that step, the lowest
-    path with a non-finite state."""
-    n_paths = dW.shape[1]
-    n, m1 = problem.n, problem.m1
-    x = np.atleast_1d(np.asarray(x, float))
-    if x.shape != (n,) or not np.isfinite(x).all():
-        raise ContractViolation(
-            f"start state x must be a finite vector of length {n}")
-    dt = grid.dt
-    n_nodes = grid.n_steps + 1
+    def __init__(self, problem: GameProblem, KM: np.ndarray, grid: TimeGrid,
+                 dW: np.ndarray):
+        self.problem, self.KM, self.grid, self.dW = problem, KM, grid, dW
+        self.slabs = np.empty((2, KM.shape[2], dW.shape[1]))
+        self.Y = np.empty((KM.shape[1], dW.shape[1]))
 
-    slabs = np.empty((2, KM.shape[2], n_paths))
-    slabs[0, :n] = x[:, None]
-    Y = np.empty((KM.shape[1], n_paths))   # each node's product, in turn
-    history = None if keep is None else \
-        np.empty((n_nodes,) + slabs[0, keep].shape)
-    cost = np.zeros(n_paths)
-    # one errstate for the whole loop, since entering it costs more than a
-    # step at small ensembles
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_nodes):
-            Z = slabs[k % 2]
-            X = Z[:n]
-            Z[n:n + m1] = u1_fn(k, X)
-            Z[n + m1:] = u2_fn(k, X)
-            if history is not None:
-                history[k] = Z[keep]
-            np.matmul(KM[k], Z, out=Y)
-            if k < grid.n_steps:
-                X_next = slabs[(k + 1) % 2, :n]
-                np.multiply(dt, Y[:n], out=X_next)
-                X_next += X
-                noise = Y[n:2 * n]
-                noise *= dW[k]
-                X_next += noise
-                if test_each_step and not _all_finite(X_next):
-                    bad = ~np.isfinite(X_next).all(axis=0)
-                    raise SimulationDiverged(int(np.argmax(bad)), k + 1)
-            ell = _quadratic_form(Y[2 * n:], Z)
-            ell *= 0.5 * dt if k in (0, grid.n_steps) else dt
-            cost += ell
-        cost += _quadratic_form(problem.cost.G @ X, X)
-        # a state that is not finite stays so, hence this repeat raises
-        if not test_each_step and not _all_finite(X):
-            _simulate_core(problem, KM, u1_fn, u2_fn, x, grid, dW, None, True)
-    return history, cost
+    def advance(self, u1_fn, u2_fn, X0, cost, k0: int, k1: int,
+                history: np.ndarray | None = None, keep: slice | None = None,
+                test_each_step: bool = False) -> np.ndarray:
+        """Advance a run over nodes k0 .. k1 - 1, k1 <= n_nodes, from its
+        states ``X0`` at node k0 ((n, n_paths), or (n, 1) for a shared
+        start).  Controls are callables (step, states (n, n_paths)) ->
+        controls (m, n_paths).  Node k's running cost z'Mz times its
+        trapezoid weight (dt/2 at the two end nodes, dt inside) is added to
+        ``cost``, node by node; at k1 = n_nodes the terminal term x'Gx
+        follows.  Rows ``keep`` of node k's z are copied into ``history[k -
+        k0]`` when a history is given.  Returns the states at node k1, or at
+        the last node for k1 = n_nodes: a view of a slab, which the next
+        call overwrites.  With ``test_each_step``, raises SimulationDiverged
+        at the first step whose states are not all finite, naming the
+        lowest such path."""
+        problem, grid, KM, dW, Y = (self.problem, self.grid, self.KM,
+                                    self.dW, self.Y)
+        n, m1 = problem.n, problem.m1
+        dt = grid.dt
+        slabs = self.slabs
+        slabs[k0 % 2, :n] = X0
+        # one errstate for the whole segment, since entering it costs more
+        # than a step at small ensembles
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(k0, k1):
+                Z = slabs[k % 2]
+                X = Z[:n]
+                Z[n:n + m1] = u1_fn(k, X)
+                Z[n + m1:] = u2_fn(k, X)
+                if history is not None:
+                    history[k - k0] = Z[keep]
+                np.matmul(KM[k], Z, out=Y)
+                if k < grid.n_steps:
+                    X_next = slabs[(k + 1) % 2, :n]
+                    np.multiply(dt, Y[:n], out=X_next)
+                    X_next += X
+                    noise = Y[n:2 * n]
+                    noise *= dW[k]
+                    X_next += noise
+                    if test_each_step and not _all_finite(X_next):
+                        bad = ~np.isfinite(X_next).all(axis=0)
+                        raise SimulationDiverged(int(np.argmax(bad)), k + 1)
+                ell = _quadratic_form(Y[2 * n:], Z)
+                ell *= 0.5 * dt if k in (0, grid.n_steps) else dt
+                cost += ell
+            if k1 > grid.n_steps:
+                cost += _quadratic_form(problem.cost.G @ X, X)
+                return X
+        return slabs[k1 % 2, :n]
+
+    def checked(self, u1_fn, u2_fn, X0, cost, k0: int, k1: int,
+                history: np.ndarray | None = None,
+                keep: slice | None = None) -> np.ndarray:
+        """`advance`, with divergence tested once, on the states it ends
+        on: a state entry that is not finite stays so through every later
+        step, so a segment that ends finite had none.  A segment that fails
+        that test is repeated from ``X0`` with a test after each step, which
+        raises SimulationDiverged naming the run's first such step and, at
+        that step, the lowest path."""
+        end = self.advance(u1_fn, u2_fn, X0, cost, k0, k1, history, keep)
+        if not _all_finite(end):
+            self.advance(u1_fn, u2_fn, X0, cost, k0, k1, test_each_step=True)
+        return end
 
 
 def _all_finite(X: np.ndarray) -> bool:
     """Whether every state is finite.  The sum is the cheap test; it also
     overflows on large finite states, which are not a divergence."""
-    return np.isfinite(X.sum()) or np.isfinite(X).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.isfinite(X.sum()) or np.isfinite(X).all()
 
 
-def _run(problem: GameProblem, KM: np.ndarray, u1: ControlLaw,
-         u2: ControlLaw, x, grid: TimeGrid, n_paths: int, seed: int,
-         keep: slice):
+def _start_state(problem: GameProblem, x) -> np.ndarray:
+    """A copy of the start state ``x`` as a float vector; raises
+    ContractViolation unless it is a finite vector of length n."""
+    x = np.array(x, float, ndmin=1)
+    if x.shape != (problem.n,) or not np.isfinite(x).all():
+        raise ContractViolation(
+            f"start state x must be a finite vector of length {problem.n}")
+    return x
+
+
+def _simulate_core(problem: GameProblem, KM: np.ndarray, u1_fn, u2_fn, x,
+                   grid: TimeGrid, dW: np.ndarray, keep: slice | None):
+    """One whole run of the ensemble from the start state ``x``, one
+    `_Stepper` segment over every node.  Rows ``keep`` of each node's z are
+    copied into the returned history, shaped (n_nodes, rows, n_paths); with
+    ``keep = None`` no history is kept and None is returned in its place.
+    Also returns each path's cost."""
+    x = _start_state(problem, x)
+    step = _Stepper(problem, KM, grid, dW)
+    n_nodes = grid.n_steps + 1
+    history = None if keep is None else \
+        np.empty((n_nodes,) + step.slabs[0, keep].shape)
+    cost = np.zeros(dW.shape[1])
+    step.checked(u1_fn, u2_fn, x[:, None], cost, 0, n_nodes, history, keep)
+    return history, cost
+
+
+def _draw(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
+          grid: TimeGrid, n_paths: int, seed: int):
     """Check an ensemble's control dimensions, draw its increments (which
-    checks its size) and step it, keeping rows ``keep`` of z; returns
-    (increments, history, costs)."""
+    checks its size) and check its start state; returns (x, increments)."""
     if u1.dim() != problem.m1 or u2.dim() != problem.m2:
         raise ContractViolation("control dimensions do not match the problem")
     dW = brownian_increments(seed, n_paths, grid)
-    return (dW, *_simulate_core(problem, KM, u1.as_callable(grid),
-                                u2.as_callable(grid), x, grid, dW, keep))
+    return _start_state(problem, x), dW
 
 
 def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
@@ -313,17 +366,18 @@ def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
 
     Each step operates on contiguous length-``n_paths`` rows, one per state
     and control component, and reads row k of the time-major increments.
-    Only the state rows are recorded: the returned ensemble's `X_paths` and
-    `increments` are transposed views of the state history and the
-    increments, and its control paths are computed from the states when
-    read (see PathEnsemble).  Raises ContractViolation unless n_paths is an
-    integer >= 1, seed one >= 0 and the start state ``x`` a finite vector
-    of length n."""
-    dW, Xh, costs = _run(problem, _step_table(problem, grid), u1, u2, x,
-                         grid, n_paths, seed, slice(0, problem.n))
+    No row is recorded: the run keeps its two node slabs and each path's
+    cost, and the returned ensemble computes its state and control paths
+    when they are read (see PathEnsemble).  Raises ContractViolation unless
+    n_paths is an integer >= 1, seed one >= 0 and the start state ``x`` a
+    finite vector of length n."""
+    x, dW = _draw(problem, u1, u2, x, grid, n_paths, seed)
+    costs = _simulate_core(problem, _step_table(problem, grid),
+                           u1.as_callable(grid), u2.as_callable(grid), x,
+                           grid, dW, None)[1]
     return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed,
-                        increments=dW.T, X_paths=Xh.transpose(2, 0, 1),
-                        costs=costs, u1=u1, u2=u2)
+                        increments=dW.T, costs=costs, u1=u1, u2=u2,
+                        problem=problem, x=x)
 
 
 def _estimate(values: np.ndarray) -> CostEstimate:
@@ -355,13 +409,20 @@ def perturbation_directions(seed: int, count: int, grid: TimeGrid,
     return out
 
 
-def _replay(saddle, player: int, v: np.ndarray):
+# the nodes each verify_saddle run advances before the next run takes its
+# turn: the base run keeps this many nodes' control rows, which is all the
+# deviations read of it; a run's per-step work does not depend on it
+_BLOCK_NODES = 16
+
+
+def _replay(saddle, player: int, v: np.ndarray, k0: int = 0):
     """Control callables that replay the saddle controls, each of shape
-    (n_nodes, m, n_paths), with the deterministic direction ``v`` of shape
-    (n_nodes, m) added to one player's control at every step."""
-    fns = [lambda k, X, U=U: U[k] for U in saddle]
+    (nodes, m, n_paths) with node k0 first, with the deterministic direction
+    ``v`` of shape (n_nodes, m) added to one player's control at every
+    step."""
+    fns = [lambda k, X, U=U: U[k - k0] for U in saddle]
     U = saddle[player]
-    fns[player] = lambda k, X: U[k] + v[k][:, None]
+    fns[player] = lambda k, X: U[k - k0] + v[k][:, None]
     return fns
 
 
@@ -372,36 +433,62 @@ def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
     deviations with the same Brownian increments (common random numbers) and
     report the perturbation-gap statistics against 3 standard errors.
 
-    The base run records only the control rows of its nodes, one
-    (n_nodes, m1 + m2, n_paths) history, and the saddle controls become
-    open-loop processes replayed per path from it: node k's controls are
-    contiguous (m, n_paths) rows, so nothing is copied.  A deviation adds a
-    deterministic direction to one player's process and keeps no history:
-    only its running cost and the state and control slabs of the current
-    and the next node.  The base run and every deviation share one draw of
-    the increments and one `_step_table`.  Raises ContractViolation unless
-    n_perturbations is an integer >= 1 and sim_steps one >= 2, before
-    anything is drawn."""
+    The saddle controls become open-loop processes, replayed per path with
+    a deterministic direction added to one player's process.  All runs
+    advance together, `_BLOCK_NODES` nodes at a time: the base run steps a
+    block and records that block's control rows, one (block, m1 + m2,
+    n_paths) history, and each deviation then steps the same block from its
+    own states, replaying those rows, where node k's controls are
+    contiguous (m, n_paths) rows.  Between blocks a run keeps only its
+    states and its running cost.  The runs share one draw of the
+    increments, one `_step_table` and one `_Stepper`'s node slabs.
+
+    Divergence is tested at each block's end.  The base run's raises at
+    once; a deviation's is held until the base run has finished, and the
+    first deviation that diverged is named, as if each run went whole in
+    turn.  Raises ContractViolation unless n_perturbations is an integer >=
+    1 and sim_steps one >= 2, before anything is drawn."""
     _check_integer(n_perturbations, "n_perturbations", 1)
     _check_integer(sim_steps, "sim_steps", 2)
     grid = TimeGrid(problem.horizon_T, sim_steps)
     n, m1 = problem.n, problem.m1
     feedback = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
-    KM = _step_table(problem, grid)
-    dW, Uh, base_costs = _run(problem, KM, *feedback, x, grid, n_paths, seed,
-                              slice(n, None))
-    saddle = (Uh[:, :m1], Uh[:, m1:])
+    x0, dW = _draw(problem, *feedback, x, grid, n_paths, seed)
+    step = _Stepper(problem, _step_table(problem, grid), grid, dW)
+    base = [c.as_callable(grid) for c in feedback]
+    deviations = [(player, v) for player, m in enumerate((m1, problem.m2))
+                  for v in perturbation_directions(seed + 1 + player,
+                                                   n_perturbations, grid, m)]
+    # each run's states at the next block's first node and its cost so
+    # far, the base run first
+    states = [np.repeat(x0[:, None], n_paths, axis=1)
+              for _ in range(len(deviations) + 1)]
+    costs = [np.zeros(n_paths) for _ in states]
+    Ub = np.empty((_BLOCK_NODES, m1 + problem.m2, n_paths))
+    saddle = (Ub[:, :m1], Ub[:, m1:])
+    diverged = {}
+    n_nodes = sim_steps + 1
+    for k0 in range(0, n_nodes, _BLOCK_NODES):
+        k1 = min(k0 + _BLOCK_NODES, n_nodes)
+        states[0][...] = step.checked(*base, states[0], costs[0], k0, k1, Ub,
+                                      slice(n, None))
+        for j, (player, v) in enumerate(deviations, 1):
+            if j in diverged:
+                continue
+            try:
+                states[j][...] = step.checked(
+                    *_replay(saddle, player, v, k0), states[j], costs[j], k0,
+                    k1)
+            except SimulationDiverged as err:
+                diverged[j] = err
+    if diverged:
+        raise diverged[min(diverged)]
 
     gaps = ([], [])
-    for player, m in enumerate((m1, problem.m2)):
-        for v in perturbation_directions(seed + 1 + player, n_perturbations,
-                                         grid, m):
-            costs = _simulate_core(problem, KM, *_replay(saddle, player, v),
-                                   x, grid, dW, None)[1]
-            gaps[player].append(_estimate(costs - base_costs))
-
+    for (player, _), cost in zip(deviations, costs[1:]):
+        gaps[player].append(_estimate(cost - costs[0]))
     return SaddleReport(
-        value_analytic=game_value(sol, x), value_mc=_estimate(base_costs),
+        value_analytic=game_value(sol, x), value_mc=_estimate(costs[0]),
         gaps_player1=gaps[0], gaps_player2=gaps[1])
 
 

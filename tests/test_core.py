@@ -33,6 +33,13 @@ class TestTimeGrid:
         with pytest.raises(ContractViolation):
             TimeGrid(-1.0, 10)
 
+    def test_negative_zero_horizon_stored_as_zero(self):
+        # -0.0 passes 0 <= T, but NumPy refuses a draw of scale -0.0
+        for T in (-0.0, np.float64(-0.0)):
+            for horizon in (TimeGrid(T, 10).horizon_T,
+                            scalar_game(T=T).horizon_T):
+                assert horizon == 0.0 and np.copysign(1.0, horizon) == 1.0
+
 
 def drift_game(A: CoefficientPath) -> GameProblem:
     """A game on [0, 1] whose drift A is the given 1x1 path."""

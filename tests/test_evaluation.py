@@ -24,11 +24,11 @@ def grid():
 
 
 def ensemble_bytes(problem, n_paths, n_steps, rows):
-    """Bytes of an (n_steps + 1, rows, n_paths) history and the (n_steps,
-    n_paths) increments, plus a slack of 16 node slabs (d, n_paths) for the
-    two node slabs, a step's temporaries and the coefficient table."""
+    """Bytes of ``rows`` kept rows of n_paths and the (n_steps, n_paths)
+    increments, plus a slack of 16 node slabs (d, n_paths) for the two node
+    slabs, a step's temporaries and the coefficient table."""
     d = problem.n + problem.m1 + problem.m2
-    return 8 * n_paths * ((n_steps + 1) * rows + n_steps + 16 * d)
+    return 8 * n_paths * (rows + n_steps + 16 * d)
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -115,6 +115,14 @@ class TestBrownianIncrements:
         assert brownian_increments(42, 8, grid).tobytes() == a.tobytes()
         assert len(spawns) == 3
 
+    def test_negative_zero_horizon_draws_as_zero(self, spawns):
+        zero = brownian_increments(3, 4, TimeGrid(0.0, 10))
+        neg = brownian_increments(3, 4, TimeGrid(-0.0, 10))
+        assert neg.tobytes() == zero.tobytes() and len(spawns) == 1
+        evaluation._last_draw = None
+        assert brownian_increments(3, 4, TimeGrid(-0.0, 10)).tobytes() \
+            == zero.tobytes()
+
     def test_numpy_integer_seed_is_a_hit(self, grid, spawns):
         a = brownian_increments(42, 8, grid)
         assert brownian_increments(np.int64(42), np.int64(8), grid) is a
@@ -194,6 +202,8 @@ class TestSimulate:
         Zh, costs = _simulate_core(p, _step_table(p, grid),
                                    *(c.as_callable(grid) for c in u), x,
                                    grid, dW, slice(None))
+        # a draw with another key replaces the kept one, not the ensemble's
+        brownian_increments(4, n_paths, grid)
         paths = Zh.transpose(2, 0, 1)
         n, m1 = p.n, p.m1
         for got, want in ((ens.X_paths, paths[:, :, :n]),
@@ -203,15 +213,20 @@ class TestSimulate:
             assert got.shape == want.shape
             assert got.tobytes() == np.ascontiguousarray(want).tobytes()
         assert ens.u1_paths is not ens.u1_paths
+        # each read is a fresh run: writing into one read changes no other
+        X = ens.X_paths
+        X[...] = 0.0
+        assert ens.X_paths.tobytes() == \
+            np.ascontiguousarray(paths[:, :, :n]).tobytes()
 
     def test_history_bounded(self, rand_problem, cfg400, grid):
-        # the ensemble records the states only: the peak stays below the
-        # state history and increments plus the slack
+        # the ensemble records no row: the peak stays below the increments
+        # plus the slack
         p, n_paths = rand_problem, 2000
         law = feedback_gain(p, solve_riccati(p, cfg400, "game"))
         u = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
         peak = traced_peak(simulate, p, *u, np.ones(p.n), grid, n_paths, 5)
-        assert peak < ensemble_bytes(p, n_paths, grid.n_steps, p.n)
+        assert peak < ensemble_bytes(p, n_paths, grid.n_steps, 0)
 
     @pytest.mark.parametrize("value", [[np.nan], np.inf, [0.0, -np.inf],
                                        [[1.0, 2.0]]])
@@ -422,6 +437,39 @@ class TestDeviationReplay:
             assert np.array_equal(controls[1 - player], saddle[1 - player])
 
 
+def unblocked_verify(problem, sol, law, x, n_perturbations, n_paths, seed,
+                     sim_steps):
+    """verify_saddle as one whole base run that keeps every node's control
+    rows, then each deviation run whole in turn: the reference the blocked
+    replay must equal bit for bit, a SimulationDiverged's path and step
+    included."""
+    grid = TimeGrid(problem.horizon_T, sim_steps)
+    n, m1 = problem.n, problem.m1
+    KM = _step_table(problem, grid)
+    dW = evaluation.brownian_increments(seed, n_paths, grid)
+    fns = [ControlLaw.from_feedback(law, i, grid).as_callable(grid)
+           for i in (1, 2)]
+    Uh, base = _simulate_core(problem, KM, *fns, x, grid, dW, slice(n, None))
+    saddle = (Uh[:, :m1], Uh[:, m1:])
+    gaps = ([], [])
+    for player, m in enumerate((m1, problem.m2)):
+        for v in perturbation_directions(seed + 1 + player, n_perturbations,
+                                         grid, m):
+            costs = _simulate_core(problem, KM, *_replay(saddle, player, v),
+                                   x, grid, dW, None)[1]
+            gaps[player].append(_estimate(costs - base))
+    return SaddleReport(value_analytic=game_value(sol, x),
+                        value_mc=_estimate(base), gaps_player1=gaps[0],
+                        gaps_player2=gaps[1])
+
+
+def divergence(fn, *args):
+    """The (path, step) of the SimulationDiverged a call raises."""
+    with pytest.raises(SimulationDiverged) as exc:
+        fn(*args)
+    return exc.value.path, exc.value.step
+
+
 class TestVerifySaddle:
     def test_random_instance_passes(self, rand_problem, cfg400):
         sol = solve_riccati(rand_problem, cfg400, "game")
@@ -433,15 +481,17 @@ class TestVerifySaddle:
         assert all(g.mean <= 3 * g.std_error for g in report.gaps_player2)
 
     def test_base_controls_are_not_copied(self, rand_problem, cfg400):
-        # the base run records its control rows only and the deviations
-        # replay them: the peak stays below the control history and
+        # the base run records one block's control rows and the deviations
+        # replay them; between blocks each of the 1 + 2 runs keeps its
+        # states and cost: the peak stays below those rows and the
         # increments plus the slack
         sol = solve_riccati(rand_problem, cfg400, "game")
         law = feedback_gain(rand_problem, sol)
         p, n_paths = rand_problem, 2000
         peak = traced_peak(verify_saddle, p, sol, law, np.ones(p.n),
                            n_perturbations=1, n_paths=n_paths, seed=5)
-        assert peak < ensemble_bytes(p, n_paths, 200, p.m1 + p.m2)
+        rows = evaluation._BLOCK_NODES * (p.m1 + p.m2) + 3 * (p.n + 1)
+        assert peak < ensemble_bytes(p, n_paths, 200, rows)
 
     @pytest.mark.parametrize("name,value", [
         ("n_perturbations", 0), ("n_perturbations", -1),
@@ -486,6 +536,59 @@ class TestVerifySaddle:
                                n_paths=500, seed=seed)
         # repr spells each float exactly, so equal reprs are equal bits
         assert repr(report) == repr(ref)
+
+    @pytest.mark.parametrize("n_paths", [1, 64, 500])
+    @pytest.mark.parametrize("sim_steps", [
+        37, 12, evaluation._BLOCK_NODES - 1, evaluation._BLOCK_NODES])
+    def test_blocks_match_unblocked_reference(self, rand_problem, cfg400,
+                                              n_paths, sim_steps):
+        # 38 nodes end in a short block, 13 fit in one, B fill one, and
+        # B + 1 end in a block of one node
+        assert 12 + 1 < evaluation._BLOCK_NODES
+        assert (37 + 1) % evaluation._BLOCK_NODES != 0
+        sol = solve_riccati(rand_problem, cfg400, "game")
+        law = feedback_gain(rand_problem, sol)
+        args = (rand_problem, sol, law, np.linspace(-1.0, 1.0, rand_problem.n),
+                2, n_paths, 6, sim_steps)
+        # repr spells each float exactly, so equal reprs are equal bits
+        assert repr(verify_saddle(*args)) == repr(unblocked_verify(*args))
+
+    @staticmethod
+    def _noise_game(monkeypatch, cfg400, C, D1, D2, kicks, n_paths=6):
+        """A scalar game whose P and feedback gains are 0, so the base run's
+        controls are 0 and its state moves only by C x dW, while a player's
+        deviation adds D v dW; the increments are 0 but for ``kicks``, a map
+        (step index, path) -> increment, given to every run."""
+        p = scalar_game(C=C, D1=D1, D2=D2)
+        sol = solve_riccati(p, cfg400, "game")
+        law = feedback_gain(p, sol)
+        assert not sol.P_nodes.any() and not law.theta_nodes.any()
+        dW = np.zeros((200, n_paths))
+        for at, kick in kicks.items():
+            dW[at] = kick
+        monkeypatch.setattr(evaluation, "brownian_increments",
+                            lambda seed, n, grid: dW)
+        return (p, sol, law, [1.0], 2, n_paths, 0, 200)
+
+    def test_deviation_divergence_in_a_later_block(self, monkeypatch,
+                                                   cfg400):
+        # player 2's deviations overflow at step 41 on path 2, player 1's at
+        # step 150 on path 3 (inside a later block); as when each run goes
+        # whole in turn, the first deviation, player 1's, is named
+        args = self._noise_game(monkeypatch, cfg400, C=0.0, D1=1e290,
+                                D2=1e300, kicks={(40, 2): 1e15,
+                                                 (149, 3): 1e25})
+        assert divergence(verify_saddle, *args) == (3, 150)
+        assert divergence(unblocked_verify, *args) == (3, 150)
+
+    def test_base_divergence_named_first(self, monkeypatch, cfg400):
+        # player 1's deviations overflow at step 21 on path 1, the base run
+        # (and every run) at step 151 on path 4: the base run is named
+        args = self._noise_game(monkeypatch, cfg400, C=10.0, D1=1e300,
+                                D2=0.0, kicks={(20, 1): 1e15,
+                                               (150, 4): 1e308})
+        assert divergence(verify_saddle, *args) == (4, 151)
+        assert divergence(unblocked_verify, *args) == (4, 151)
 
     def test_perturbation_directions_unit_norm(self, grid):
         for v in perturbation_directions(0, 4, grid, 2):
