@@ -82,6 +82,16 @@ def _check_integer(value, name: str, least: int) -> None:
             f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _start_state(x, n: int) -> np.ndarray:
+    """A copy of the start state ``x`` as a float vector; raises
+    ContractViolation unless it is a finite vector of length n."""
+    x = np.array(x, float, ndmin=1)
+    if x.shape != (n,) or not np.isfinite(x).all():
+        raise ContractViolation(
+            f"start state x must be a finite vector of length {n}")
+    return x
+
+
 def _check_horizon(T):
     """Refuse a horizon that is not finite and nonnegative; return it, with
     -0.0 (which passes, but whose Brownian draw NumPy refuses as a negative

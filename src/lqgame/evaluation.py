@@ -1,12 +1,11 @@
 """Monte-Carlo evaluation of the game: component-major Euler--Maruyama path
 simulation (one contiguous row of paths per state and control component)
 that steps in two node slabs with one stacked product per node, advances a
-run by segments of nodes from its states and cost, keeps no per-node
-history that its caller does not read and prices each path inside its
-stepping loop, on a Brownian draw shared by the runs of one seed and size;
-empirical saddle verification with common random numbers, its runs
-advanced together block by block; an exact discrete-time oracle, and the
-lower-value falsifier."""
+run by segments of nodes from its states and cost and prices each path
+inside its stepping loop, keeping only each path's cost, on a Brownian draw
+shared by the runs of one seed and size; empirical saddle verification
+with common random numbers, its runs advanced together block by block; an
+exact discrete-time oracle, and the lower-value falsifier."""
 
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .core import (
     ContractViolation, GameProblem, LqgError, TimeGrid, coefficients,
-    interpolate, sym, _check_integer, _eig_extremes, _solve,
+    interpolate, sym, _check_integer, _eig_extremes, _solve, _start_state,
 )
 from .riccati import RiccatiSolution
 from .synthesis import FeedbackLaw, game_value
@@ -84,33 +83,16 @@ class ControlLaw:
         value = self.value[:, None]
         return lambda k, X: np.broadcast_to(value, (value.shape[0], X.shape[1]))
 
-    def on_history(self, Xh: np.ndarray) -> np.ndarray:
-        """The controls at every node of a state history: (n_nodes, n,
-        n_paths) -> (n_nodes, m, n_paths), node k by the (m, n) @ (n,
-        n_paths) product the stepping loop makes; a read-only broadcast for
-        a constant law."""
-        if self.kind == "feedback":
-            return np.matmul(self.gains, Xh)
-        return np.broadcast_to(self.value[:, None],
-                               (Xh.shape[0], self.value.shape[0], Xh.shape[2]))
-
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Simulated trajectories with their seed record, so the identical
-    Brownian increments can be reused across control variants.  Each
-    path's payoff is priced by `simulate` inside its stepping loop.
-
-    No per-node history is stored: only each path's cost, the increments,
-    and what it takes to run the ensemble again (the problem, the start
-    state ``x`` and the two laws).  `increments` is a transposed view of
+    """A simulated ensemble's payoffs with their seed record, so the
+    identical Brownian increments can be reused across control variants.
+    Each path's payoff is priced by `simulate` inside its stepping loop, and
+    no state or control row is kept.  `increments` is a transposed view of
     the time-major ``(n_steps, n_paths)`` array `brownian_increments` draws,
-    the read-only draw that every run of the same seed and size shares;
-    the ensemble holds it, so it outlives a later draw with another key.
-    `X_paths` repeats the ensemble's run on those increments with the state
-    rows kept, and the control paths are computed from those states and the
-    two laws, all afresh on each access and bit for bit the rows the
-    stepping loop used."""
+    the read-only draw that every run of the same seed and size shares; the
+    ensemble holds it, so it outlives a later draw with another key."""
 
     grid: TimeGrid
     n_paths: int
@@ -119,32 +101,6 @@ class PathEnsemble:
     costs: np.ndarray        # (n_paths,) terminal plus running cost
     u1: ControlLaw
     u2: ControlLaw
-    problem: GameProblem
-    x: np.ndarray            # (n,) start state
-
-    @property
-    def X_paths(self) -> np.ndarray:
-        """(n_paths, n_nodes, n), computed by a repeated run when read."""
-        grid = self.grid
-        Xh = _simulate_core(self.problem, _step_table(self.problem, grid),
-                            self.u1.as_callable(grid),
-                            self.u2.as_callable(grid), self.x, grid,
-                            self.increments.T, slice(0, self.problem.n))[0]
-        return Xh.transpose(2, 0, 1)
-
-    @property
-    def u1_paths(self) -> np.ndarray:
-        """(n_paths, n_nodes, m1), computed from `X_paths` when read."""
-        return self._controls(self.u1)
-
-    @property
-    def u2_paths(self) -> np.ndarray:
-        """(n_paths, n_nodes, m2), computed from `X_paths` when read."""
-        return self._controls(self.u2)
-
-    def _controls(self, law: ControlLaw) -> np.ndarray:
-        Xh = self.X_paths.transpose(1, 2, 0)
-        return law.on_history(Xh).transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -251,7 +207,7 @@ class _Stepper:
         self.Y = np.empty((KM.shape[1], dW.shape[1]))
 
     def advance(self, u1_fn, u2_fn, X0, cost, k0: int, k1: int,
-                history: np.ndarray | None = None, keep: slice | None = None,
+                controls: np.ndarray | None = None,
                 test_each_step: bool = False) -> np.ndarray:
         """Advance a run over nodes k0 .. k1 - 1, k1 <= n_nodes, from its
         states ``X0`` at node k0 ((n, n_paths), or (n, 1) for a shared
@@ -259,12 +215,12 @@ class _Stepper:
         controls (m, n_paths).  Node k's running cost z'Mz times its
         trapezoid weight (dt/2 at the two end nodes, dt inside) is added to
         ``cost``, node by node; at k1 = n_nodes the terminal term x'Gx
-        follows.  Rows ``keep`` of node k's z are copied into ``history[k -
-        k0]`` when a history is given.  Returns the states at node k1, or at
-        the last node for k1 = n_nodes: a view of a slab, which the next
-        call overwrites.  With ``test_each_step``, raises SimulationDiverged
-        at the first step whose states are not all finite, naming the
-        lowest such path."""
+        follows.  Node k's control rows ``(u1; u2)`` are copied into
+        ``controls[k - k0]`` when ``controls`` is given.  Returns the states
+        at node k1, or at the last node for k1 = n_nodes: a view of a slab,
+        which the next call overwrites.  With ``test_each_step``, raises
+        SimulationDiverged at the first step whose states are not all
+        finite, naming the lowest such path."""
         problem, grid, KM, dW, Y = (self.problem, self.grid, self.KM,
                                     self.dW, self.Y)
         n, m1 = problem.n, problem.m1
@@ -279,8 +235,8 @@ class _Stepper:
                 X = Z[:n]
                 Z[n:n + m1] = u1_fn(k, X)
                 Z[n + m1:] = u2_fn(k, X)
-                if history is not None:
-                    history[k - k0] = Z[keep]
+                if controls is not None:
+                    controls[k - k0] = Z[n:]
                 np.matmul(KM[k], Z, out=Y)
                 if k < grid.n_steps:
                     X_next = slabs[(k + 1) % 2, :n]
@@ -301,15 +257,14 @@ class _Stepper:
         return slabs[k1 % 2, :n]
 
     def checked(self, u1_fn, u2_fn, X0, cost, k0: int, k1: int,
-                history: np.ndarray | None = None,
-                keep: slice | None = None) -> np.ndarray:
+                controls: np.ndarray | None = None) -> np.ndarray:
         """`advance`, with divergence tested once, on the states it ends
         on: a state entry that is not finite stays so through every later
         step, so a segment that ends finite had none.  A segment that fails
         that test is repeated from ``X0`` with a test after each step, which
         raises SimulationDiverged naming the run's first such step and, at
         that step, the lowest path."""
-        end = self.advance(u1_fn, u2_fn, X0, cost, k0, k1, history, keep)
+        end = self.advance(u1_fn, u2_fn, X0, cost, k0, k1, controls)
         if not _all_finite(end):
             self.advance(u1_fn, u2_fn, X0, cost, k0, k1, test_each_step=True)
         return end
@@ -322,41 +277,14 @@ def _all_finite(X: np.ndarray) -> bool:
         return np.isfinite(X.sum()) or np.isfinite(X).all()
 
 
-def _start_state(problem: GameProblem, x) -> np.ndarray:
-    """A copy of the start state ``x`` as a float vector; raises
-    ContractViolation unless it is a finite vector of length n."""
-    x = np.array(x, float, ndmin=1)
-    if x.shape != (problem.n,) or not np.isfinite(x).all():
-        raise ContractViolation(
-            f"start state x must be a finite vector of length {problem.n}")
-    return x
-
-
-def _simulate_core(problem: GameProblem, KM: np.ndarray, u1_fn, u2_fn, x,
-                   grid: TimeGrid, dW: np.ndarray, keep: slice | None):
-    """One whole run of the ensemble from the start state ``x``, one
-    `_Stepper` segment over every node.  Rows ``keep`` of each node's z are
-    copied into the returned history, shaped (n_nodes, rows, n_paths); with
-    ``keep = None`` no history is kept and None is returned in its place.
-    Also returns each path's cost."""
-    x = _start_state(problem, x)
-    step = _Stepper(problem, KM, grid, dW)
-    n_nodes = grid.n_steps + 1
-    history = None if keep is None else \
-        np.empty((n_nodes,) + step.slabs[0, keep].shape)
-    cost = np.zeros(dW.shape[1])
-    step.checked(u1_fn, u2_fn, x[:, None], cost, 0, n_nodes, history, keep)
-    return history, cost
-
-
 def _draw(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
           grid: TimeGrid, n_paths: int, seed: int):
-    """Check an ensemble's control dimensions, draw its increments (which
-    checks its size) and check its start state; returns (x, increments)."""
+    """Check an ensemble's control dimensions and start state, then draw
+    its increments (which checks its size); returns (x, increments)."""
     if u1.dim() != problem.m1 or u2.dim() != problem.m2:
         raise ContractViolation("control dimensions do not match the problem")
-    dW = brownian_increments(seed, n_paths, grid)
-    return _start_state(problem, x), dW
+    x = _start_state(x, problem.n)
+    return x, brownian_increments(seed, n_paths, grid)
 
 
 def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
@@ -366,18 +294,19 @@ def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
 
     Each step operates on contiguous length-``n_paths`` rows, one per state
     and control component, and reads row k of the time-major increments.
-    No row is recorded: the run keeps its two node slabs and each path's
-    cost, and the returned ensemble computes its state and control paths
-    when they are read (see PathEnsemble).  Raises ContractViolation unless
-    n_paths is an integer >= 1, seed one >= 0 and the start state ``x`` a
-    finite vector of length n."""
+    The run is one `_Stepper` segment over every node, which keeps its two
+    node slabs and each path's cost and records no row.  Raises
+    ContractViolation unless n_paths is an integer >= 1, seed one >= 0 and
+    the start state ``x`` a finite vector of length n, and
+    SimulationDiverged naming the first step and, at that step, the lowest
+    path whose state is not finite."""
     x, dW = _draw(problem, u1, u2, x, grid, n_paths, seed)
-    costs = _simulate_core(problem, _step_table(problem, grid),
-                           u1.as_callable(grid), u2.as_callable(grid), x,
-                           grid, dW, None)[1]
+    costs = np.zeros(n_paths)
+    _Stepper(problem, _step_table(problem, grid), grid, dW).checked(
+        u1.as_callable(grid), u2.as_callable(grid), x[:, None], costs, 0,
+        grid.n_steps + 1)
     return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed,
-                        increments=dW.T, costs=costs, u1=u1, u2=u2,
-                        problem=problem, x=x)
+                        increments=dW.T, costs=costs, u1=u1, u2=u2)
 
 
 def _estimate(values: np.ndarray) -> CostEstimate:
@@ -451,7 +380,7 @@ def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
     _check_integer(n_perturbations, "n_perturbations", 1)
     _check_integer(sim_steps, "sim_steps", 2)
     grid = TimeGrid(problem.horizon_T, sim_steps)
-    n, m1 = problem.n, problem.m1
+    m1 = problem.m1
     feedback = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
     x0, dW = _draw(problem, *feedback, x, grid, n_paths, seed)
     step = _Stepper(problem, _step_table(problem, grid), grid, dW)
@@ -470,8 +399,7 @@ def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
     n_nodes = sim_steps + 1
     for k0 in range(0, n_nodes, _BLOCK_NODES):
         k1 = min(k0 + _BLOCK_NODES, n_nodes)
-        states[0][...] = step.checked(*base, states[0], costs[0], k0, k1, Ub,
-                                      slice(n, None))
+        states[0][...] = step.checked(*base, states[0], costs[0], k0, k1, Ub)
         for j, (player, v) in enumerate(deviations, 1):
             if j in diverged:
                 continue
@@ -512,10 +440,7 @@ def discrete_oracle(problem: GameProblem, x, N: int):
     if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
         raise ContractViolation(f"step count N must be a positive integer, "
                                 f"got {N!r}")
-    x = np.atleast_1d(np.asarray(x, float))
-    if x.shape != (n,) or not np.isfinite(x).all():
-        raise ContractViolation(
-            f"start state x must be a finite vector of length {n}")
+    x = _start_state(x, n)
     T = problem.horizon_T
     dt = T / N
     A, B, C, D, Q, S, R = coefficients(problem, np.linspace(0.0, T, N + 1))

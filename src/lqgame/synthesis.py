@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import (
     ContractViolation, GameProblem, TimeGrid, assemble, block_inverse,
-    coefficients, linear_flow,
+    coefficients, linear_flow, _start_state,
 )
 from .riccati import RiccatiSolution
 
@@ -57,11 +57,14 @@ def feedback_gain(problem: GameProblem, sol: RiccatiSolution) -> FeedbackLaw:
 
 
 def game_value(sol: RiccatiSolution, x) -> float:
-    """Saddle value <P(0) x, x> of the game started at x."""
+    """Saddle value <P(0) x, x> of the game started at x.  Raises
+    ContractViolation unless the start state ``x`` is a finite vector of
+    length n."""
     if sol.kind != "game":
         raise ContractViolation("value requires a game-kind solution")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(x @ sol.P0() @ x)
+    P0 = sol.P0()
+    x = _start_state(x, P0.shape[0])
+    return float(x @ P0 @ x)
 
 
 def closed_loop(problem: GameProblem, law: FeedbackLaw) -> ClosedLoopSystem:
@@ -74,8 +77,10 @@ def closed_loop(problem: GameProblem, law: FeedbackLaw) -> ClosedLoopSystem:
 
 def mean_state_path(system: ClosedLoopSystem, x) -> np.ndarray:
     """Mean closed-loop flow dX/dt = (A + B Theta) X, integrated by the same
-    fixed-step fourth-order scheme as the Riccati solver."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    fixed-step fourth-order scheme as the Riccati solver.  Raises
+    ContractViolation unless the start state ``x`` is a finite vector of
+    length n."""
+    x = _start_state(x, system.drift_nodes.shape[1])
     return linear_flow(system.drift_nodes, system.grid.horizon_T, x)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,14 +8,14 @@ from hypothesis import strategies as st
 
 from lqgame import (
     ContractViolation, ControlLaw, CostEstimate, OracleRegularityError,
-    SaddleReport, SimulationDiverged, SolverConfig, TimeGrid,
+    PathEnsemble, SaddleReport, SimulationDiverged, SolverConfig, TimeGrid,
     brownian_increments, discrete_oracle, estimate_cost, falsify_lower_value,
     feedback_gain, game_value, perturbation_directions, simulate,
     solve_riccati, verify_saddle,
 )
 from lqgame.core import _eig_extremes, _solve, coefficients, sym
 from lqgame import evaluation
-from lqgame.evaluation import _estimate, _replay, _simulate_core, _step_table
+from lqgame.evaluation import _Stepper, _estimate, _replay, _step_table
 from conftest import random_game, scalar_game
 
 
@@ -29,6 +30,32 @@ def ensemble_bytes(problem, n_paths, n_steps, rows):
     slabs, a step's temporaries and the coefficient table."""
     d = problem.n + problem.m1 + problem.m2
     return 8 * n_paths * (rows + n_steps + 16 * d)
+
+
+def whole_run(problem, grid, dW, u1_fn, u2_fn, x):
+    """One run over every node, the `_Stepper` segment `simulate` makes,
+    with the two control callables wrapped to record node k's rows z = (x;
+    u1; u2), which the stepper does not keep; the repeat of a diverged run
+    writes the same k again.  Returns those rows, shaped (n_nodes, d,
+    n_paths), and each path's cost."""
+    n, m1 = problem.n, problem.m1
+    Zh = np.empty((grid.n_steps + 1, n + m1 + problem.m2, dW.shape[1]))
+
+    def u1_kept(k, X):
+        U = u1_fn(k, X)
+        Zh[k, :n], Zh[k, n:n + m1] = X, U
+        return U
+
+    def u2_kept(k, X):
+        U = u2_fn(k, X)
+        Zh[k, n + m1:] = U
+        return U
+
+    cost = np.zeros(dW.shape[1])
+    _Stepper(problem, _step_table(problem, grid), grid, dW).checked(
+        u1_kept, u2_kept, np.array(x, float)[:, None], cost, 0,
+        grid.n_steps + 1)
+    return Zh, cost
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -150,9 +177,15 @@ class TestBrownianIncrements:
 class TestSimulate:
     def test_zero_dynamics_state_constant(self, grid):
         p = scalar_game()
-        zero = ControlLaw.constant([0.0])
-        ens = simulate(p, zero, zero, [3.0], grid, 5, 0)
-        assert np.all(ens.X_paths == 3.0)
+        zero = ControlLaw.constant([0.0]).as_callable(grid)
+        Zh, _ = whole_run(p, grid, brownian_increments(0, 5, grid), zero,
+                          zero, [3.0])
+        assert np.all(Zh[:, 0] == 3.0)
+
+    def test_ensemble_fields(self):
+        # an ensemble keeps each path's cost and its draw, no path rows
+        assert [f.name for f in dataclasses.fields(PathEnsemble)] == [
+            "grid", "n_paths", "seed", "increments", "costs", "u1", "u2"]
 
     def test_ex3_4_cost_closed_form(self, ex3_4, grid):
         # J(x; lam, 0) = -(x^2 + 2 lam x); exact since u2 = 0 kills the noise
@@ -187,8 +220,8 @@ class TestSimulate:
     @pytest.mark.parametrize("kind", ["feedback", "constant"])
     def test_paths_are_the_loop_rows(self, rand_problem, cfg400, grid,
                                      n_paths, kind):
-        # the ensemble keeps the states; the control paths it computes from
-        # them are the rows of a run that keeps every row of z
+        # the ensemble's costs are those of one stepper run over every node
+        # on its draw, which it holds past a draw with another key
         p = rand_problem
         if kind == "feedback":
             law = feedback_gain(p, solve_riccati(p, cfg400, "game"))
@@ -199,25 +232,15 @@ class TestSimulate:
         x = np.linspace(-1.0, 1.0, p.n)
         ens = simulate(p, *u, x, grid, n_paths, 3)
         dW = brownian_increments(3, n_paths, grid)
-        Zh, costs = _simulate_core(p, _step_table(p, grid),
-                                   *(c.as_callable(grid) for c in u), x,
-                                   grid, dW, slice(None))
+        costs = whole_run(p, grid, dW, *(c.as_callable(grid) for c in u),
+                          x)[1]
         # a draw with another key replaces the kept one, not the ensemble's
-        brownian_increments(4, n_paths, grid)
-        paths = Zh.transpose(2, 0, 1)
-        n, m1 = p.n, p.m1
-        for got, want in ((ens.X_paths, paths[:, :, :n]),
-                          (ens.u1_paths, paths[:, :, n:n + m1]),
-                          (ens.u2_paths, paths[:, :, n + m1:]),
-                          (ens.costs, costs)):
-            assert got.shape == want.shape
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
-        assert ens.u1_paths is not ens.u1_paths
-        # each read is a fresh run: writing into one read changes no other
-        X = ens.X_paths
-        X[...] = 0.0
-        assert ens.X_paths.tobytes() == \
-            np.ascontiguousarray(paths[:, :, :n]).tobytes()
+        other = brownian_increments(4, n_paths, grid)
+        held = np.ascontiguousarray(ens.increments)
+        assert held.shape == (n_paths, grid.n_steps)
+        assert held.tobytes() == np.ascontiguousarray(dW.T).tobytes()
+        assert held.tobytes() != np.ascontiguousarray(other.T).tobytes()
+        assert ens.costs.tobytes() == costs.tobytes()
 
     def test_history_bounded(self, rand_problem, cfg400, grid):
         # the ensemble records no row: the peak stays below the increments
@@ -237,11 +260,17 @@ class TestSimulate:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_state_refused(self, rand_problem, cfg400, grid,
-                                            bad):
+                                            monkeypatch, bad):
+        # refused before the draw, which would replace the kept one
         sol = solve_riccati(rand_problem, cfg400, "game")
         law = feedback_gain(rand_problem, sol)
         x = np.ones(rand_problem.n)
         x[-1] = bad
+
+        def draw(*args):
+            raise AssertionError("increments drawn")
+
+        monkeypatch.setattr(evaluation, "brownian_increments", draw)
         with pytest.raises(ContractViolation, match="start state x"):
             simulate(rand_problem, ControlLaw.from_feedback(law, 1, grid),
                      ControlLaw.from_feedback(law, 2, grid), x, grid, 4, 0)
@@ -249,32 +278,25 @@ class TestSimulate:
             verify_saddle(rand_problem, sol, law, x, n_perturbations=1,
                           n_paths=4, seed=0)
 
-    @pytest.mark.parametrize("rolling", [False, True])
-    def test_divergence_names_path_and_step(self, grid, rolling):
+    def test_divergence_names_path_and_step(self, grid):
         # diffusion C x with a huge C: the state stays at 1 while the
         # increments are 0, and one hand-made increment overflows one path
         p = scalar_game(C=1e300)
         dW = np.zeros((grid.n_steps, 5))
         dW[6, 3] = 1e10
         zero = ControlLaw.constant([0.0]).as_callable(grid)
-        keep = None if rolling else slice(None)
-        with pytest.raises(SimulationDiverged) as exc:
-            _simulate_core(p, _step_table(p, grid), zero, zero, [1.0], grid,
-                           dW, keep)
-        assert (exc.value.path, exc.value.step) == (3, 7)
+        assert divergence(whole_run, p, grid, dW, zero, zero, [1.0]) == (3, 7)
 
-    @pytest.mark.parametrize("rolling", [False, True])
-    def test_earliest_step_and_lowest_path_named(self, grid, rolling):
+    def test_earliest_step_and_lowest_path_named(self, grid, monkeypatch):
         # path 0 overflows at step 12, paths 4 and 2 at step 5
         p = scalar_game(C=1e300)
         dW = np.zeros((grid.n_steps, 5))
         dW[11, 0] = dW[4, 4] = dW[4, 2] = 1e10
-        zero = ControlLaw.constant([0.0]).as_callable(grid)
-        keep = None if rolling else slice(None)
-        with pytest.raises(SimulationDiverged) as exc:
-            _simulate_core(p, _step_table(p, grid), zero, zero, [1.0], grid,
-                           dW, keep)
-        assert (exc.value.path, exc.value.step) == (2, 5)
+        monkeypatch.setattr(evaluation, "brownian_increments",
+                            lambda seed, n, grid: dW)
+        zero = ControlLaw.constant([0.0])
+        assert divergence(simulate, p, zero, zero, [1.0], grid, 5, 0) \
+            == (2, 5)
 
     def test_nan_state_is_a_divergence(self, grid):
         # drift 1e300 x - 1e300 x: 0 at x = 1, inf - inf = nan once one
@@ -286,10 +308,7 @@ class TestSimulate:
         def same(k, X):
             return X
 
-        with pytest.raises(SimulationDiverged) as exc:
-            _simulate_core(p, _step_table(p, grid), same, same, [1.0], grid,
-                           dW, None)
-        assert (exc.value.path, exc.value.step) == (3, 8)
+        assert divergence(whole_run, p, grid, dW, same, same, [1.0]) == (3, 8)
 
     def test_divergence_in_a_deviation_replay(self, grid):
         # finite saddle controls of 1e10 on path 3 at node 9 and on path 2
@@ -300,10 +319,8 @@ class TestSimulate:
         saddle = (U1, np.zeros_like(U1))
         v = np.zeros((grid.n_steps + 1, 1))
         dW = brownian_increments(0, 4, grid)
-        with pytest.raises(SimulationDiverged) as exc:
-            _simulate_core(p, _step_table(p, grid), *_replay(saddle, 0, v),
-                           [1.0], grid, dW, None)
-        assert (exc.value.path, exc.value.step) == (2, 6)
+        assert divergence(whole_run, p, grid, dW, *_replay(saddle, 0, v),
+                          [1.0]) == (2, 6)
 
     def test_large_finite_states_are_not_a_divergence(self):
         # two finite states of 1.2e308 overflow their sum, not the state
@@ -312,8 +329,7 @@ class TestSimulate:
         dW[2, 1:] = 1.2e308
         zero = ControlLaw.constant([0.0]).as_callable(grid)
         p = scalar_game(C=1.0)
-        Zh, _ = _simulate_core(p, _step_table(p, grid), zero, zero, [1.0],
-                               grid, dW, slice(None))
+        Zh, _ = whole_run(p, grid, dW, zero, zero, [1.0])
         assert np.array_equal(Zh[-1, 0], [1.0, 1.2e308, 1.2e308])
 
 
@@ -325,20 +341,20 @@ def _row_sum(W):
     return s
 
 
-def reference_costs(problem, grid, X, U1, U2):
-    """Per-path payoff priced after the simulation from the stored
-    histories: node k's quadratic form z'Mz, its products summed row by
-    row, times its trapezoid weight (dt/2 at the two end nodes, dt inside),
-    summed in time order, plus the terminal term x'Gx summed the same way."""
+def reference_costs(problem, grid, Zh):
+    """Per-path payoff priced after the simulation from the recorded rows
+    ``Zh`` of `whole_run`: node k's quadratic form z'Mz, its products summed
+    row by row, times its trapezoid weight (dt/2 at the two end nodes, dt
+    inside), summed in time order, plus the terminal term x'Gx summed the
+    same way."""
     table = coefficients(problem, grid.nodes)
     M = np.block([[table.Q, table.S.swapaxes(1, 2)], [table.S, table.R]])
-    Z = np.concatenate([X, U1, U2], axis=2)
-    running = np.zeros(X.shape[0])
+    running = np.zeros(Zh.shape[2])
     for k in range(grid.n_steps + 1):
-        z = np.ascontiguousarray(Z[:, k].T)
+        z = Zh[k]
         weight = grid.dt / 2 if k in (0, grid.n_steps) else grid.dt
         running = running + weight * _row_sum((M[k] @ z) * z)
-    x = np.ascontiguousarray(X[:, -1].T)
+    x = Zh[-1, :problem.n]
     return running + _row_sum((problem.cost.G @ x) * x)
 
 
@@ -350,22 +366,26 @@ class TestCostEstimate:
         for a, b in ((0.0, 1.0), (2.0, 0.0), (1.0, 3.0)):
             ens = simulate(ex3_2, ControlLaw.constant([a]),
                            ControlLaw.constant([b]), [1.0], grid, n_paths, 4)
-            self._assert_matches_reference(ex3_2, grid, ens)
+            self._assert_matches_reference(ex3_2, grid, ens, [1.0])
 
     @pytest.mark.parametrize("n_paths", [1, 64, 500])
     def test_feedback_laws_match_reference(self, rand_problem, cfg400, grid,
                                            n_paths):
         sol = solve_riccati(rand_problem, cfg400, "game")
         law = feedback_gain(rand_problem, sol)
+        x = np.ones(rand_problem.n)
         ens = simulate(rand_problem, ControlLaw.from_feedback(law, 1, grid),
-                       ControlLaw.from_feedback(law, 2, grid),
-                       np.ones(rand_problem.n), grid, n_paths, 8)
-        self._assert_matches_reference(rand_problem, grid, ens)
+                       ControlLaw.from_feedback(law, 2, grid), x, grid,
+                       n_paths, 8)
+        self._assert_matches_reference(rand_problem, grid, ens, x)
 
     @staticmethod
-    def _assert_matches_reference(problem, grid, ens):
-        ref = reference_costs(problem, grid, ens.X_paths, ens.u1_paths,
-                              ens.u2_paths)
+    def _assert_matches_reference(problem, grid, ens, x):
+        # the rows of a recorded run on the ensemble's draw and laws
+        Zh, _ = whole_run(problem, grid, ens.increments.T,
+                          ens.u1.as_callable(grid), ens.u2.as_callable(grid),
+                          x)
+        ref = reference_costs(problem, grid, Zh)
         assert ens.costs.tobytes() == ref.tobytes()
         assert estimate_cost(problem, ens) == _estimate(ref)
 
@@ -414,22 +434,22 @@ class TestDeviationReplay:
         dW = brownian_increments(3, n_paths, grid)
         fns = [ControlLaw.from_feedback(law, i, grid).as_callable(grid)
                for i in (1, 2)]
-        KM = _step_table(rand_problem, grid)
-        Zh = _simulate_core(rand_problem, KM, *fns, x, grid, dW,
-                            slice(None))[0]
-        saddle = (Zh[:, n:n + m1], Zh[:, n + m1:])
+        Zh, base = whole_run(rand_problem, grid, dW, *fns, x)
+        # the control rows the stepper records, as verify_saddle's base run
+        # does, are the recorded rows, and recording changes no cost
+        U = np.empty((grid.n_steps + 1, m1 + rand_problem.m2, n_paths))
+        cost = np.zeros(n_paths)
+        _Stepper(rand_problem, _step_table(rand_problem, grid), grid,
+                 dW).checked(*fns, x[:, None], cost, 0, grid.n_steps + 1, U)
+        assert U.tobytes() == np.ascontiguousarray(Zh[:, n:]).tobytes()
+        assert cost.tobytes() == base.tobytes()
+        saddle = (U[:, :m1], U[:, m1:])
         for player in (0, 1):
             v = perturbation_directions(player, 1, grid,
                                         saddle[player].shape[1])[0]
-            replay = _replay(saddle, player, v)
-            hist, full = _simulate_core(rand_problem, KM, *replay, x, grid,
-                                        dW, slice(None))
-            rolling = _simulate_core(rand_problem, KM, *replay, x, grid, dW,
-                                     None)[1]
-            assert rolling.tobytes() == full.tobytes()
-            paths = hist.transpose(2, 0, 1)
-            ref = reference_costs(rand_problem, grid, paths[:, :, :n],
-                                  paths[:, :, n:n + m1], paths[:, :, n + m1:])
+            hist, full = whole_run(rand_problem, grid, dW,
+                                   *_replay(saddle, player, v), x)
+            ref = reference_costs(rand_problem, grid, hist)
             assert full.tobytes() == ref.tobytes()
             controls = (hist[:, n:n + m1], hist[:, n + m1:])
             assert np.array_equal(controls[player],
@@ -445,18 +465,17 @@ def unblocked_verify(problem, sol, law, x, n_perturbations, n_paths, seed,
     included."""
     grid = TimeGrid(problem.horizon_T, sim_steps)
     n, m1 = problem.n, problem.m1
-    KM = _step_table(problem, grid)
     dW = evaluation.brownian_increments(seed, n_paths, grid)
     fns = [ControlLaw.from_feedback(law, i, grid).as_callable(grid)
            for i in (1, 2)]
-    Uh, base = _simulate_core(problem, KM, *fns, x, grid, dW, slice(n, None))
-    saddle = (Uh[:, :m1], Uh[:, m1:])
+    Zh, base = whole_run(problem, grid, dW, *fns, x)
+    saddle = (Zh[:, n:n + m1], Zh[:, n + m1:])
     gaps = ([], [])
     for player, m in enumerate((m1, problem.m2)):
         for v in perturbation_directions(seed + 1 + player, n_perturbations,
                                          grid, m):
-            costs = _simulate_core(problem, KM, *_replay(saddle, player, v),
-                                   x, grid, dW, None)[1]
+            costs = whole_run(problem, grid, dW, *_replay(saddle, player, v),
+                              x)[1]
             gaps[player].append(_estimate(costs - base))
     return SaddleReport(value_analytic=game_value(sol, x),
                         value_mc=_estimate(base), gaps_player1=gaps[0],
@@ -517,17 +536,19 @@ class TestVerifySaddle:
         sol = solve_riccati(rand_problem, cfg400, "game")
         law = feedback_gain(rand_problem, sol)
         x, seed, grid = np.ones(rand_problem.n), 5, TimeGrid(1.0, 200)
+        n, m1 = rand_problem.n, rand_problem.m1
         fns = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
         base = simulate(rand_problem, *fns, x, grid, 500, seed)
-        saddle = tuple(np.ascontiguousarray(U.transpose(1, 2, 0))
-                       for U in (base.u1_paths, base.u2_paths))
+        dW = base.increments.T
+        Zh, _ = whole_run(rand_problem, grid, dW,
+                          *(f.as_callable(grid) for f in fns), x)
+        saddle = (np.ascontiguousarray(Zh[:, n:n + m1]),
+                  np.ascontiguousarray(Zh[:, n + m1:]))
         gaps = ([], [])
-        for player, m in enumerate((rand_problem.m1, rand_problem.m2)):
+        for player, m in enumerate((m1, rand_problem.m2)):
             for v in perturbation_directions(seed + 1 + player, 2, grid, m):
-                costs = _simulate_core(rand_problem,
-                                       _step_table(rand_problem, grid),
-                                       *_replay(saddle, player, v), x, grid,
-                                       base.increments.T, None)[1]
+                costs = whole_run(rand_problem, grid, dW,
+                                  *_replay(saddle, player, v), x)[1]
                 gaps[player].append(_estimate(costs - base.costs))
         ref = SaddleReport(value_analytic=game_value(sol, x),
                            value_mc=_estimate(base.costs),

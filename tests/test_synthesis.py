@@ -25,6 +25,13 @@ def rand_law(rand_problem, rand_sol):
     return feedback_gain(rand_problem, rand_sol)
 
 
+# the start states that TestDiscreteOracle.test_bad_start_state_refused
+# refuses for rand_problem, whose n is 4
+BAD_START_STATES = [[1.0], np.ones(5), [[1.0] * 4], [1.0, np.nan, 1.0, 1.0],
+                    [np.inf, 0.0, 0.0, 0.0]]
+BAD_START_MESSAGE = "start state x must be a finite vector of length 4"
+
+
 class TestFeedbackGain:
     def test_ex4_5_gain_closed_form(self, ex4_5, ex4_5_sol):
         # Theta = -R^-1 B'P = (-P, (3/2) P) with P(0) = -1
@@ -57,6 +64,12 @@ class TestGameValue:
         assert game_value(rand_sol, s * x) == pytest.approx(
             s * s * game_value(rand_sol, x), rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("x", BAD_START_STATES)
+    def test_bad_start_state_refused(self, rand_problem, rand_sol, x):
+        assert rand_problem.n == 4
+        with pytest.raises(ContractViolation, match=BAD_START_MESSAGE):
+            game_value(rand_sol, x)
+
 
 class TestClosedLoop:
     def test_shapes(self, rand_problem, rand_law):
@@ -76,6 +89,13 @@ class TestClosedLoop:
         system = closed_loop(rand_problem, rand_law)
         x = np.arange(1.0, rand_problem.n + 1.0)
         assert np.array_equal(mean_state_path(system, x)[0], x)
+
+    @pytest.mark.parametrize("x", BAD_START_STATES)
+    def test_mean_path_bad_start_state_refused(self, rand_problem, rand_law,
+                                               x):
+        assert rand_problem.n == 4
+        with pytest.raises(ContractViolation, match=BAD_START_MESSAGE):
+            mean_state_path(closed_loop(rand_problem, rand_law), x)
 
 
 class TestFbsdeResidual:
