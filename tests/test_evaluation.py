@@ -278,25 +278,37 @@ class TestSimulate:
             verify_saddle(rand_problem, sol, law, x, n_perturbations=1,
                           n_paths=4, seed=0)
 
-    def test_divergence_names_path_and_step(self, grid):
+    @staticmethod
+    def _diverged_at(p, grid, dW, public, monkeypatch):
+        """The (path, step) a zero-control run of ``p`` on the increments
+        ``dW`` names: through the public `simulate` on a fixed draw, or
+        through one stepper run over every node."""
+        if public:
+            monkeypatch.setattr(evaluation, "brownian_increments",
+                                lambda seed, n, grid: dW)
+            zero = ControlLaw.constant([0.0])
+            return divergence(simulate, p, zero, zero, [1.0], grid,
+                              dW.shape[1], 0)
+        zero = ControlLaw.constant([0.0]).as_callable(grid)
+        return divergence(whole_run, p, grid, dW, zero, zero, [1.0])
+
+    @pytest.mark.parametrize("public", [False, True])
+    def test_divergence_names_path_and_step(self, grid, monkeypatch, public):
         # diffusion C x with a huge C: the state stays at 1 while the
         # increments are 0, and one hand-made increment overflows one path
         p = scalar_game(C=1e300)
         dW = np.zeros((grid.n_steps, 5))
         dW[6, 3] = 1e10
-        zero = ControlLaw.constant([0.0]).as_callable(grid)
-        assert divergence(whole_run, p, grid, dW, zero, zero, [1.0]) == (3, 7)
+        assert self._diverged_at(p, grid, dW, public, monkeypatch) == (3, 7)
 
-    def test_earliest_step_and_lowest_path_named(self, grid, monkeypatch):
+    @pytest.mark.parametrize("public", [False, True])
+    def test_earliest_step_and_lowest_path_named(self, grid, monkeypatch,
+                                                 public):
         # path 0 overflows at step 12, paths 4 and 2 at step 5
         p = scalar_game(C=1e300)
         dW = np.zeros((grid.n_steps, 5))
         dW[11, 0] = dW[4, 4] = dW[4, 2] = 1e10
-        monkeypatch.setattr(evaluation, "brownian_increments",
-                            lambda seed, n, grid: dW)
-        zero = ControlLaw.constant([0.0])
-        assert divergence(simulate, p, zero, zero, [1.0], grid, 5, 0) \
-            == (2, 5)
+        assert self._diverged_at(p, grid, dW, public, monkeypatch) == (2, 5)
 
     def test_nan_state_is_a_divergence(self, grid):
         # drift 1e300 x - 1e300 x: 0 at x = 1, inf - inf = nan once one
