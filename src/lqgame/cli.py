@@ -456,7 +456,8 @@ def run(args) -> int:
                       f"{det.cross_error:.3e}")
 
     report = verify_saddle(problem, game, law, x, n_perturbations=5,
-                           n_paths=args.paths, seed=args.seed)
+                           n_paths=args.paths, seed=args.seed,
+                           sim_steps=config.n_steps)
     print(f"value analytic {report.value_analytic:.8g}, "
           f"Monte-Carlo {report.value_mc.mean:.8g} "
           f"+- {report.value_mc.std_error:.3g}")

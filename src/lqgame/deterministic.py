@@ -171,9 +171,7 @@ def equivalence_report(problem: GameProblem,
 
     cross = None
     if sol is not None and rep is not None:
-        cross = float(max(
-            np.linalg.norm(a - b)
-            for a, b in zip(rep.P_rep_nodes, sol.P_nodes)))
+        cross = float(_fro_norms(rep.P_rep_nodes - sol.P_nodes).max())
     return EquivalenceReport(certificate=cert, riccati=sol,
                              riccati_failure=sol_failure, rep=rep,
                              rep_failure=rep_failure, cross_error=cross)

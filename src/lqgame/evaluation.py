@@ -1,11 +1,10 @@
 """Monte-Carlo evaluation of the game: component-major Euler--Maruyama path
-simulation (one contiguous row of paths per state and control component)
-that steps in two node slabs with one stacked product per node, advances a
-run by segments of nodes from its states and cost and prices each path
-inside its stepping loop, keeping only each path's cost, on a Brownian draw
-shared by the runs of one seed and size; empirical saddle verification
-with common random numbers, its runs advanced together block by block; an
-exact discrete-time oracle, and the lower-value falsifier."""
+simulation that steps a stack of runs, tile of paths by tile of paths, with
+one product per node for the base run and one for all its deviations, and
+prices each path inside its stepping loop, keeping only each path's cost,
+on a Brownian draw shared by the runs of one seed and size; empirical saddle
+verification with common random numbers; an exact discrete-time oracle, and
+the lower-value falsifier."""
 
 from __future__ import annotations
 
@@ -187,87 +186,142 @@ def _quadratic_form(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return s
 
 
+# bytes of one tile's node slabs, product and costs, for all its runs: a
+# tile stays in a core's L2 cache, so a larger game gets a narrower tile
+# (1 MiB stepped the saddle check faster than 768 KiB or 2 MiB)
+_TILE_BYTES = 1 << 20
+
+
+def _tiles(n_paths: int, path_bytes: int) -> list[tuple[int, int]]:
+    """The path ranges (t0, t1) of the tiles, at ``path_bytes`` per path: as
+    many multiples of 64 paths as fit in `_TILE_BYTES`, at least 64; a
+    remainder under 64 paths joins the last tile."""
+    width = max(64, _TILE_BYTES // path_bytes // 64 * 64)
+    starts = list(range(0, n_paths, width))
+    if len(starts) > 1 and n_paths - starts[-1] < 64:
+        del starts[-1]
+    return list(zip(starts, starts[1:] + [n_paths]))
+
+
 class _Stepper:
-    """Vectorized Euler--Maruyama over an ensemble, component-major: node k
-    of all paths is the slab ``z = (x; u1; u2)`` of shape (d, n_paths), one
-    contiguous row per component.  ``KM`` is the problem's `_step_table` on
-    ``grid``; ``dW`` holds the increments time-major, (n_steps, n_paths), as
-    `brownian_increments` returns them.
+    """Vectorized Euler--Maruyama over a stack of runs on one draw ``dW``,
+    time-major (n_steps, n_paths) as `brownian_increments` returns it.  The
+    base run's controls are the callables ``u1_fn`` and ``u2_fn``, (step k,
+    states (n, w)) -> controls (m, w).  A deviation's controls at node k are
+    the base run's, with row k of its direction added to one player's;
+    ``directions`` holds player 1's and player 2's, shaped (n_nodes, m1, J1)
+    and (n_nodes, m2, J2).  `simulate` gives none: a stack of one.
 
-    A run steps in two slabs, the current and the next node, and each node
-    takes one product ``KM[k] @ z`` into one buffer, whose row blocks are
-    the drift, the diffusion and ``M z``.  The slabs and the buffer belong
-    to the stepper and serve every run it advances, one segment of nodes at
-    a time: a run between segments is only its states and its cost."""
+    The paths go tile by tile (`_tiles`), each over every node before the
+    next.  On a tile of w paths, node k of the stack is the slab ``z = (x;
+    u1; u2)`` of shape (d, 1 + J, w), the base run first: a contiguous row
+    of w paths per component and run.  The stack steps in two slabs, the
+    current and the next node, and node k takes the product ``KM[k] @ z``
+    (``KM`` the problem's `_step_table`) into one buffer, whose row blocks
+    are the drift, the diffusion and ``M z``, in two parts: the base run's
+    (d, w) slab, stepped as `simulate` steps it, and the deviations' (d, J *
+    w).  Every other operation of a step acts on the whole stack."""
 
-    def __init__(self, problem: GameProblem, KM: np.ndarray, grid: TimeGrid,
-                 dW: np.ndarray):
-        self.problem, self.KM, self.grid, self.dW = problem, KM, grid, dW
-        self.slabs = np.empty((2, KM.shape[2], dW.shape[1]))
-        self.Y = np.empty((KM.shape[1], dW.shape[1]))
+    def __init__(self, problem: GameProblem, grid: TimeGrid, dW: np.ndarray,
+                 u1_fn, u2_fn, directions=()):
+        self.problem, self.grid, self.dW = problem, grid, dW
+        self.KM = list(_step_table(problem, grid))
+        self.u_fns = (u1_fn, u2_fn)
+        # each player's directions by node, (m, J_i, 1) over a tile's paths
+        self.directions = [list(V[..., None]) for V in directions]
+        self.J1 = directions[0].shape[2] if directions else 0
+        self.runs = 1 + sum(V.shape[2] for V in directions)
+        # a tile's two node slabs, product and costs, in rows of w paths a run
+        self.rows = 3 * self.KM[0].shape[1] + 2 * problem.n + 1
+        self.tiles = _tiles(dW.shape[1], 8 * self.rows * self.runs)
+        self.buffer = np.empty(self.rows * self.runs
+                               * max(t1 - t0 for t0, t1 in self.tiles))
 
-    def advance(self, u1_fn, u2_fn, X0, cost, k0: int, k1: int,
-                controls: np.ndarray | None = None,
-                test_each_step: bool = False) -> np.ndarray:
-        """Advance a run over nodes k0 .. k1 - 1, k1 <= n_nodes, from its
-        states ``X0`` at node k0 ((n, n_paths), or (n, 1) for a shared
-        start).  Controls are callables (step, states (n, n_paths)) ->
-        controls (m, n_paths).  Node k's running cost z'Mz times its
-        trapezoid weight (dt/2 at the two end nodes, dt inside) is added to
-        ``cost``, node by node; at k1 = n_nodes the terminal term x'Gx
-        follows.  Node k's control rows ``(u1; u2)`` are copied into
-        ``controls[k - k0]`` when ``controls`` is given.  Returns the states
-        at node k1, or at the last node for k1 = n_nodes: a view of a slab,
-        which the next call overwrites.  With ``test_each_step``, raises
-        SimulationDiverged at the first step whose states are not all
-        finite, naming the lowest such path."""
-        problem, grid, KM, dW, Y = (self.problem, self.grid, self.KM,
-                                    self.dW, self.Y)
-        n, m1 = problem.n, problem.m1
-        dt = grid.dt
-        slabs = self.slabs
-        slabs[k0 % 2, :n] = X0
-        # one errstate for the whole segment, since entering it costs more
-        # than a step at small ensembles
+    def run(self, x: np.ndarray) -> np.ndarray:
+        """Each run's cost per path from the start state ``x``, shaped (1 +
+        J, n_paths), the base run first.  A tile whose last states are not
+        all finite (a state entry that is not finite stays so) is repeated
+        with a test after each step.  After every tile, SimulationDiverged
+        names the first run that diverged, at its first such step and, at
+        that step, its lowest path, as each run stepped whole would."""
+        costs = np.empty((self.runs, self.dW.shape[1]))
+        first = [None] * self.runs      # each run's first (step, path)
+        for t0, t1 in self.tiles:
+            if not self._tile(x, costs[:, t0:t1], t0, t1):
+                self._tile(x, costs[:, t0:t1], t0, t1, first)
+        for hit in first:
+            if hit is not None:
+                raise SimulationDiverged(hit[1], hit[0])
+        return costs
+
+    def _tile(self, x, cost, t0: int, t1: int, first=None) -> bool:
+        """Step paths t0 .. t1 - 1 of every run and write their costs into
+        ``cost``: node by node from 0, z'Mz times the trapezoid weight (dt/2
+        at the two end nodes, dt inside), then x'Gx.  Returns whether the
+        last states are all finite; with ``first``, records in it each run's
+        first step whose states are not and its lowest such path."""
+        problem, KM, dW = self.problem, self.KM, list(self.dW[:, t0:t1])
+        n, m1, d = problem.n, problem.m1, KM[0].shape[1]
+        R, w, dt, last = self.runs, t1 - t0, self.grid.dt, self.grid.n_steps
+        buf = self.buffer[:self.rows * R * w]
+        slabs = buf[:2 * d * R * w].reshape(2, d, R, w)
+        Y = buf[2 * d * R * w:-R * w].reshape(2 * n + d, R, w)
+        acc = buf[-R * w:]
+        acc[:] = 0.0
+        drift, noise = Y[:n], Y[n:2 * n]
+        running = Y.reshape(2 * n + d, R * w)[2 * n:]
+        # the product's two parts, the base run's and the deviations'
+        products = [Y[:, 0]] + [Y[:, 1:].reshape(2 * n + d, -1)] * (R > 1)
+        # per node slab: the stack by rows, its states, the base run's
+        # states and control rows, each part's slab, and the deviations'
+        # control blocks: (base rows, directions added or None, block)
+        nodes = []
+        for Z in slabs:
+            base, parts, controls = Z[:, 0], [Z[:, 0]], []
+            if R > 1:
+                parts.append(Z[:, 1:].reshape(d, -1))
+                J1, (V1, V2) = 1 + self.J1, self.directions
+                b1, b2 = base[n:n + m1, None], base[n + m1:, None]
+                controls = [(b1, V1, Z[n:n + m1, 1:J1]),
+                            (b1, None, Z[n:n + m1, J1:]),
+                            (b2, None, Z[n + m1:, 1:J1]),
+                            (b2, V2, Z[n + m1:, J1:])]
+            nodes.append((Z.reshape(d, R * w), Z[:n], base[:n],
+                          base[n:n + m1], base[n + m1:], parts, controls))
+        nodes[0][1][...] = x[:, None, None]
+        u1_fn, u2_fn = self.u_fns
+        # one errstate for the whole tile, since entering it costs more than
+        # a step at small ensembles
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(k0, k1):
-                Z = slabs[k % 2]
-                X = Z[:n]
-                Z[n:n + m1] = u1_fn(k, X)
-                Z[n + m1:] = u2_fn(k, X)
-                if controls is not None:
-                    controls[k - k0] = Z[n:]
-                np.matmul(KM[k], Z, out=Y)
-                if k < grid.n_steps:
-                    X_next = slabs[(k + 1) % 2, :n]
-                    np.multiply(dt, Y[:n], out=X_next)
+            for k in range(last + 1):
+                Z, X, x_base, u1, u2, parts, controls = nodes[k % 2]
+                u1[...] = u1_fn(k, x_base)
+                u2[...] = u2_fn(k, x_base)
+                for rows, V, out in controls:
+                    if V is None:
+                        out[...] = rows
+                    else:
+                        np.add(rows, V[k], out=out)
+                for z, y in zip(parts, products):
+                    np.matmul(KM[k], z, out=y)
+                if k < last:
+                    X_next = nodes[(k + 1) % 2][1]
+                    np.multiply(dt, drift, out=X_next)
                     X_next += X
-                    noise = Y[n:2 * n]
                     noise *= dW[k]
                     X_next += noise
-                    if test_each_step and not _all_finite(X_next):
+                    if first is not None and not _all_finite(X_next):
                         bad = ~np.isfinite(X_next).all(axis=0)
-                        raise SimulationDiverged(int(np.argmax(bad)), k + 1)
-                ell = _quadratic_form(Y[2 * n:], Z)
-                ell *= 0.5 * dt if k in (0, grid.n_steps) else dt
-                cost += ell
-            if k1 > grid.n_steps:
-                cost += _quadratic_form(problem.cost.G @ X, X)
-                return X
-        return slabs[k1 % 2, :n]
-
-    def checked(self, u1_fn, u2_fn, X0, cost, k0: int, k1: int,
-                controls: np.ndarray | None = None) -> np.ndarray:
-        """`advance`, with divergence tested once, on the states it ends
-        on: a state entry that is not finite stays so through every later
-        step, so a segment that ends finite had none.  A segment that fails
-        that test is repeated from ``X0`` with a test after each step, which
-        raises SimulationDiverged naming the run's first such step and, at
-        that step, the lowest path."""
-        end = self.advance(u1_fn, u2_fn, X0, cost, k0, k1, controls)
-        if not _all_finite(end):
-            self.advance(u1_fn, u2_fn, X0, cost, k0, k1, test_each_step=True)
-        return end
+                        for r in np.flatnonzero(bad.any(axis=1)):
+                            hit = (k + 1, t0 + int(np.argmax(bad[r])))
+                            first[r] = min(first[r] or hit, hit)
+                ell = _quadratic_form(running, Z)
+                ell *= 0.5 * dt if k in (0, last) else dt
+                acc += ell
+            for z, c in zip(parts, (acc[:w], acc[w:])):
+                c += _quadratic_form(problem.cost.G @ z[:n], z[:n])
+        cost[...] = acc.reshape(R, w)
+        return _all_finite(X)
 
 
 def _all_finite(X: np.ndarray) -> bool:
@@ -292,19 +346,14 @@ def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
     """Simulate the controlled SDE on an ensemble of Brownian paths, pricing
     each path as it is stepped.
 
-    Each step operates on contiguous length-``n_paths`` rows, one per state
-    and control component, and reads row k of the time-major increments.
-    The run is one `_Stepper` segment over every node, which keeps its two
-    node slabs and each path's cost and records no row.  Raises
-    ContractViolation unless n_paths is an integer >= 1, seed one >= 0 and
-    the start state ``x`` a finite vector of length n, and
-    SimulationDiverged naming the first step and, at that step, the lowest
-    path whose state is not finite."""
+    The run is a `_Stepper` stack of one, which keeps each path's cost and
+    records no row.  Raises ContractViolation unless n_paths is an integer
+    >= 1, seed one >= 0 and the start state ``x`` a finite vector of length
+    n, and SimulationDiverged naming the first step and, at that step, the
+    lowest path whose state is not finite."""
     x, dW = _draw(problem, u1, u2, x, grid, n_paths, seed)
-    costs = np.zeros(n_paths)
-    _Stepper(problem, _step_table(problem, grid), grid, dW).checked(
-        u1.as_callable(grid), u2.as_callable(grid), x[:, None], costs, 0,
-        grid.n_steps + 1)
+    costs = _Stepper(problem, grid, dW, u1.as_callable(grid),
+                     u2.as_callable(grid)).run(x)[0]
     return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed,
                         increments=dW.T, costs=costs, u1=u1, u2=u2)
 
@@ -338,23 +387,6 @@ def perturbation_directions(seed: int, count: int, grid: TimeGrid,
     return out
 
 
-# the nodes each verify_saddle run advances before the next run takes its
-# turn: the base run keeps this many nodes' control rows, which is all the
-# deviations read of it; a run's per-step work does not depend on it
-_BLOCK_NODES = 16
-
-
-def _replay(saddle, player: int, v: np.ndarray, k0: int = 0):
-    """Control callables that replay the saddle controls, each of shape
-    (nodes, m, n_paths) with node k0 first, with the deterministic direction
-    ``v`` of shape (n_nodes, m) added to one player's control at every
-    step."""
-    fns = [lambda k, X, U=U: U[k - k0] for U in saddle]
-    U = saddle[player]
-    fns[player] = lambda k, X: U[k - k0] + v[k][:, None]
-    return fns
-
-
 def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
                   x, n_perturbations: int, n_paths: int, seed: int,
                   sim_steps: int = 200) -> SaddleReport:
@@ -362,62 +394,30 @@ def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
     deviations with the same Brownian increments (common random numbers) and
     report the perturbation-gap statistics against 3 standard errors.
 
-    The saddle controls become open-loop processes, replayed per path with
-    a deterministic direction added to one player's process.  All runs
-    advance together, `_BLOCK_NODES` nodes at a time: the base run steps a
-    block and records that block's control rows, one (block, m1 + m2,
-    n_paths) history, and each deviation then steps the same block from its
-    own states, replaying those rows, where node k's controls are
-    contiguous (m, n_paths) rows.  Between blocks a run keeps only its
-    states and its running cost.  The runs share one draw of the
-    increments, one `_step_table` and one `_Stepper`'s node slabs.
-
-    Divergence is tested at each block's end.  The base run's raises at
-    once; a deviation's is held until the base run has finished, and the
-    first deviation that diverged is named, as if each run went whole in
-    turn.  Raises ContractViolation unless n_perturbations is an integer >=
-    1 and sim_steps one >= 2, before anything is drawn."""
+    The saddle controls become open-loop processes: a deviation's controls
+    are the base run's on the same path at the same node, with a
+    deterministic direction added to one player's.  The base run, stepped
+    as `simulate` steps it, and all 2 * n_perturbations deviations are one
+    `_Stepper` stack on one draw of the increments; between tiles a run
+    keeps only its costs.  Raises ContractViolation unless n_perturbations
+    is an integer >= 1, sim_steps one >= 2 and ``sol`` a game-kind
+    solution, before anything is drawn."""
     _check_integer(n_perturbations, "n_perturbations", 1)
     _check_integer(sim_steps, "sim_steps", 2)
+    value = game_value(sol, x)
     grid = TimeGrid(problem.horizon_T, sim_steps)
-    m1 = problem.m1
     feedback = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
     x0, dW = _draw(problem, *feedback, x, grid, n_paths, seed)
-    step = _Stepper(problem, _step_table(problem, grid), grid, dW)
-    base = [c.as_callable(grid) for c in feedback]
-    deviations = [(player, v) for player, m in enumerate((m1, problem.m2))
-                  for v in perturbation_directions(seed + 1 + player,
-                                                   n_perturbations, grid, m)]
-    # each run's states at the next block's first node and its cost so
-    # far, the base run first
-    states = [np.repeat(x0[:, None], n_paths, axis=1)
-              for _ in range(len(deviations) + 1)]
-    costs = [np.zeros(n_paths) for _ in states]
-    Ub = np.empty((_BLOCK_NODES, m1 + problem.m2, n_paths))
-    saddle = (Ub[:, :m1], Ub[:, m1:])
-    diverged = {}
-    n_nodes = sim_steps + 1
-    for k0 in range(0, n_nodes, _BLOCK_NODES):
-        k1 = min(k0 + _BLOCK_NODES, n_nodes)
-        states[0][...] = step.checked(*base, states[0], costs[0], k0, k1, Ub)
-        for j, (player, v) in enumerate(deviations, 1):
-            if j in diverged:
-                continue
-            try:
-                states[j][...] = step.checked(
-                    *_replay(saddle, player, v, k0), states[j], costs[j], k0,
-                    k1)
-            except SimulationDiverged as err:
-                diverged[j] = err
-    if diverged:
-        raise diverged[min(diverged)]
-
-    gaps = ([], [])
-    for (player, _), cost in zip(deviations, costs[1:]):
-        gaps[player].append(_estimate(cost - costs[0]))
-    return SaddleReport(
-        value_analytic=game_value(sol, x), value_mc=_estimate(costs[0]),
-        gaps_player1=gaps[0], gaps_player2=gaps[1])
+    directions = [np.stack(perturbation_directions(
+        seed + 1 + player, n_perturbations, grid, m), axis=2)
+        for player, m in enumerate((problem.m1, problem.m2))]
+    costs = _Stepper(problem, grid, dW,
+                     *(c.as_callable(grid) for c in feedback),
+                     directions).run(x0)
+    gaps = [[_estimate(cost - costs[0]) for cost in block]
+            for block in np.split(costs[1:], 2)]
+    return SaddleReport(value_analytic=value, value_mc=_estimate(costs[0]),
+                        gaps_player1=gaps[0], gaps_player2=gaps[1])
 
 
 def discrete_oracle(problem: GameProblem, x, N: int):

@@ -315,6 +315,18 @@ class TestCommands:
                      "--paths", "2000", "--seed", "3"]) == 0
         assert "verdict: PASS" in capsys.readouterr().out
 
+    def test_verify_steps_the_simulate_grid(self, capsys, rand_file):
+        # verify and simulate both step --steps Euler steps on one draw, so
+        # simulate's closed-loop cost is verify's Monte-Carlo mean, as text
+        argv = ["--problem", rand_file, "--steps", "400", "--paths", "300",
+                "--seed", "1"]
+        assert main(["simulate"] + argv) == 0
+        sim = re.search(r"^closed-loop cost (\S+) ",
+                        capsys.readouterr().out, re.M)
+        main(["verify"] + argv)
+        ver = re.search(r"Monte-Carlo (\S+) ", capsys.readouterr().out)
+        assert sim and ver and sim.group(1) == ver.group(1)
+
     def test_reproducibility_header(self, capsys, rand_file):
         main(["certify", "--problem", rand_file, "--steps", "200",
               "--seed", "9"])

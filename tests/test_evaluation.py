@@ -15,7 +15,7 @@ from lqgame import (
 )
 from lqgame.core import _eig_extremes, _solve, coefficients, sym
 from lqgame import evaluation
-from lqgame.evaluation import _Stepper, _estimate, _replay, _step_table
+from lqgame.evaluation import _Stepper, _estimate, _step_table, _tiles
 from conftest import random_game, scalar_game
 
 
@@ -33,29 +33,54 @@ def ensemble_bytes(problem, n_paths, n_steps, rows):
 
 
 def whole_run(problem, grid, dW, u1_fn, u2_fn, x):
-    """One run over every node, the `_Stepper` segment `simulate` makes,
-    with the two control callables wrapped to record node k's rows z = (x;
-    u1; u2), which the stepper does not keep; the repeat of a diverged run
-    writes the same k again.  Returns those rows, shaped (n_nodes, d,
-    n_paths), and each path's cost."""
-    n, m1 = problem.n, problem.m1
-    Zh = np.empty((grid.n_steps + 1, n + m1 + problem.m2, dW.shape[1]))
-
-    def u1_kept(k, X):
-        U = u1_fn(k, X)
-        Zh[k, :n], Zh[k, n:n + m1] = X, U
-        return U
-
-    def u2_kept(k, X):
-        U = u2_fn(k, X)
-        Zh[k, n + m1:] = U
-        return U
-
+    """One run over every node on all the paths of ``dW`` at once, by the
+    formulas `_Stepper` steps, with no tile, stack or second slab: the
+    per-run reference.  Records node k's rows z = (x; u1; u2) and returns
+    them, shaped (n_nodes, d, n_paths), and each path's cost, added node by
+    node as the stepper adds it; raises SimulationDiverged at the first step
+    whose states are not all finite, naming the lowest such path."""
+    n, m1, last = problem.n, problem.m1, grid.n_steps
+    KM = _step_table(problem, grid)
+    Zh = np.empty((last + 1, n + m1 + problem.m2, dW.shape[1]))
+    Zh[0, :n] = np.array(x, float)[:, None]
     cost = np.zeros(dW.shape[1])
-    _Stepper(problem, _step_table(problem, grid), grid, dW).checked(
-        u1_kept, u2_kept, np.array(x, float)[:, None], cost, 0,
-        grid.n_steps + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, Z in enumerate(Zh):
+            Z[n:n + m1], Z[n + m1:] = u1_fn(k, Z[:n]), u2_fn(k, Z[:n])
+            Y = KM[k] @ Z
+            if k < last:
+                Zh[k + 1, :n] = grid.dt * Y[:n] + Z[:n] + Y[n:2 * n] * dW[k]
+                bad = ~np.isfinite(Zh[k + 1, :n]).all(axis=0)
+                if bad.any():
+                    raise SimulationDiverged(int(np.argmax(bad)), k + 1)
+            cost += _row_sum(Y[2 * n:] * Z) * (
+                grid.dt / 2 if k in (0, last) else grid.dt)
+        X = Zh[-1, :n]
+        cost += _row_sum((problem.cost.G @ X) * X)
     return Zh, cost
+
+
+def replay(saddle, player, v):
+    """Control callables that replay the saddle controls, each of shape
+    (n_nodes, m, n_paths), with the direction ``v`` of shape (n_nodes, m)
+    added to one player's control at every step."""
+    fns = [lambda k, X, U=U: U[k] for U in saddle]
+    U = saddle[player]
+    fns[player] = lambda k, X: U[k] + v[k][:, None]
+    return fns
+
+
+def stacked_deviations(problem, grid, dW, saddle, deviations, x):
+    """Each deviation's cost per path, shaped (J, n_paths), from one
+    `whole_run` over the paths of all J deviations side by side, each
+    replaying the saddle controls with its direction added: the untiled
+    stacked reference."""
+    J, n_paths = len(deviations), dW.shape[1]
+    fns = [lambda k, X, i=i: np.concatenate(
+        [saddle[i][k] + v[k][:, None] if player == i else saddle[i][k]
+         for player, v in deviations], axis=1) for i in (0, 1)]
+    return whole_run(problem, grid, np.tile(dW, J), *fns, x)[1].reshape(
+        J, n_paths)
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -177,10 +202,13 @@ class TestBrownianIncrements:
 class TestSimulate:
     def test_zero_dynamics_state_constant(self, grid):
         p = scalar_game()
-        zero = ControlLaw.constant([0.0]).as_callable(grid)
-        Zh, _ = whole_run(p, grid, brownian_increments(0, 5, grid), zero,
-                          zero, [3.0])
+        zero = ControlLaw.constant([0.0])
+        Zh, cost = whole_run(p, grid, brownian_increments(0, 5, grid),
+                             zero.as_callable(grid), zero.as_callable(grid),
+                             [3.0])
         assert np.all(Zh[:, 0] == 3.0)
+        ens = simulate(p, zero, zero, [3.0], grid, 5, 0)
+        assert ens.costs.tobytes() == cost.tobytes()
 
     def test_ensemble_fields(self):
         # an ensemble keeps each path's cost and its draw, no path rows
@@ -220,8 +248,8 @@ class TestSimulate:
     @pytest.mark.parametrize("kind", ["feedback", "constant"])
     def test_paths_are_the_loop_rows(self, rand_problem, cfg400, grid,
                                      n_paths, kind):
-        # the ensemble's costs are those of one stepper run over every node
-        # on its draw, which it holds past a draw with another key
+        # the ensemble's costs are those of the per-run reference on its
+        # draw, which it holds past a draw with another key
         p = rand_problem
         if kind == "feedback":
             law = feedback_gain(p, solve_riccati(p, cfg400, "game"))
@@ -282,15 +310,20 @@ class TestSimulate:
     def _diverged_at(p, grid, dW, public, monkeypatch):
         """The (path, step) a zero-control run of ``p`` on the increments
         ``dW`` names: through the public `simulate` on a fixed draw, or
-        through one stepper run over every node."""
+        through a `_Stepper` stack of one; the per-run reference must name
+        the same."""
+        zero = ControlLaw.constant([0.0])
+        fns = [zero.as_callable(grid)] * 2
+        ref = divergence(whole_run, p, grid, dW, *fns, [1.0])
         if public:
             monkeypatch.setattr(evaluation, "brownian_increments",
                                 lambda seed, n, grid: dW)
-            zero = ControlLaw.constant([0.0])
-            return divergence(simulate, p, zero, zero, [1.0], grid,
-                              dW.shape[1], 0)
-        zero = ControlLaw.constant([0.0]).as_callable(grid)
-        return divergence(whole_run, p, grid, dW, zero, zero, [1.0])
+            got = divergence(simulate, p, zero, zero, [1.0], grid,
+                             dW.shape[1], 0)
+        else:
+            got = divergence(_Stepper(p, grid, dW, *fns).run, np.ones(1))
+        assert got == ref
+        return got
 
     @pytest.mark.parametrize("public", [False, True])
     def test_divergence_names_path_and_step(self, grid, monkeypatch, public):
@@ -321,28 +354,41 @@ class TestSimulate:
             return X
 
         assert divergence(whole_run, p, grid, dW, same, same, [1.0]) == (3, 8)
+        assert divergence(_Stepper(p, grid, dW, same, same).run,
+                          np.ones(1)) == (3, 8)
 
     def test_divergence_in_a_deviation_replay(self, grid):
-        # finite saddle controls of 1e10 on path 3 at node 9 and on path 2
-        # at node 5, through B1 = 1e300, overflow the next step's state
-        p = scalar_game(B1=1e300)
-        U1 = np.zeros((grid.n_steps + 1, 1, 4))
-        U1[9, 0, 3] = U1[5, 0, 2] = 1e10
-        saddle = (U1, np.zeros_like(U1))
-        v = np.zeros((grid.n_steps + 1, 1))
-        dW = brownian_increments(0, 4, grid)
-        assert divergence(whole_run, p, grid, dW, *_replay(saddle, 0, v),
-                          [1.0]) == (2, 6)
+        # the saddle controls are 0; the second player-1 deviation's
+        # direction of 1e5 at nodes 5 and 8, through D1 = 1e300, overflows
+        # the next step's state where the increment is 1e10: path 3 at step
+        # 9 and path 2 at step 6
+        p = scalar_game(D1=1e300)
+        dW = np.zeros((grid.n_steps, 4))
+        dW[8, 3] = dW[5, 2] = 1e10
+        V1 = np.zeros((grid.n_steps + 1, 1, 2))
+        V1[[5, 8], 0, 1] = 1e5
+        V2 = np.zeros((grid.n_steps + 1, 1, 1))
+        zero = ControlLaw.constant([0.0]).as_callable(grid)
+        stack = _Stepper(p, grid, dW, zero, zero, (V1, V2))
+        assert divergence(stack.run, np.ones(1)) == (2, 6)
+        saddle = (np.zeros((grid.n_steps + 1, 1, 4)),) * 2
+        assert divergence(whole_run, p, grid, dW,
+                          *replay(saddle, 0, V1[:, :, 1]), [1.0]) == (2, 6)
 
-    def test_large_finite_states_are_not_a_divergence(self):
+    def test_large_finite_states_are_not_a_divergence(self, monkeypatch):
         # two finite states of 1.2e308 overflow their sum, not the state
         grid = TimeGrid(1.0, 10)
         dW = np.zeros((grid.n_steps, 3))
         dW[2, 1:] = 1.2e308
-        zero = ControlLaw.constant([0.0]).as_callable(grid)
+        zero = ControlLaw.constant([0.0])
         p = scalar_game(C=1.0)
-        Zh, _ = whole_run(p, grid, dW, zero, zero, [1.0])
+        Zh, cost = whole_run(p, grid, dW, zero.as_callable(grid),
+                             zero.as_callable(grid), [1.0])
         assert np.array_equal(Zh[-1, 0], [1.0, 1.2e308, 1.2e308])
+        monkeypatch.setattr(evaluation, "brownian_increments",
+                            lambda seed, n, grid: dW)
+        ens = simulate(p, zero, zero, [1.0], grid, 3, 0)
+        assert ens.costs.tobytes() == cost.tobytes()
 
 
 def _row_sum(W):
@@ -435,46 +481,63 @@ class TestSaddleReport:
         assert r.verdict == "FAIL"
 
 
+@pytest.fixture
+def tile64(monkeypatch):
+    """Tiles of 64 paths: a tile budget below one path's buffers."""
+    monkeypatch.setattr(evaluation, "_TILE_BYTES", 1)
+
+
+@pytest.fixture(scope="module")
+def saddle_law(rand_problem, cfg400):
+    """The game solution of ``rand_problem`` and its feedback law."""
+    sol = solve_riccati(rand_problem, cfg400, "game")
+    return sol, feedback_gain(rand_problem, sol)
+
+
 class TestDeviationReplay:
     @pytest.mark.parametrize("n_paths", [1, 64, 500])
-    def test_cost_only_run_matches_history_run(self, rand_problem, cfg400,
+    def test_cost_only_run_matches_history_run(self, rand_problem, saddle_law,
                                                grid, n_paths):
-        sol = solve_riccati(rand_problem, cfg400, "game")
-        law = feedback_gain(rand_problem, sol)
-        x = np.ones(rand_problem.n)
-        n, m1 = rand_problem.n, rand_problem.m1
+        # a deviation of the stack is the base run's control rows replayed
+        # with its direction added to one player's: a whole run of those
+        # rows, priced after from its rows, costs what the stack's deviation
+        # costs; below 4 paths, what the untiled stacked reference's costs
+        p, (_, law) = rand_problem, saddle_law
+        x = np.ones(p.n)
+        n, m1 = p.n, p.m1
         dW = brownian_increments(3, n_paths, grid)
         fns = [ControlLaw.from_feedback(law, i, grid).as_callable(grid)
                for i in (1, 2)]
-        Zh, base = whole_run(rand_problem, grid, dW, *fns, x)
-        # the control rows the stepper records, as verify_saddle's base run
-        # does, are the recorded rows, and recording changes no cost
-        U = np.empty((grid.n_steps + 1, m1 + rand_problem.m2, n_paths))
-        cost = np.zeros(n_paths)
-        _Stepper(rand_problem, _step_table(rand_problem, grid), grid,
-                 dW).checked(*fns, x[:, None], cost, 0, grid.n_steps + 1, U)
-        assert U.tobytes() == np.ascontiguousarray(Zh[:, n:]).tobytes()
-        assert cost.tobytes() == base.tobytes()
-        saddle = (U[:, :m1], U[:, m1:])
-        for player in (0, 1):
-            v = perturbation_directions(player, 1, grid,
-                                        saddle[player].shape[1])[0]
-            hist, full = whole_run(rand_problem, grid, dW,
-                                   *_replay(saddle, player, v), x)
-            ref = reference_costs(rand_problem, grid, hist)
-            assert full.tobytes() == ref.tobytes()
+        Zh, base = whole_run(p, grid, dW, *fns, x)
+        saddle = (Zh[:, n:n + m1], Zh[:, n + m1:])
+        deviations = [(player, perturbation_directions(
+            player, 1, grid, saddle[player].shape[1])[0]) for player in (0, 1)]
+        costs = _Stepper(p, grid, dW, *fns,
+                         [v[:, :, None] for _, v in deviations]).run(x)
+        assert costs[0].tobytes() == base.tobytes()
+        whole = []
+        for player, v in deviations:
+            hist, full = whole_run(p, grid, dW, *replay(saddle, player, v), x)
+            assert full.tobytes() == reference_costs(p, grid, hist).tobytes()
             controls = (hist[:, n:n + m1], hist[:, n + m1:])
             assert np.array_equal(controls[player],
                                   saddle[player] + v[:, :, None])
             assert np.array_equal(controls[1 - player], saddle[1 - player])
+            whole.append(full)
+        if n_paths < 4:
+            whole = stacked_deviations(p, grid, dW, saddle, deviations, x)
+        assert costs[1:].tobytes() == np.array(whole).tobytes()
 
 
 def unblocked_verify(problem, sol, law, x, n_perturbations, n_paths, seed,
                      sim_steps):
     """verify_saddle as one whole base run that keeps every node's control
-    rows, then each deviation run whole in turn: the reference the blocked
-    replay must equal bit for bit, a SimulationDiverged's path and step
-    included."""
+    rows, then each deviation run whole in turn, replaying them: the
+    per-run reference the tiled stack must equal bit for bit, a
+    SimulationDiverged's path and step included.  Below 4 paths the
+    deviations are the untiled stacked reference instead, whose products,
+    as the stack's, take every deviation's paths at once: a product of 1 to
+    3 columns need not round as one of more columns does."""
     grid = TimeGrid(problem.horizon_T, sim_steps)
     n, m1 = problem.n, problem.m1
     dW = evaluation.brownian_increments(seed, n_paths, grid)
@@ -482,13 +545,17 @@ def unblocked_verify(problem, sol, law, x, n_perturbations, n_paths, seed,
            for i in (1, 2)]
     Zh, base = whole_run(problem, grid, dW, *fns, x)
     saddle = (Zh[:, n:n + m1], Zh[:, n + m1:])
-    gaps = ([], [])
-    for player, m in enumerate((m1, problem.m2)):
-        for v in perturbation_directions(seed + 1 + player, n_perturbations,
-                                         grid, m):
-            costs = whole_run(problem, grid, dW, *_replay(saddle, player, v),
-                              x)[1]
-            gaps[player].append(_estimate(costs - base))
+    deviations = [(player, v) for player, m in enumerate((m1, problem.m2))
+                  for v in perturbation_directions(seed + 1 + player,
+                                                   n_perturbations, grid, m)]
+    if n_paths < 4:
+        costs = stacked_deviations(problem, grid, dW, saddle, deviations, x)
+    else:
+        costs = np.array([whole_run(problem, grid, dW,
+                                    *replay(saddle, player, v), x)[1]
+                          for player, v in deviations])
+    gaps = [[_estimate(cost - base) for cost in block]
+            for block in np.split(costs, 2)]
     return SaddleReport(value_analytic=game_value(sol, x),
                         value_mc=_estimate(base), gaps_player1=gaps[0],
                         gaps_player2=gaps[1])
@@ -501,37 +568,74 @@ def divergence(fn, *args):
     return exc.value.path, exc.value.step
 
 
+class TestTiles:
+    def test_tiles_of_64_paths(self, tile64):
+        def widths(n_paths):
+            return [t1 - t0 for t0, t1 in _tiles(n_paths, 1)]
+
+        # a remainder under 64 paths joins the last tile
+        assert _tiles(4, 1) == [(0, 4)]
+        assert widths(65) == [65] and widths(128) == [64, 64]
+        assert widths(500) == [64] * 6 + [116]
+        assert widths(777) == [64] * 11 + [73]
+
+    @pytest.mark.parametrize("path_bytes", [8, 1408, 2904, 10 ** 6])
+    def test_tiles_fit_the_budget(self, path_bytes):
+        tiles = _tiles(10_000, path_bytes)
+        assert [t0 for t0, _ in tiles[1:]] == [t1 for _, t1 in tiles[:-1]]
+        assert tiles[0][0] == 0 and tiles[-1][1] == 10_000
+        width = tiles[0][1] - tiles[0][0]
+        assert width % 64 == 0 or len(tiles) == 1
+        assert (width * path_bytes <= evaluation._TILE_BYTES
+                or width == 64)
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 3, 65, 777])
+    def test_simulate_is_the_saddle_base(self, rand_problem, saddle_law,
+                                         grid, tile64, n_paths):
+        # simulate steps its stack of one as the saddle check steps its
+        # base run, tile by tile, and as the per-run reference steps it
+        p, (sol, law) = rand_problem, saddle_law
+        x = np.linspace(-1.0, 1.0, p.n)
+        laws = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
+        fns = [u.as_callable(grid) for u in laws]
+        ens = simulate(p, *laws, x, grid, n_paths, 6)
+        dW = brownian_increments(6, n_paths, grid)
+        directions = [np.stack(perturbation_directions(7 + i, 2, grid, m),
+                               axis=2) for i, m in enumerate((p.m1, p.m2))]
+        stack = _Stepper(p, grid, dW, *fns, directions).run(x)
+        assert ens.costs.tobytes() == stack[0].tobytes()
+        assert ens.costs.tobytes() == whole_run(p, grid, dW, *fns,
+                                                x)[1].tobytes()
+        report = verify_saddle(p, sol, law, x, 2, n_paths, 6)
+        assert report.value_mc == estimate_cost(p, ens)
+
+
 class TestVerifySaddle:
-    def test_random_instance_passes(self, rand_problem, cfg400):
-        sol = solve_riccati(rand_problem, cfg400, "game")
-        law = feedback_gain(rand_problem, sol)
+    def test_random_instance_passes(self, rand_problem, saddle_law):
+        sol, law = saddle_law
         report = verify_saddle(rand_problem, sol, law, np.ones(rand_problem.n),
                                n_perturbations=3, n_paths=2000, seed=5)
         assert report.verdict == "PASS"
         assert all(g.mean >= -3 * g.std_error for g in report.gaps_player1)
         assert all(g.mean <= 3 * g.std_error for g in report.gaps_player2)
 
-    def test_base_controls_are_not_copied(self, rand_problem, cfg400):
-        # the base run records one block's control rows and the deviations
-        # replay them; between blocks each of the 1 + 2 runs keeps its
-        # states and cost: the peak stays below those rows and the
-        # increments plus the slack
-        sol = solve_riccati(rand_problem, cfg400, "game")
-        law = feedback_gain(rand_problem, sol)
-        p, n_paths = rand_problem, 2000
+    def test_base_controls_are_not_copied(self, rand_problem, saddle_law):
+        # no run keeps a control or state row between tiles: the peak stays
+        # below the increments, the 1 + 2 cost rows, the tile budget and 1
+        # MiB for the step table, the directions and a step's temporaries
+        (sol, law), p, n_paths = saddle_law, rand_problem, 2000
         peak = traced_peak(verify_saddle, p, sol, law, np.ones(p.n),
                            n_perturbations=1, n_paths=n_paths, seed=5)
-        rows = evaluation._BLOCK_NODES * (p.m1 + p.m2) + 3 * (p.n + 1)
-        assert peak < ensemble_bytes(p, n_paths, 200, rows)
+        bound = 8 * n_paths * (200 + 3) + evaluation._TILE_BYTES + 2 ** 20
+        assert peak < bound
 
     @pytest.mark.parametrize("name,value", [
         ("n_perturbations", 0), ("n_perturbations", -1),
         ("n_perturbations", 1.5), ("n_perturbations", True),
         ("sim_steps", 1), ("sim_steps", 2.0), ("sim_steps", True)])
-    def test_bad_count_refused_before_draw(self, rand_problem, cfg400,
+    def test_bad_count_refused_before_draw(self, rand_problem, saddle_law,
                                            monkeypatch, name, value):
-        sol = solve_riccati(rand_problem, cfg400, "game")
-        law = feedback_gain(rand_problem, sol)
+        sol, law = saddle_law
 
         def draw(*args):
             raise AssertionError("increments drawn")
@@ -543,10 +647,26 @@ class TestVerifySaddle:
             verify_saddle(rand_problem, sol, law, np.ones(rand_problem.n),
                           n_paths=4, seed=0, **counts)
 
-    def test_matches_copied_controls_reference(self, rand_problem, cfg400):
+    @pytest.mark.parametrize("kind", ["player1", "player2"])
+    def test_non_game_solution_refused_before_draw(self, rand_problem,
+                                                   cfg400, saddle_law,
+                                                   monkeypatch, kind):
+        # the solution's kind is checked before anything is drawn or run
+        law = saddle_law[1]
+        other = solve_riccati(rand_problem, cfg400, kind)
+
+        def draw(*args):
+            raise AssertionError("increments drawn")
+
+        monkeypatch.setattr(evaluation, "brownian_increments", draw)
+        with pytest.raises(ContractViolation, match="game-kind solution"):
+            verify_saddle(rand_problem, other, law, np.ones(rand_problem.n),
+                          n_perturbations=1, n_paths=10_000, seed=0)
+
+    def test_matches_copied_controls_reference(self, rand_problem,
+                                               saddle_law):
         # the reference replays contiguous copies of the base controls
-        sol = solve_riccati(rand_problem, cfg400, "game")
-        law = feedback_gain(rand_problem, sol)
+        sol, law = saddle_law
         x, seed, grid = np.ones(rand_problem.n), 5, TimeGrid(1.0, 200)
         n, m1 = rand_problem.n, rand_problem.m1
         fns = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
@@ -560,7 +680,7 @@ class TestVerifySaddle:
         for player, m in enumerate((m1, rand_problem.m2)):
             for v in perturbation_directions(seed + 1 + player, 2, grid, m):
                 costs = whole_run(rand_problem, grid, dW,
-                                  *_replay(saddle, player, v), x)[1]
+                                  *replay(saddle, player, v), x)[1]
                 gaps[player].append(_estimate(costs - base.costs))
         ref = SaddleReport(value_analytic=game_value(sol, x),
                            value_mc=_estimate(base.costs),
@@ -570,24 +690,21 @@ class TestVerifySaddle:
         # repr spells each float exactly, so equal reprs are equal bits
         assert repr(report) == repr(ref)
 
-    @pytest.mark.parametrize("n_paths", [1, 64, 500])
-    @pytest.mark.parametrize("sim_steps", [
-        37, 12, evaluation._BLOCK_NODES - 1, evaluation._BLOCK_NODES])
-    def test_blocks_match_unblocked_reference(self, rand_problem, cfg400,
-                                              n_paths, sim_steps):
-        # 38 nodes end in a short block, 13 fit in one, B fill one, and
-        # B + 1 end in a block of one node
-        assert 12 + 1 < evaluation._BLOCK_NODES
-        assert (37 + 1) % evaluation._BLOCK_NODES != 0
-        sol = solve_riccati(rand_problem, cfg400, "game")
-        law = feedback_gain(rand_problem, sol)
+    @pytest.mark.parametrize("n_paths", [1, 2, 3, 4, 64, 500, 777])
+    @pytest.mark.parametrize("sim_steps", [200, 37, 12, 15, 16])
+    def test_blocks_match_unblocked_reference(self, rand_problem, saddle_law,
+                                              tile64, n_paths, sim_steps):
+        # tiles of 64 paths: 500 paths make 6 tiles and a last one of 116,
+        # 777 make 11 and a last one of 73, a remainder of 9 merged; from 4
+        # paths on, the reference runs each deviation whole in turn
+        sol, law = saddle_law
         args = (rand_problem, sol, law, np.linspace(-1.0, 1.0, rand_problem.n),
                 2, n_paths, 6, sim_steps)
         # repr spells each float exactly, so equal reprs are equal bits
         assert repr(verify_saddle(*args)) == repr(unblocked_verify(*args))
 
     @staticmethod
-    def _noise_game(monkeypatch, cfg400, C, D1, D2, kicks, n_paths=6):
+    def _noise_game(monkeypatch, cfg400, C, D1, D2, kicks, n_paths=200):
         """A scalar game whose P and feedback gains are 0, so the base run's
         controls are 0 and its state moves only by C x dW, while a player's
         deviation adds D v dW; the increments are 0 but for ``kicks``, a map
@@ -604,24 +721,28 @@ class TestVerifySaddle:
         return (p, sol, law, [1.0], 2, n_paths, 0, 200)
 
     def test_deviation_divergence_in_a_later_block(self, monkeypatch,
-                                                   cfg400):
-        # player 2's deviations overflow at step 41 on path 2, player 1's at
-        # step 150 on path 3 (inside a later block); as when each run goes
-        # whole in turn, the first deviation, player 1's, is named
+                                                   cfg400, tile64):
+        # tiles of 64 paths: player 2's deviations overflow at step 41 on
+        # path 2; player 1's at step 150 on path 3, in the first tile, and at
+        # step 101 on path 70, in the second.  As when each run goes whole
+        # in turn, the first deviation, player 1's, is named at its first
+        # such step
         args = self._noise_game(monkeypatch, cfg400, C=0.0, D1=1e290,
                                 D2=1e300, kicks={(40, 2): 1e15,
-                                                 (149, 3): 1e25})
-        assert divergence(verify_saddle, *args) == (3, 150)
-        assert divergence(unblocked_verify, *args) == (3, 150)
+                                                 (149, 3): 1e25,
+                                                 (100, 70): 1e25})
+        assert divergence(verify_saddle, *args) == (70, 101)
+        assert divergence(unblocked_verify, *args) == (70, 101)
 
-    def test_base_divergence_named_first(self, monkeypatch, cfg400):
-        # player 1's deviations overflow at step 21 on path 1, the base run
-        # (and every run) at step 151 on path 4: the base run is named
+    def test_base_divergence_named_first(self, monkeypatch, cfg400, tile64):
+        # tiles of 64 paths: player 1's deviations overflow at step 21 on
+        # path 1, in the first tile, the base run (and every run) at step
+        # 151 on path 100, in the second: the base run is named
         args = self._noise_game(monkeypatch, cfg400, C=10.0, D1=1e300,
                                 D2=0.0, kicks={(20, 1): 1e15,
-                                               (150, 4): 1e308})
-        assert divergence(verify_saddle, *args) == (4, 151)
-        assert divergence(unblocked_verify, *args) == (4, 151)
+                                               (150, 100): 1e308})
+        assert divergence(verify_saddle, *args) == (100, 151)
+        assert divergence(unblocked_verify, *args) == (100, 151)
 
     def test_perturbation_directions_unit_norm(self, grid):
         for v in perturbation_directions(0, 4, grid, 2):
