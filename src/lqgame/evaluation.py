@@ -297,11 +297,13 @@ class _Stepper:
                 Z, X, x_base, u1, u2, parts, controls = nodes[k % 2]
                 u1[...] = u1_fn(k, x_base)
                 u2[...] = u2_fn(k, x_base)
+                # a copy, then the direction added in place: adding the
+                # paths' rows to a stride-0 direction into ``out`` in one
+                # call ran at a quarter of the speed
                 for rows, V, out in controls:
-                    if V is None:
-                        out[...] = rows
-                    else:
-                        np.add(rows, V[k], out=out)
+                    out[...] = rows
+                    if V is not None:
+                        out += V[k]
                 for z, y in zip(parts, products):
                     np.matmul(KM[k], z, out=y)
                 if k < last:
