@@ -24,7 +24,8 @@ from .core import (
 )
 from .deterministic import equivalence_report
 from .evaluation import (
-    ControlLaw, estimate_cost, falsify_lower_value, simulate, verify_saddle,
+    ControlLaw, _constant_sweep, estimate_cost, falsify_lower_value, simulate,
+    verify_saddle,
 )
 from .fixtures import EXAMPLE_NAMES, example_problem
 from .riccati import (
@@ -494,19 +495,13 @@ def run_example(name: str, args) -> int:
         return EXIT_OK
 
     if name == "ex5_2":
-        zeros1 = ControlLaw.constant(np.zeros(1))
-        ens = simulate(problem, zeros1, ControlLaw.constant(np.zeros(1)),
-                       x, grid, 1, args.seed)
-        cost0 = estimate_cost(problem, ens).mean
-        print(f"J(x; 0, 0) = {cost0:.10g} = x^2 exactly (no noise when u2=0), "
-              f"so V+ <= x^2")
-        lows = []
-        for k in range(3):
-            u1 = ControlLaw.constant([float(k)])
-            est = estimate_cost(problem, simulate(
-                problem, u1, ControlLaw.constant(np.zeros(1)), x, grid, 1,
-                args.seed))
-            lows.append(est.mean)
+        # J(x; k, 0) for k = 0, 1, 2 on one path's draw, the zero-control
+        # base run first
+        base, lows, _ = _constant_sweep(problem, x, grid, 1, args.seed,
+                                        [1.0, 2.0], [])
+        print(f"J(x; 0, 0) = {base.mean:.10g} = x^2 exactly (no noise when "
+              f"u2=0), so V+ <= x^2")
+        lows = [est.mean for est in [base, *lows]]
         print(f"J(x; u1, 0) samples {['%.4g' % v for v in lows]} all >= 0, "
               f"consistent with V- >= 0")
         try:
@@ -531,23 +526,18 @@ def run_example(name: str, args) -> int:
         print(f"cost trend over lambda: {trend} -> lower value unbounded below")
         return EXIT_OK
 
-    # ex3_2: one-sided value bounds by direct simulation
-    zeros = ControlLaw.constant(np.zeros(1))
+    # ex3_2: one-sided value bounds by direct simulation, J(x; 0, k) for k =
+    # 1, 2, 3 and J(x; k, 0) for k = 0, 1, 2, on one draw; the zero-control
+    # base run is J(x; 0, 0)
     x0 = float(x[0])
-    uppers = []
-    for k in range(1, 4):
-        u2 = ControlLaw.constant([float(k)])
-        est = estimate_cost(problem, simulate(problem, zeros, u2, x, grid,
-                                              args.paths, args.seed))
-        uppers.append(est)
+    base, lowers, uppers = _constant_sweep(problem, x, grid, args.paths,
+                                           args.seed, [1.0, 2.0],
+                                           [1.0, 2.0, 3.0])
+    lowers = [base, *lowers]
+    for k, est in enumerate(uppers, 1):
         print(f"J(x; 0, {k}) = {est.mean:.6g} +- {est.std_error:.3g} "
               f"(x^2 = {x0 * x0:g})")
-    lowers = []
-    for k in range(3):
-        u1 = ControlLaw.constant([float(k)])
-        est = estimate_cost(problem, simulate(problem, u1, zeros, x, grid,
-                                              args.paths, args.seed))
-        lowers.append(est)
+    for k, est in enumerate(lowers):
         print(f"J(x; {k}, 0) = {est.mean:.6g} +- {est.std_error:.3g} (>= 0)")
     ok = all(e.mean <= x0 * x0 + 3 * e.std_error for e in uppers) and \
         all(e.mean >= -3 * e.std_error for e in lowers)

@@ -1,8 +1,9 @@
 """Monte-Carlo evaluation of the game: component-major Euler--Maruyama path
 simulation that steps a stack of runs, tile of paths by tile of paths, with
 one product per node for the base run and one for all its deviations, and
-prices each path inside its stepping loop, keeping only each path's cost,
-on a Brownian draw shared by the runs of one seed and size; empirical saddle
+prices each path inside its stepping loop, keeping only each path's cost;
+each tile draws its own Brownian increments, block by block of paths, a
+chunk of nodes at a time, and nothing of the draw is kept; empirical saddle
 verification with common random numbers; an exact discrete-time oracle, and
 the lower-value falsifier."""
 
@@ -73,30 +74,34 @@ class ControlLaw:
         return self.value.shape[0]
 
     def as_callable(self, grid: TimeGrid):
-        """(step k, states (n, n_paths)) -> controls (m, n_paths)."""
+        """(step k, states (n, n_paths), out=None) -> controls (m, n_paths),
+        written into ``out`` when it is given."""
         if self.kind == "feedback":
             if self.gains.shape[0] != grid.n_steps + 1:
                 raise ContractViolation("feedback gains not sampled on this grid")
             gains = self.gains
-            return lambda k, X: gains[k] @ X
+            return lambda k, X, out=None: np.matmul(gains[k], X, out=out)
         value = self.value[:, None]
-        return lambda k, X: np.broadcast_to(value, (value.shape[0], X.shape[1]))
+
+        def constant(k, X, out=None):
+            if out is None:
+                return np.broadcast_to(value, (value.shape[0], X.shape[1]))
+            out[...] = value
+            return out
+        return constant
 
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """A simulated ensemble's payoffs with their seed record, so the
-    identical Brownian increments can be reused across control variants.
-    Each path's payoff is priced by `simulate` inside its stepping loop, and
-    no state or control row is kept.  `increments` is a transposed view of
-    the time-major ``(n_steps, n_paths)`` array `brownian_increments` draws,
-    the read-only draw that every run of the same seed and size shares; the
-    ensemble holds it, so it outlives a later draw with another key."""
+    """A simulated ensemble's payoffs with their seed record: a run on the
+    same seed, grid and size draws the identical Brownian increments, so
+    another control variant can be priced on the same paths.  Each path's
+    payoff is priced by `simulate` inside its stepping loop, and no state,
+    control or increment row is kept."""
 
     grid: TimeGrid
     n_paths: int
     seed: int
-    increments: np.ndarray   # (n_paths, n_steps), read-only
     costs: np.ndarray        # (n_paths,) terminal plus running cost
     u1: ControlLaw
     u2: ControlLaw
@@ -130,49 +135,71 @@ class SaddleReport:
         self.verdict = "PASS" if ok else "FAIL"
 
 
-# the last draw of `brownian_increments`: (key, read-only increments)
-_last_draw = None
+# paths per block of the draw: paths 64b .. 64b + 63 come from child b of
+# SeedSequence(seed), so a tile, a multiple of 64 paths, draws its own blocks
+_BLOCK = 64
+# nodes per chunk of a tile's draw (8 or 50 stepped the saddle check slower)
+_CHUNK = 16
+
+
+def _draw(seed: int, grid: TimeGrid, t0: int, t1: int, out: np.ndarray):
+    """Yield the increments dW_k ~ N(0, dt) of paths t0 .. t1 - 1, t0 a
+    multiple of 64, up to ``len(out)`` steps at a time from step 0: each
+    chunk a view of ``out``, shaped (steps, t1 - t0), that the next
+    overwrites.
+
+    Block b of paths is drawn by its own generator, from child b of
+    ``SeedSequence(seed)``, step-major: step k of its 64 paths, then step k
+    + 1.  A partial last block draws 64 paths and uses the first.  Drawn in
+    chunks of any size, a generator's numbers are those of one call, so
+    the draw of a path depends on neither the tile, the chunk size nor the
+    number of paths.  This is the one draw function of the module: the
+    stepper and `brownian_increments` call it."""
+    scale = np.sqrt(grid.dt)
+    blocks = [(b * _BLOCK - t0, np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(b,))))
+        for b in range(t0 // _BLOCK, -(-t1 // _BLOCK))]
+    # a block's standard normals; scaled, they are what Generator.normal(0,
+    # scale) returns, bit for bit
+    normals = np.empty((len(out), _BLOCK))
+    for k0 in range(0, grid.n_steps, len(out)):
+        chunk = out[:grid.n_steps - k0]
+        block = normals[:len(chunk)]
+        for p0, rng in blocks:
+            rng.standard_normal(out=block)
+            np.multiply(block[:, :t1 - t0 - p0], scale,
+                        out=chunk[:, p0:p0 + _BLOCK])
+        yield chunk
 
 
 def brownian_increments(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
-    """Increments dW_k ~ N(0, dt), time-major, shaped (n_steps, n_paths),
-    read-only.
+    """Increments dW_k ~ N(0, dt), time-major, shaped (n_steps, n_paths):
+    the whole draw that `simulate` and `verify_saddle` make tile by tile.
 
-    Row k, step k of every path, is drawn from child k of
-    ``SeedSequence(seed)``, so the draw is independent of evaluation order
-    and the first paths of an ensemble do not change when more are
-    requested.  The last draw is kept, keyed by (seed, n_paths, horizon_T,
-    n_steps), and a call with that key returns the same array: `simulate`
-    and `verify_saddle` on one seed and size draw once.  So one draw of
-    n_steps * n_paths doubles stays alive after the call; a call with
-    another key lets go of it before drawing.  Raises ContractViolation
-    unless seed is an integer >= 0 and n_paths one >= 1."""
-    global _last_draw
+    Paths 64b .. 64b + 63 are drawn from child b of ``SeedSequence(seed)``,
+    step-major, so the draw is independent of evaluation order and the
+    first paths of an ensemble do not change when more are requested.
+    Nothing is kept: each call draws anew.  Raises ContractViolation unless
+    seed is an integer >= 0 and n_paths one >= 1."""
     _check_integer(seed, "seed", 0)
     _check_integer(n_paths, "n_paths", 1)
-    key = (int(seed), int(n_paths), float(grid.horizon_T), grid.n_steps)
-    last = _last_draw
-    if last is not None and last[0] == key:
-        return last[1]
-    # drop every reference to the kept draw before the new one is made
-    _last_draw = last = None
-    scale = np.sqrt(grid.dt)
-    dW = np.empty((grid.n_steps, n_paths))
-    for k, child in enumerate(np.random.SeedSequence(seed).spawn(grid.n_steps)):
-        dW[k] = np.random.default_rng(child).normal(0.0, scale, n_paths)
-    dW.flags.writeable = False
-    _last_draw = (key, dW)
+    dW, = _draw(seed, grid, 0, n_paths, np.empty((grid.n_steps, n_paths)))
     return dW
 
 
 def _step_table(problem: GameProblem, grid: TimeGrid) -> np.ndarray:
-    """Per node, the (2n + d, d) matrix ``[[A, B], [C, D], [Q, S'], [S,
-    R]]`` whose product with z = (x; u1; u2) stacks the drift, the diffusion
-    and ``M z``, where z'Mz is the running cost; shaped (n_nodes, 2n + d,
-    d)."""
+    """Per node k, the (2n + d, d) matrix ``[[I + dt A, dt B], [C, D],
+    [w_k Q, w_k S'], [w_k S, w_k R]]`` whose product with z = (x; u1; u2)
+    stacks the state moved by the drift over a step, the diffusion and ``w_k
+    M z``, where z'Mz is the running cost and w_k node k's trapezoid weight
+    (dt/2 at the two end nodes, dt inside); shaped (n_nodes, 2n + d, d)."""
     t = coefficients(problem, grid.nodes)
-    return np.block([[t.A, t.B], [t.C, t.D],
-                     [t.Q, t.S.swapaxes(1, 2)], [t.S, t.R]])
+    dt = grid.dt
+    weight = np.full((grid.n_steps + 1, 1, 1), dt)
+    weight[[0, -1]] = 0.5 * dt
+    return np.block([[np.eye(problem.n) + dt * t.A, dt * t.B], [t.C, t.D],
+                     [weight * t.Q, weight * t.S.swapaxes(1, 2)],
+                     [weight * t.S, weight * t.R]])
 
 
 def _quadratic_form(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -186,10 +213,11 @@ def _quadratic_form(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return s
 
 
-# bytes of one tile's node slabs, product and costs, for all its runs: a
-# tile stays in a core's L2 cache, so a larger game gets a narrower tile
-# (1 MiB stepped the saddle check faster than 768 KiB or 2 MiB)
-_TILE_BYTES = 1 << 20
+# bytes of one tile's node slabs, product and costs, for all its runs, and
+# of its chunk of increments: a tile stays in a core's L2 cache, so a larger
+# game gets a narrower tile (2 MiB stepped the saddle check faster than 1
+# MiB or 3 MiB)
+_TILE_BYTES = 2 << 20
 
 
 def _tiles(n_paths: int, path_bytes: int) -> list[tuple[int, int]]:
@@ -204,47 +232,53 @@ def _tiles(n_paths: int, path_bytes: int) -> list[tuple[int, int]]:
 
 
 class _Stepper:
-    """Vectorized Euler--Maruyama over a stack of runs on one draw ``dW``,
-    time-major (n_steps, n_paths) as `brownian_increments` returns it.  The
-    base run's controls are the callables ``u1_fn`` and ``u2_fn``, (step k,
-    states (n, w)) -> controls (m, w).  A deviation's controls at node k are
-    the base run's, with row k of its direction added to one player's;
+    """Vectorized Euler--Maruyama over a stack of runs on the draw of
+    ``seed`` for ``n_paths`` paths, the increments `brownian_increments`
+    returns.  The base run's controls are the callables ``u1_fn`` and
+    ``u2_fn``, (step k, states (n, w), out (m, w)) -> None, which write the
+    controls into ``out``.  A deviation's controls at node k are the base
+    run's, with row k of its direction added to one player's;
     ``directions`` holds player 1's and player 2's, shaped (n_nodes, m1, J1)
     and (n_nodes, m2, J2).  `simulate` gives none: a stack of one.
 
     The paths go tile by tile (`_tiles`), each over every node before the
-    next.  On a tile of w paths, node k of the stack is the slab ``z = (x;
-    u1; u2)`` of shape (d, 1 + J, w), the base run first: a contiguous row
-    of w paths per component and run.  The stack steps in two slabs, the
-    current and the next node, and node k takes the product ``KM[k] @ z``
-    (``KM`` the problem's `_step_table`) into one buffer, whose row blocks
-    are the drift, the diffusion and ``M z``, in two parts: the base run's
-    (d, w) slab, stepped as `simulate` steps it, and the deviations' (d, J *
-    w).  Every other operation of a step acts on the whole stack."""
+    next, and each tile draws its own increments, `_CHUNK` nodes at a time
+    (`_draw`).  On a tile of w paths, node k of the stack is the slab ``z =
+    (x; u1; u2)`` of shape (d, 1 + J, w), the base run first: a contiguous
+    row of w paths per component and run.  The stack steps in two slabs,
+    the current and the next node, and node k takes the product ``KM[k] @
+    z`` (``KM`` the problem's `_step_table`) into one buffer, whose row
+    blocks are the state moved by the drift over the step, the diffusion
+    and the weighted ``M z``, in two parts: the base run's (d, w) slab,
+    stepped as `simulate` steps it, and the deviations' (d, J * w).  Every
+    other operation of a step acts on the whole stack."""
 
-    def __init__(self, problem: GameProblem, grid: TimeGrid, dW: np.ndarray,
-                 u1_fn, u2_fn, directions=()):
-        self.problem, self.grid, self.dW = problem, grid, dW
+    def __init__(self, problem: GameProblem, grid: TimeGrid, seed: int,
+                 n_paths: int, u1_fn, u2_fn, directions=()):
+        self.problem, self.grid, self.seed = problem, grid, seed
+        self.n_paths = n_paths
         self.KM = list(_step_table(problem, grid))
         self.u_fns = (u1_fn, u2_fn)
         # each player's directions by node, (m, J_i, 1) over a tile's paths
         self.directions = [list(V[..., None]) for V in directions]
         self.J1 = directions[0].shape[2] if directions else 0
         self.runs = 1 + sum(V.shape[2] for V in directions)
-        # a tile's two node slabs, product and costs, in rows of w paths a run
+        # a tile's two node slabs, product and costs, in rows of w paths a
+        # run, then its chunk of increments
         self.rows = 3 * self.KM[0].shape[1] + 2 * problem.n + 1
-        self.tiles = _tiles(dW.shape[1], 8 * self.rows * self.runs)
-        self.buffer = np.empty(self.rows * self.runs
+        self.tiles = _tiles(n_paths, 8 * (self.rows * self.runs + _CHUNK))
+        self.buffer = np.empty((self.rows * self.runs + _CHUNK)
                                * max(t1 - t0 for t0, t1 in self.tiles))
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Each run's cost per path from the start state ``x``, shaped (1 +
         J, n_paths), the base run first.  A tile whose last states are not
-        all finite (a state entry that is not finite stays so) is repeated
-        with a test after each step.  After every tile, SimulationDiverged
-        names the first run that diverged, at its first such step and, at
-        that step, its lowest path, as each run stepped whole would."""
-        costs = np.empty((self.runs, self.dW.shape[1]))
+        all finite (a state entry that is not finite stays so) is repeated,
+        on the same draw, with a test after each step.  After every tile,
+        SimulationDiverged names the first run that diverged, at its first
+        such step and, at that step, its lowest path, as each run stepped
+        whole would."""
+        costs = np.empty((self.runs, self.n_paths))
         first = [None] * self.runs      # each run's first (step, path)
         for t0, t1 in self.tiles:
             if not self._tile(x, costs[:, t0:t1], t0, t1):
@@ -256,18 +290,23 @@ class _Stepper:
 
     def _tile(self, x, cost, t0: int, t1: int, first=None) -> bool:
         """Step paths t0 .. t1 - 1 of every run and write their costs into
-        ``cost``: node by node from 0, z'Mz times the trapezoid weight (dt/2
-        at the two end nodes, dt inside), then x'Gx.  Returns whether the
-        last states are all finite; with ``first``, records in it each run's
-        first step whose states are not and its lowest such path."""
-        problem, KM, dW = self.problem, self.KM, list(self.dW[:, t0:t1])
+        ``cost``: node by node from 0, the weighted z'Mz, then x'Gx.
+        Returns whether the last states are all finite; with ``first``,
+        records in it each run's first step whose states are not and its
+        lowest such path."""
+        problem, KM = self.problem, self.KM
         n, m1, d = problem.n, problem.m1, KM[0].shape[1]
-        R, w, dt, last = self.runs, t1 - t0, self.grid.dt, self.grid.n_steps
-        buf = self.buffer[:self.rows * R * w]
+        R, w, last = self.runs, t1 - t0, self.grid.n_steps
+        buf = self.buffer[:(self.rows * R + _CHUNK) * w]
         slabs = buf[:2 * d * R * w].reshape(2, d, R, w)
-        Y = buf[2 * d * R * w:-R * w].reshape(2 * n + d, R, w)
-        acc = buf[-R * w:]
+        end = self.rows * R * w        # the chunk of increments starts here
+        Y = buf[2 * d * R * w:end - R * w].reshape(2 * n + d, R, w)
+        acc = buf[end - R * w:end]
         acc[:] = 0.0
+        # the tile's increments, step by step, as its chunks are drawn
+        chunks = _draw(self.seed, self.grid, t0, t1,
+                       buf[end:].reshape(_CHUNK, w))
+        dW = (row for chunk in chunks for row in chunk)
         drift, noise = Y[:n], Y[n:2 * n]
         running = Y.reshape(2 * n + d, R * w)[2 * n:]
         # the product's two parts, the base run's and the deviations'
@@ -295,11 +334,11 @@ class _Stepper:
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(last + 1):
                 Z, X, x_base, u1, u2, parts, controls = nodes[k % 2]
-                u1[...] = u1_fn(k, x_base)
-                u2[...] = u2_fn(k, x_base)
-                # a copy, then the direction added in place: adding the
-                # paths' rows to a stride-0 direction into ``out`` in one
-                # call ran at a quarter of the speed
+                u1_fn(k, x_base, u1)
+                u2_fn(k, x_base, u2)
+                # a copy, then the direction added in place: one np.add of
+                # the rows and the stride-0 direction into ``out`` took 4.1
+                # us at 640 paths, these two 3.3 us
                 for rows, V, out in controls:
                     out[...] = rows
                     if V is not None:
@@ -308,18 +347,14 @@ class _Stepper:
                     np.matmul(KM[k], z, out=y)
                 if k < last:
                     X_next = nodes[(k + 1) % 2][1]
-                    np.multiply(dt, drift, out=X_next)
-                    X_next += X
-                    noise *= dW[k]
-                    X_next += noise
+                    np.multiply(noise, next(dW), out=X_next)
+                    X_next += drift
                     if first is not None and not _all_finite(X_next):
                         bad = ~np.isfinite(X_next).all(axis=0)
                         for r in np.flatnonzero(bad.any(axis=1)):
                             hit = (k + 1, t0 + int(np.argmax(bad[r])))
                             first[r] = min(first[r] or hit, hit)
-                ell = _quadratic_form(running, Z)
-                ell *= 0.5 * dt if k in (0, last) else dt
-                acc += ell
+                acc += _quadratic_form(running, Z)
             for z, c in zip(parts, (acc[:w], acc[w:])):
                 c += _quadratic_form(problem.cost.G @ z[:n], z[:n])
         cost[...] = acc.reshape(R, w)
@@ -333,14 +368,16 @@ def _all_finite(X: np.ndarray) -> bool:
         return np.isfinite(X.sum()) or np.isfinite(X).all()
 
 
-def _draw(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
-          grid: TimeGrid, n_paths: int, seed: int):
-    """Check an ensemble's control dimensions and start state, then draw
-    its increments (which checks its size); returns (x, increments)."""
+def _checked(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
+             n_paths: int, seed: int) -> np.ndarray:
+    """Check an ensemble's control dimensions, start state, seed and size;
+    returns the start state as a vector."""
     if u1.dim() != problem.m1 or u2.dim() != problem.m2:
         raise ContractViolation("control dimensions do not match the problem")
     x = _start_state(x, problem.n)
-    return x, brownian_increments(seed, n_paths, grid)
+    _check_integer(seed, "seed", 0)
+    _check_integer(n_paths, "n_paths", 1)
+    return x
 
 
 def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
@@ -348,16 +385,17 @@ def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
     """Simulate the controlled SDE on an ensemble of Brownian paths, pricing
     each path as it is stepped.
 
-    The run is a `_Stepper` stack of one, which keeps each path's cost and
-    records no row.  Raises ContractViolation unless n_paths is an integer
-    >= 1, seed one >= 0 and the start state ``x`` a finite vector of length
-    n, and SimulationDiverged naming the first step and, at that step, the
-    lowest path whose state is not finite."""
-    x, dW = _draw(problem, u1, u2, x, grid, n_paths, seed)
-    costs = _Stepper(problem, grid, dW, u1.as_callable(grid),
+    The run is a `_Stepper` stack of one, which draws the increments tile
+    by tile, keeps each path's cost and records no row.  Raises
+    ContractViolation unless n_paths is an integer >= 1, seed one >= 0 and
+    the start state ``x`` a finite vector of length n, and
+    SimulationDiverged naming the first step and, at that step, the lowest
+    path whose state is not finite."""
+    x = _checked(problem, u1, u2, x, n_paths, seed)
+    costs = _Stepper(problem, grid, seed, n_paths, u1.as_callable(grid),
                      u2.as_callable(grid)).run(x)[0]
-    return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed,
-                        increments=dW.T, costs=costs, u1=u1, u2=u2)
+    return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed, costs=costs,
+                        u1=u1, u2=u2)
 
 
 def _estimate(values: np.ndarray) -> CostEstimate:
@@ -400,20 +438,21 @@ def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
     are the base run's on the same path at the same node, with a
     deterministic direction added to one player's.  The base run, stepped
     as `simulate` steps it, and all 2 * n_perturbations deviations are one
-    `_Stepper` stack on one draw of the increments; between tiles a run
-    keeps only its costs.  Raises ContractViolation unless n_perturbations
-    is an integer >= 1, sim_steps one >= 2 and ``sol`` a game-kind
-    solution, before anything is drawn."""
+    `_Stepper` stack on one draw of the increments, which `simulate` on the
+    same seed and size draws too; between tiles a run keeps only its costs.
+    Raises ContractViolation unless n_perturbations is an integer >= 1,
+    sim_steps one >= 2 and ``sol`` a game-kind solution, before anything is
+    drawn."""
     _check_integer(n_perturbations, "n_perturbations", 1)
     _check_integer(sim_steps, "sim_steps", 2)
     value = game_value(sol, x)
     grid = TimeGrid(problem.horizon_T, sim_steps)
     feedback = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
-    x0, dW = _draw(problem, *feedback, x, grid, n_paths, seed)
+    x0 = _checked(problem, *feedback, x, n_paths, seed)
     directions = [np.stack(perturbation_directions(
         seed + 1 + player, n_perturbations, grid, m), axis=2)
         for player, m in enumerate((problem.m1, problem.m2))]
-    costs = _Stepper(problem, grid, dW,
+    costs = _Stepper(problem, grid, seed, n_paths,
                      *(c.as_callable(grid) for c in feedback),
                      directions).run(x0)
     gaps = [[_estimate(cost - costs[0]) for cost in block]
@@ -483,20 +522,38 @@ def discrete_oracle(problem: GameProblem, x, N: int):
     return float(x @ P @ x), gains
 
 
+def _constant_sweep(problem: GameProblem, x, grid: TimeGrid, n_paths: int,
+                    seed: int, levels1, levels2):
+    """Cost estimates of constant controls on one draw: the zero-control
+    base run, then player 1's controls lam * ones for lam in ``levels1``,
+    player 2's 0, then player 2's lam * ones for lam in ``levels2``, player
+    1's 0.  Each is a deviation of the base by the constant direction lam *
+    ones, so all are one `_Stepper` stack and the increments are drawn
+    once; returns (base, [player 1's], [player 2's])."""
+    zeros = [ControlLaw.constant(np.zeros(m))
+             for m in (problem.m1, problem.m2)]
+    x = _checked(problem, *zeros, x, n_paths, seed)
+    directions = [np.broadcast_to(np.asarray(levels, float),
+                                  (grid.n_steps + 1, m, len(levels)))
+                  for levels, m in ((levels1, problem.m1),
+                                    (levels2, problem.m2))]
+    costs = _Stepper(problem, grid, seed, n_paths,
+                     *(u.as_callable(grid) for u in zeros), directions).run(x)
+    estimates = [_estimate(c) for c in costs]
+    J1 = len(levels1)
+    return estimates[0], estimates[1:1 + J1], estimates[1 + J1:]
+
+
 def falsify_lower_value(problem: GameProblem, x, scalars, n_paths: int,
                         seed: int):
     """Cost table J(x; lam, 0) for constant player-1 controls lam * ones on
-    a 200-step grid.  The caller inspects the trend; unboundedness below is
-    never asserted.  Raises ContractViolation, before any simulation,
-    unless every scalar is finite."""
+    a 200-step grid, all stepped on one draw (`_constant_sweep`).  The
+    caller inspects the trend; unboundedness below is never asserted.
+    Raises ContractViolation, before any simulation, unless every scalar is
+    finite."""
     scalars = [float(lam) for lam in scalars]
     if not np.isfinite(scalars).all():
         raise ContractViolation("scalars must be finite")
     grid = TimeGrid(problem.horizon_T, 200)
-    u2 = ControlLaw.constant(np.zeros(problem.m2))
-    table = []
-    for lam in scalars:
-        u1 = ControlLaw.constant(lam * np.ones(problem.m1))
-        ens = simulate(problem, u1, u2, x, grid, n_paths, seed)
-        table.append((lam, estimate_cost(problem, ens)))
-    return table
+    _, table, _ = _constant_sweep(problem, x, grid, n_paths, seed, scalars, [])
+    return list(zip(scalars, table))

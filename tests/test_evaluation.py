@@ -15,7 +15,9 @@ from lqgame import (
 )
 from lqgame.core import _eig_extremes, _solve, coefficients, sym
 from lqgame import evaluation
-from lqgame.evaluation import _Stepper, _estimate, _step_table, _tiles
+from lqgame.evaluation import (
+    _Stepper, _constant_sweep, _estimate, _step_table, _tiles,
+)
 from conftest import random_game, scalar_game
 
 
@@ -24,18 +26,19 @@ def grid():
     return TimeGrid(1.0, 200)
 
 
-def ensemble_bytes(problem, n_paths, n_steps, rows):
-    """Bytes of ``rows`` kept rows of n_paths and the (n_steps, n_paths)
-    increments, plus a slack of 16 node slabs (d, n_paths) for the two node
-    slabs, a step's temporaries and the coefficient table."""
+def ensemble_bytes(problem, n_paths, rows):
+    """Bytes of ``rows`` kept rows of n_paths, plus a slack of 16 node slabs
+    (d, n_paths) for the two node slabs, a step's temporaries and the
+    coefficient table; no increments are kept."""
     d = problem.n + problem.m1 + problem.m2
-    return 8 * n_paths * (rows + n_steps + 16 * d)
+    return 8 * n_paths * (rows + 16 * d)
 
 
 def whole_run(problem, grid, dW, u1_fn, u2_fn, x):
     """One run over every node on all the paths of ``dW`` at once, by the
-    formulas `_Stepper` steps, with no tile, stack or second slab: the
-    per-run reference.  Records node k's rows z = (x; u1; u2) and returns
+    formulas `_Stepper` steps, with no tile, stack, second slab or chunked
+    draw: the per-run reference, fed the whole draw (`brownian_increments`
+    or a hand-made one).  Records node k's rows z = (x; u1; u2) and returns
     them, shaped (n_nodes, d, n_paths), and each path's cost, added node by
     node as the stepper adds it; raises SimulationDiverged at the first step
     whose states are not all finite, naming the lowest such path."""
@@ -46,15 +49,17 @@ def whole_run(problem, grid, dW, u1_fn, u2_fn, x):
     cost = np.zeros(dW.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         for k, Z in enumerate(Zh):
-            Z[n:n + m1], Z[n + m1:] = u1_fn(k, Z[:n]), u2_fn(k, Z[:n])
+            u1_fn(k, Z[:n], Z[n:n + m1])
+            u2_fn(k, Z[:n], Z[n + m1:])
+            # the table's rows: the state moved by the drift over the step,
+            # the diffusion and the trapezoid-weighted M z
             Y = KM[k] @ Z
             if k < last:
-                Zh[k + 1, :n] = grid.dt * Y[:n] + Z[:n] + Y[n:2 * n] * dW[k]
+                Zh[k + 1, :n] = Y[n:2 * n] * dW[k] + Y[:n]
                 bad = ~np.isfinite(Zh[k + 1, :n]).all(axis=0)
                 if bad.any():
                     raise SimulationDiverged(int(np.argmax(bad)), k + 1)
-            cost += _row_sum(Y[2 * n:] * Z) * (
-                grid.dt / 2 if k in (0, last) else grid.dt)
+            cost += _row_sum(Y[2 * n:] * Z)
         X = Zh[-1, :n]
         cost += _row_sum((problem.cost.G @ X) * X)
     return Zh, cost
@@ -64,10 +69,20 @@ def replay(saddle, player, v):
     """Control callables that replay the saddle controls, each of shape
     (n_nodes, m, n_paths), with the direction ``v`` of shape (n_nodes, m)
     added to one player's control at every step."""
-    fns = [lambda k, X, U=U: U[k] for U in saddle]
+    fns = [lambda k, X, out, U=U: np.copyto(out, U[k]) for U in saddle]
     U = saddle[player]
-    fns[player] = lambda k, X: U[k] + v[k][:, None]
+    fns[player] = lambda k, X, out: np.add(U[k], v[k][:, None], out=out)
     return fns
+
+
+def fixed_draw(monkeypatch, dW):
+    """Make the hand-made increments ``dW``, shaped (n_steps, n_paths), the
+    draw of every seed: the stepper's draw function yields a tile's columns
+    in one chunk, and `brownian_increments` returns ``dW``."""
+    monkeypatch.setattr(evaluation, "_draw",
+                        lambda seed, grid, t0, t1, out: iter([dW[:, t0:t1]]))
+    monkeypatch.setattr(evaluation, "brownian_increments",
+                        lambda seed, n, grid: dW)
 
 
 def stacked_deviations(problem, grid, dW, saddle, deviations, x):
@@ -76,9 +91,9 @@ def stacked_deviations(problem, grid, dW, saddle, deviations, x):
     replaying the saddle controls with its direction added: the untiled
     stacked reference."""
     J, n_paths = len(deviations), dW.shape[1]
-    fns = [lambda k, X, i=i: np.concatenate(
+    fns = [lambda k, X, out, i=i: np.concatenate(
         [saddle[i][k] + v[k][:, None] if player == i else saddle[i][k]
-         for player, v in deviations], axis=1) for i in (0, 1)]
+         for player, v in deviations], axis=1, out=out) for i in (0, 1)]
     return whole_run(problem, grid, np.tile(dW, J), *fns, x)[1].reshape(
         J, n_paths)
 
@@ -93,20 +108,14 @@ def traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-@pytest.fixture
-def spawns(monkeypatch):
-    """The `SeedSequence.spawn` calls made after an empty draw memo, one
-    entry per call."""
-    calls = []
-
-    class Counting(np.random.SeedSequence):
-        def spawn(self, n_children):
-            calls.append(n_children)
-            return super().spawn(n_children)
-
-    monkeypatch.setattr(np.random, "SeedSequence", Counting)
-    monkeypatch.setattr(evaluation, "_last_draw", None)
-    return calls
+def block_reference(seed, n_paths, grid):
+    """The whole draw by its definition: block b of 64 paths drawn whole,
+    (n_steps, 64), from child b of the seed, the blocks side by side and the
+    columns past n_paths dropped."""
+    children = np.random.SeedSequence(seed).spawn(-(-n_paths // 64))
+    return np.hstack([np.random.default_rng(c).normal(
+        0.0, np.sqrt(grid.dt), (grid.n_steps, 64))
+        for c in children])[:, :n_paths]
 
 
 class TestBrownianIncrements:
@@ -123,14 +132,15 @@ class TestBrownianIncrements:
         b = brownian_increments(42, 16, grid)
         assert np.array_equal(a, b[:, :4])
 
-    def test_step_k_is_child_k_of_the_seed(self, grid):
-        dW = brownian_increments(42, 8, grid)
-        assert dW.shape == (grid.n_steps, 8)
-        children = np.random.SeedSequence(42).spawn(grid.n_steps)
-        for k in (0, 1, grid.n_steps - 1):
-            row = np.random.default_rng(children[k]).normal(
-                0.0, np.sqrt(grid.dt), 8)
-            assert dW[k].tobytes() == row.tobytes()
+    def test_block_b_is_child_b_of_the_seed(self, grid):
+        # 130 paths: blocks 0 and 1 whole, the first 2 paths of block 2
+        dW = brownian_increments(42, 130, grid)
+        assert dW.shape == (grid.n_steps, 130)
+        children = np.random.SeedSequence(42).spawn(3)
+        for b, r in ((0, 64), (1, 64), (2, 2)):
+            block = np.random.default_rng(children[b]).normal(
+                0.0, np.sqrt(grid.dt), (grid.n_steps, 64))
+            assert np.array_equal(dW[:, 64 * b:64 * b + r], block[:, :r])
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
     def test_bad_seed_refused(self, grid, seed):
@@ -146,50 +156,47 @@ class TestBrownianIncrements:
         with pytest.raises(ContractViolation, match="n_paths"):
             brownian_increments(0, n_paths, grid)
 
-    def test_repeat_is_the_kept_read_only_draw(self, grid, spawns):
-        a = brownian_increments(42, 8, grid)
-        b = brownian_increments(42, 8, TimeGrid(1.0, 200))
-        assert b is a and len(spawns) == 1
-        with pytest.raises(ValueError, match="read-only"):
-            b[0, 0] = 1.0
-        assert a.tobytes() == brownian_increments(42, 8, grid).tobytes()
-
     @pytest.mark.parametrize("seed,n_paths,grid_args", [
         (43, 8, (1.0, 200)), (42, 9, (1.0, 200)), (42, 8, (1.0, 100)),
         (42, 8, (2.0, 200))])
-    def test_other_key_is_a_miss(self, grid, spawns, seed, n_paths,
-                                 grid_args):
+    def test_other_key_is_a_miss(self, grid, seed, n_paths, grid_args):
         a = brownian_increments(42, 8, grid)
         b = brownian_increments(seed, n_paths, TimeGrid(*grid_args))
-        assert len(spawns) == 2 and b.shape == (grid_args[1], n_paths)
+        assert b.shape == (grid_args[1], n_paths)
         assert b.tobytes() != a.tobytes()
-        # one draw is kept: the first key draws again
+        # nothing is kept: the first key draws again, the same numbers
         assert brownian_increments(42, 8, grid).tobytes() == a.tobytes()
-        assert len(spawns) == 3
 
-    def test_negative_zero_horizon_draws_as_zero(self, spawns):
+    def test_negative_zero_horizon_draws_as_zero(self):
         zero = brownian_increments(3, 4, TimeGrid(0.0, 10))
         neg = brownian_increments(3, 4, TimeGrid(-0.0, 10))
-        assert neg.tobytes() == zero.tobytes() and len(spawns) == 1
-        evaluation._last_draw = None
-        assert brownian_increments(3, 4, TimeGrid(-0.0, 10)).tobytes() \
-            == zero.tobytes()
-
-    def test_numpy_integer_seed_is_a_hit(self, grid, spawns):
-        a = brownian_increments(42, 8, grid)
-        assert brownian_increments(np.int64(42), np.int64(8), grid) is a
-        assert len(spawns) == 1
+        assert neg.tobytes() == zero.tobytes()
 
     @pytest.mark.parametrize("n_paths", [1, 64, 10_000])
     def test_matches_stacked_rows(self, grid, n_paths):
-        # the reference draws each step's row and stacks the list
-        ref = np.stack([
-            np.random.default_rng(c).normal(0.0, np.sqrt(grid.dt), n_paths)
-            for c in np.random.SeedSequence(7).spawn(grid.n_steps)])
+        ref = block_reference(7, n_paths, grid)
         dW = brownian_increments(7, n_paths, grid)
         assert dW.shape == ref.shape and dW.tobytes() == ref.tobytes()
         small = brownian_increments(7, 1, grid)
         assert small.tobytes() == np.ascontiguousarray(dW[:, :1]).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 16, 200])
+    @pytest.mark.parametrize("width", [64, 128, 320])
+    def test_tile_draws_are_the_whole_draw(self, grid, width, chunk):
+        # the stepper's tiles of ``width`` paths, drawn ``chunk`` steps at a
+        # time, are the columns of the whole draw; 333 paths end in a
+        # partial block of 13, and a tile of 64 paths may take 13 more
+        n_paths = 333
+        whole = brownian_increments(11, n_paths, grid)
+        tiles = list(zip(range(0, n_paths, width),
+                         [*range(width, n_paths, width), n_paths]))
+        tiles += [(256, 333)]
+        for t0, t1 in tiles:
+            out = np.empty((chunk, t1 - t0))
+            got = np.concatenate([c.copy() for c in evaluation._draw(
+                11, grid, t0, t1, out)])
+            assert got.tobytes() == np.ascontiguousarray(
+                whole[:, t0:t1]).tobytes()
 
     def test_ito_isometry(self, grid):
         dW = brownian_increments(0, 4000, grid)
@@ -211,9 +218,9 @@ class TestSimulate:
         assert ens.costs.tobytes() == cost.tobytes()
 
     def test_ensemble_fields(self):
-        # an ensemble keeps each path's cost and its draw, no path rows
+        # an ensemble keeps each path's cost, no path rows and no draw
         assert [f.name for f in dataclasses.fields(PathEnsemble)] == [
-            "grid", "n_paths", "seed", "increments", "costs", "u1", "u2"]
+            "grid", "n_paths", "seed", "costs", "u1", "u2"]
 
     def test_ex3_4_cost_closed_form(self, ex3_4, grid):
         # J(x; lam, 0) = -(x^2 + 2 lam x); exact since u2 = 0 kills the noise
@@ -248,8 +255,8 @@ class TestSimulate:
     @pytest.mark.parametrize("kind", ["feedback", "constant"])
     def test_paths_are_the_loop_rows(self, rand_problem, cfg400, grid,
                                      n_paths, kind):
-        # the ensemble's costs are those of the per-run reference on its
-        # draw, which it holds past a draw with another key
+        # the ensemble's costs are those of the per-run reference on the
+        # whole draw of its seed and size
         p = rand_problem
         if kind == "feedback":
             law = feedback_gain(p, solve_riccati(p, cfg400, "game"))
@@ -262,22 +269,16 @@ class TestSimulate:
         dW = brownian_increments(3, n_paths, grid)
         costs = whole_run(p, grid, dW, *(c.as_callable(grid) for c in u),
                           x)[1]
-        # a draw with another key replaces the kept one, not the ensemble's
-        other = brownian_increments(4, n_paths, grid)
-        held = np.ascontiguousarray(ens.increments)
-        assert held.shape == (n_paths, grid.n_steps)
-        assert held.tobytes() == np.ascontiguousarray(dW.T).tobytes()
-        assert held.tobytes() != np.ascontiguousarray(other.T).tobytes()
         assert ens.costs.tobytes() == costs.tobytes()
 
     def test_history_bounded(self, rand_problem, cfg400, grid):
-        # the ensemble records no row: the peak stays below the increments
-        # plus the slack
+        # the ensemble records no row and keeps no draw: the peak stays
+        # below the slack
         p, n_paths = rand_problem, 2000
         law = feedback_gain(p, solve_riccati(p, cfg400, "game"))
         u = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
         peak = traced_peak(simulate, p, *u, np.ones(p.n), grid, n_paths, 5)
-        assert peak < ensemble_bytes(p, n_paths, grid.n_steps, 0)
+        assert peak < ensemble_bytes(p, n_paths, 0)
 
     @pytest.mark.parametrize("value", [[np.nan], np.inf, [0.0, -np.inf],
                                        [[1.0, 2.0]]])
@@ -289,7 +290,7 @@ class TestSimulate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_state_refused(self, rand_problem, cfg400, grid,
                                             monkeypatch, bad):
-        # refused before the draw, which would replace the kept one
+        # refused before anything is drawn
         sol = solve_riccati(rand_problem, cfg400, "game")
         law = feedback_gain(rand_problem, sol)
         x = np.ones(rand_problem.n)
@@ -298,7 +299,7 @@ class TestSimulate:
         def draw(*args):
             raise AssertionError("increments drawn")
 
-        monkeypatch.setattr(evaluation, "brownian_increments", draw)
+        monkeypatch.setattr(evaluation, "_draw", draw)
         with pytest.raises(ContractViolation, match="start state x"):
             simulate(rand_problem, ControlLaw.from_feedback(law, 1, grid),
                      ControlLaw.from_feedback(law, 2, grid), x, grid, 4, 0)
@@ -308,20 +309,20 @@ class TestSimulate:
 
     @staticmethod
     def _diverged_at(p, grid, dW, public, monkeypatch):
-        """The (path, step) a zero-control run of ``p`` on the increments
-        ``dW`` names: through the public `simulate` on a fixed draw, or
-        through a `_Stepper` stack of one; the per-run reference must name
-        the same."""
+        """The (path, step) a zero-control run of ``p`` on the hand-made
+        increments ``dW`` names: through the public `simulate`, or through a
+        `_Stepper` stack of one; the per-run reference must name the
+        same."""
         zero = ControlLaw.constant([0.0])
         fns = [zero.as_callable(grid)] * 2
         ref = divergence(whole_run, p, grid, dW, *fns, [1.0])
+        fixed_draw(monkeypatch, dW)
         if public:
-            monkeypatch.setattr(evaluation, "brownian_increments",
-                                lambda seed, n, grid: dW)
             got = divergence(simulate, p, zero, zero, [1.0], grid,
                              dW.shape[1], 0)
         else:
-            got = divergence(_Stepper(p, grid, dW, *fns).run, np.ones(1))
+            got = divergence(_Stepper(p, grid, 0, dW.shape[1], *fns).run,
+                             np.ones(1))
         assert got == ref
         return got
 
@@ -343,21 +344,23 @@ class TestSimulate:
         dW[11, 0] = dW[4, 4] = dW[4, 2] = 1e10
         assert self._diverged_at(p, grid, dW, public, monkeypatch) == (2, 5)
 
-    def test_nan_state_is_a_divergence(self, grid):
-        # drift 1e300 x - 1e300 x: 0 at x = 1, inf - inf = nan once one
-        # hand-made increment takes path 3 to x = 1 + 1e10 at step 7
-        p = scalar_game(B1=1e300, B2=-1e300, C=1.0)
+    def test_nan_state_is_a_divergence(self, grid, monkeypatch):
+        # diffusion 1e300 x: one hand-made increment of 1e-291 takes path 3
+        # to x = 1 + 1e9 at step 7, where the diffusion overflows to inf
+        # and the next increment, 0, makes inf * 0 = nan
+        p = scalar_game(C=1e300)
         dW = np.zeros((grid.n_steps, 5))
-        dW[6, 3] = 1e10
+        dW[6, 3] = 1e-291
 
-        def same(k, X):
-            return X
+        def same(k, X, out):
+            out[...] = X
 
         assert divergence(whole_run, p, grid, dW, same, same, [1.0]) == (3, 8)
-        assert divergence(_Stepper(p, grid, dW, same, same).run,
+        fixed_draw(monkeypatch, dW)
+        assert divergence(_Stepper(p, grid, 0, 5, same, same).run,
                           np.ones(1)) == (3, 8)
 
-    def test_divergence_in_a_deviation_replay(self, grid):
+    def test_divergence_in_a_deviation_replay(self, grid, monkeypatch):
         # the saddle controls are 0; the second player-1 deviation's
         # direction of 1e5 at nodes 5 and 8, through D1 = 1e300, overflows
         # the next step's state where the increment is 1e10: path 3 at step
@@ -369,7 +372,8 @@ class TestSimulate:
         V1[[5, 8], 0, 1] = 1e5
         V2 = np.zeros((grid.n_steps + 1, 1, 1))
         zero = ControlLaw.constant([0.0]).as_callable(grid)
-        stack = _Stepper(p, grid, dW, zero, zero, (V1, V2))
+        fixed_draw(monkeypatch, dW)
+        stack = _Stepper(p, grid, 0, 4, zero, zero, (V1, V2))
         assert divergence(stack.run, np.ones(1)) == (2, 6)
         saddle = (np.zeros((grid.n_steps + 1, 1, 4)),) * 2
         assert divergence(whole_run, p, grid, dW,
@@ -385,8 +389,7 @@ class TestSimulate:
         Zh, cost = whole_run(p, grid, dW, zero.as_callable(grid),
                              zero.as_callable(grid), [1.0])
         assert np.array_equal(Zh[-1, 0], [1.0, 1.2e308, 1.2e308])
-        monkeypatch.setattr(evaluation, "brownian_increments",
-                            lambda seed, n, grid: dW)
+        fixed_draw(monkeypatch, dW)
         ens = simulate(p, zero, zero, [1.0], grid, 3, 0)
         assert ens.costs.tobytes() == cost.tobytes()
 
@@ -401,17 +404,17 @@ def _row_sum(W):
 
 def reference_costs(problem, grid, Zh):
     """Per-path payoff priced after the simulation from the recorded rows
-    ``Zh`` of `whole_run`: node k's quadratic form z'Mz, its products summed
-    row by row, times its trapezoid weight (dt/2 at the two end nodes, dt
-    inside), summed in time order, plus the terminal term x'Gx summed the
-    same way."""
+    ``Zh`` of `whole_run`: node k's quadratic form z'(w_k M)z, with w_k its
+    trapezoid weight (dt/2 at the two end nodes, dt inside) and the
+    products summed row by row, summed in time order, plus the terminal
+    term x'Gx summed the same way."""
     table = coefficients(problem, grid.nodes)
     M = np.block([[table.Q, table.S.swapaxes(1, 2)], [table.S, table.R]])
     running = np.zeros(Zh.shape[2])
     for k in range(grid.n_steps + 1):
         z = Zh[k]
         weight = grid.dt / 2 if k in (0, grid.n_steps) else grid.dt
-        running = running + weight * _row_sum((M[k] @ z) * z)
+        running = running + _row_sum(((weight * M[k]) @ z) * z)
     x = Zh[-1, :problem.n]
     return running + _row_sum((problem.cost.G @ x) * x)
 
@@ -440,7 +443,8 @@ class TestCostEstimate:
     @staticmethod
     def _assert_matches_reference(problem, grid, ens, x):
         # the rows of a recorded run on the ensemble's draw and laws
-        Zh, _ = whole_run(problem, grid, ens.increments.T,
+        dW = brownian_increments(ens.seed, ens.n_paths, grid)
+        Zh, _ = whole_run(problem, grid, dW,
                           ens.u1.as_callable(grid), ens.u2.as_callable(grid),
                           x)
         ref = reference_costs(problem, grid, Zh)
@@ -512,7 +516,7 @@ class TestDeviationReplay:
         saddle = (Zh[:, n:n + m1], Zh[:, n + m1:])
         deviations = [(player, perturbation_directions(
             player, 1, grid, saddle[player].shape[1])[0]) for player in (0, 1)]
-        costs = _Stepper(p, grid, dW, *fns,
+        costs = _Stepper(p, grid, 3, n_paths, *fns,
                          [v[:, :, None] for _, v in deviations]).run(x)
         assert costs[0].tobytes() == base.tobytes()
         whole = []
@@ -602,7 +606,7 @@ class TestTiles:
         dW = brownian_increments(6, n_paths, grid)
         directions = [np.stack(perturbation_directions(7 + i, 2, grid, m),
                                axis=2) for i, m in enumerate((p.m1, p.m2))]
-        stack = _Stepper(p, grid, dW, *fns, directions).run(x)
+        stack = _Stepper(p, grid, 6, n_paths, *fns, directions).run(x)
         assert ens.costs.tobytes() == stack[0].tobytes()
         assert ens.costs.tobytes() == whole_run(p, grid, dW, *fns,
                                                 x)[1].tobytes()
@@ -620,13 +624,14 @@ class TestVerifySaddle:
         assert all(g.mean <= 3 * g.std_error for g in report.gaps_player2)
 
     def test_base_controls_are_not_copied(self, rand_problem, saddle_law):
-        # no run keeps a control or state row between tiles: the peak stays
-        # below the increments, the 1 + 2 cost rows, the tile budget and 1
-        # MiB for the step table, the directions and a step's temporaries
+        # no run keeps a control or state row between tiles, and no draw is
+        # kept: the peak stays below the 1 + 2 cost rows, the tile budget
+        # (its chunk of increments included) and 1 MiB for the step table,
+        # the directions and a step's temporaries
         (sol, law), p, n_paths = saddle_law, rand_problem, 2000
         peak = traced_peak(verify_saddle, p, sol, law, np.ones(p.n),
                            n_perturbations=1, n_paths=n_paths, seed=5)
-        bound = 8 * n_paths * (200 + 3) + evaluation._TILE_BYTES + 2 ** 20
+        bound = 8 * n_paths * 3 + evaluation._TILE_BYTES + 2 ** 20
         assert peak < bound
 
     @pytest.mark.parametrize("name,value", [
@@ -640,7 +645,7 @@ class TestVerifySaddle:
         def draw(*args):
             raise AssertionError("increments drawn")
 
-        monkeypatch.setattr(evaluation, "brownian_increments", draw)
+        monkeypatch.setattr(evaluation, "_draw", draw)
         counts = {"n_perturbations": 1, "sim_steps": 200, name: value}
         with pytest.raises(ContractViolation,
                            match=f"{name} must be an integer >= "):
@@ -658,7 +663,7 @@ class TestVerifySaddle:
         def draw(*args):
             raise AssertionError("increments drawn")
 
-        monkeypatch.setattr(evaluation, "brownian_increments", draw)
+        monkeypatch.setattr(evaluation, "_draw", draw)
         with pytest.raises(ContractViolation, match="game-kind solution"):
             verify_saddle(rand_problem, other, law, np.ones(rand_problem.n),
                           n_perturbations=1, n_paths=10_000, seed=0)
@@ -671,7 +676,7 @@ class TestVerifySaddle:
         n, m1 = rand_problem.n, rand_problem.m1
         fns = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
         base = simulate(rand_problem, *fns, x, grid, 500, seed)
-        dW = base.increments.T
+        dW = brownian_increments(seed, 500, grid)
         Zh, _ = whole_run(rand_problem, grid, dW,
                           *(f.as_callable(grid) for f in fns), x)
         saddle = (np.ascontiguousarray(Zh[:, n:n + m1]),
@@ -716,8 +721,7 @@ class TestVerifySaddle:
         dW = np.zeros((200, n_paths))
         for at, kick in kicks.items():
             dW[at] = kick
-        monkeypatch.setattr(evaluation, "brownian_increments",
-                            lambda seed, n, grid: dW)
+        fixed_draw(monkeypatch, dW)
         return (p, sol, law, [1.0], 2, n_paths, 0, 200)
 
     def test_deviation_divergence_in_a_later_block(self, monkeypatch,
@@ -758,18 +762,6 @@ class TestVerifySaddle:
                            match=f"{name} must be an integer >= "):
             perturbation_directions(args["seed"], args["count"], grid,
                                     args["m"])
-
-    def test_simulate_then_verify_draws_once(self, rand_problem, cfg400,
-                                             grid, spawns):
-        sol = solve_riccati(rand_problem, cfg400, "game")
-        law = feedback_gain(rand_problem, sol)
-        x = np.ones(rand_problem.n)
-        ens = simulate(rand_problem, ControlLaw.from_feedback(law, 1, grid),
-                       ControlLaw.from_feedback(law, 2, grid), x, grid, 64, 5)
-        report = verify_saddle(rand_problem, sol, law, x, n_perturbations=1,
-                               n_paths=64, seed=5)
-        assert spawns == [grid.n_steps]
-        assert report.value_mc == estimate_cost(rand_problem, ens)
 
     def test_gap_scales_quadratically(self, ex3_4):
         # deviating player 2 by c*v changes the cost by exactly -2 c^2 |v|^2
@@ -919,6 +911,20 @@ class TestFalsifier:
             assert est.mean == pytest.approx(-(1.0 + 2.0 * lam), abs=1e-8)
         means = [est.mean for _, est in table]
         assert means[0] > means[1] > means[2]
+
+    @pytest.mark.parametrize("n_paths", [4, 64, 500])
+    def test_sweep_is_each_simulation(self, ex3_2, grid, tile64, n_paths):
+        # each constant pair of the one-draw stack costs what simulate
+        # prices it at on the same seed, bit for bit, from 4 paths on
+        levels = ([0.0, 1.0, -2.5], [1.0, 3.0])
+        base, *sweeps = _constant_sweep(ex3_2, [1.0], grid, n_paths, 4,
+                                        *levels)
+        pairs = [(0.0, 0.0)] + [(lam, 0.0) for lam in levels[0]] \
+            + [(0.0, lam) for lam in levels[1]]
+        for (a, b), est in zip(pairs, [base, *sweeps[0], *sweeps[1]]):
+            ens = simulate(ex3_2, ControlLaw.constant([a]),
+                           ControlLaw.constant([b]), [1.0], grid, n_paths, 4)
+            assert est == estimate_cost(ex3_2, ens)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_scalar_refused(self, ex3_2, bad):
