@@ -215,8 +215,8 @@ def _quadratic_form(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 # bytes of one tile's node slabs, product and costs, for all its runs, and
 # of its chunk of increments: a tile stays in a core's L2 cache, so a larger
-# game gets a narrower tile (2 MiB stepped the saddle check faster than 1
-# MiB or 3 MiB)
+# game gets a narrower tile (2 MiB ran mc_verify's jobs as fast as 1 MiB,
+# 3 MiB 6% slower)
 _TILE_BYTES = 2 << 20
 
 
