@@ -23,6 +23,8 @@ from numpy.linalg import _umath_linalg
 
 SYM_RTOL = 1e-12
 COND_LIMIT = 1e12
+# table rows whose Riccati assembly operands are formed at a time
+_CHUNK_ROWS = 64
 
 
 class LqgError(Exception):
@@ -364,9 +366,11 @@ class CoefficientTable(NamedTuple):
     S: np.ndarray
     R: np.ndarray
 
-    def row(self, j: int) -> "CoefficientTable":
-        """The coefficients at ``times[j]`` alone, without a time axis."""
-        return CoefficientTable(*(a[j] for a in self))
+    def chunk(self, lo: int) -> "CoefficientTable":
+        """Rows lo to lo + _CHUNK_ROWS - 1.  The operands of the Riccati
+        assembly outweigh the rows they come from, so they are formed a
+        chunk of rows at a time, never for a whole grid."""
+        return CoefficientTable(*(a[lo:lo + _CHUNK_ROWS] for a in self))
 
 
 def _sample(path: CoefficientPath, times: np.ndarray) -> np.ndarray:
@@ -462,27 +466,58 @@ def block_inverse(M: np.ndarray, L: np.ndarray, N: np.ndarray) -> np.ndarray:
 def assemble(table: CoefficientTable, P: np.ndarray,
              m1: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Form R_P = R + D^T P D and S_P = B^T P + D^T P C + S from one row of
-    a coefficient table and one P, or from stacks of both.
+    a coefficient table and one P, or from stacks of both of one length.
 
     Returns (R_P, S_P, margins) where margins = (lambda_min of the player-1
     diagonal block of R_P, lambda_max of the player-2 diagonal block).
     Raises ContractViolation unless every P is symmetric.
     """
     check_symmetric(P, "P", rtol=1e-10)
-    return _assemble(table, P, m1)
+    if table.A.ndim == 2:
+        big, margins = _assemble(_assembly_rows(table), P, m1)
+    else:
+        parts = [_assemble(_assembly_rows(table.chunk(lo)),
+                           P[lo:lo + _CHUNK_ROWS], m1)
+                 for lo in range(0, len(P), _CHUNK_ROWS)]
+        bigs, margins = zip(*parts)
+        big = np.concatenate(bigs)
+        margins = tuple(map(np.concatenate, zip(*margins)))
+    n = P.shape[-1]
+    return big[..., n:, n:], big[..., n:, :n], margins
 
 
-def _assemble(table: CoefficientTable, P: np.ndarray,
-              m1: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """``assemble`` without the symmetry check, for a P that is symmetric by
-    construction."""
-    DtP = table.D.mT @ P
-    R_P = table.R + DtP @ table.D
-    S_P = table.B.mT @ P + DtP @ table.C + table.S
-    R_sym = sym(R_P)
-    margin1 = _eig_extremes(R_sym[..., :m1, :m1])[0]
-    margin2 = _eig_extremes(R_sym[..., m1:, m1:])[1]
-    return R_P, S_P, (margin1, margin2)
+def _assembly_rows(table: CoefficientTable) -> tuple:
+    """The operands K = [C D | A B], V and H = [[Q, S'], [S, R]] / 2 of
+    ``_assemble`` at each row of a coefficient table; column 2i of V is half
+    of row i of [C D], and column 2i+1 is the unit vector e_i."""
+    H = np.block([[table.Q, table.S.mT], [table.S, table.R]])
+    H *= 0.5
+    K = np.concatenate((table.C, table.D, table.A, table.B), axis=-1)
+    n, half = K.shape[-2], K.shape[-1] // 2
+    V = np.zeros(K.shape[:-2] + (half, 2 * n))
+    np.multiply(K[..., :half].mT, 0.5, out=V[..., 0::2])
+    V[..., range(n), range(1, 2 * n, 2)] = 1.0
+    return K, V, H
+
+
+def _assemble(rows: tuple, P: np.ndarray, m1: int) -> tuple[np.ndarray, tuple]:
+    """The quadratic block of the Riccati field and the margins of
+    ``assemble``, from the operands (K, V, H) of ``_assembly_rows`` and a P,
+    or a stack of P, symmetric by construction (no check):
+
+        Big = [[P A + A'P + C'P C + Q, S_P'], [S_P, R_P]] = X + X',
+
+    X = V (P K) + H = [[P A + C'P C/2 + Q/2, *], [D'P C/2 + S/2, D'P D/2 +
+    R/2]], with P K reshaped to (2n, n+m) to interleave the rows of P [C D]
+    and P [A B].  Big is symmetric bit for bit."""
+    K, V, H = rows
+    n = P.shape[-1]
+    PK = P @ K
+    X = V @ PK.reshape(PK.shape[:-2] + (2 * n, K.shape[-1] // 2))
+    X += H
+    big = X + X.mT
+    return big, (_eig_extremes(big[..., n:n + m1, n:n + m1])[0],
+                 _eig_extremes(big[..., n + m1:, n + m1:])[1])
 
 
 def _fro_norms(M: np.ndarray) -> np.ndarray:

@@ -12,9 +12,12 @@ loss between nodes is caught at the stage time.
 
 One backward pass (``_solve_stack``) integrates a stack of equations on one
 grid, each stage once for the whole stack: a single solve is a stack of
-one, a regularized family a stack of its levels.  A member that fails
-leaves the stack, keeping the error and partial path a solve of it alone
-raises; every member equals that solve bit for bit.
+one, a regularized family a stack of its levels, and kinds mix in any
+order.  A stage forms every member's quadratic block in two products
+(core._assemble) and solves every member's Schur complement at once, each
+kind's control block padded to the whole one (_Kinds).  A member that
+fails leaves the stack, keeping the error and partial path a solve of it
+alone raises; every member equals that solve bit for bit.
 
 The outcomes of a problem's equations are kept per problem object and
 solver config while the problem lives (``_outcomes``), and a later
@@ -35,8 +38,9 @@ import numpy as np
 
 from .core import (
     CoefficientPath, CoefficientTable, ContractViolation, CostWeights,
-    GameProblem, LqgError, TimeGrid, coefficients, sym, _assemble,
-    _check_integer, _eig_extremes, _fro_norms, _sample_stack, _solve,
+    GameProblem, LqgError, TimeGrid, coefficients, sym, _CHUNK_ROWS,
+    _assemble, _assembly_rows, _check_integer, _eig_extremes, _fro_norms,
+    _solve,
 )
 
 KINDS = ("game", "player1", "player2")
@@ -107,28 +111,29 @@ class RiccatiSolution:
 
 
 class _Kinds(NamedTuple):
-    """What the kinds of a stack's members decide: the limits of the margins
-    each one checks (NaN where it checks none, as no margin compares true
-    with NaN), and (members, block) per kind present -- the slice of the
-    members' positions and the control block of R_P and rows of S_P that
-    their equation uses.  ``of`` refuses a stack whose kinds interleave (no
-    stack the library builds does), so every group's blocks are views."""
+    """What the kinds of a stack's members decide, one row per member: the
+    limits of the margins each one checks (NaN where it checks none, as no
+    margin compares true with NaN), and how its Schur complement is padded
+    to the whole control block.  Where ``mask`` is false, the rows
+    [S_P R_P] of the quadratic block take ``fill``: the rows of S_P outside
+    the member's control block become zero, and its R_P becomes the
+    identity there, so one solve serves every kind."""
 
     floor1: np.ndarray
     ceiling2: np.ndarray
-    groups: list
+    mask: np.ndarray
+    fill: np.ndarray
 
     @classmethod
-    def of(cls, kinds: np.ndarray, m1: int, eps_reg: float) -> "_Kinds":
-        blocks = {"game": slice(None), "player1": slice(None, m1),
-                  "player2": slice(m1, None)}
-        cuts = [0, *np.flatnonzero(kinds[1:] != kinds[:-1]) + 1, len(kinds)]
-        groups = [(slice(a, b), blocks[kinds[a]])
-                  for a, b in zip(cuts, cuts[1:]) if a < b]
-        if len(groups) > len(set(kinds)):
-            raise ContractViolation("members of one kind must be adjacent")
+    def of(cls, kinds: np.ndarray, n: int, m1: int, m: int,
+           eps_reg: float) -> "_Kinds":
+        own = np.where(np.arange(m) < m1, kinds[:, None] != "player2",
+                       kinds[:, None] != "player1")
+        cols = np.pad(own, ((0, 0), (n, 0)), constant_values=True)
         return cls(np.where(kinds != "player2", eps_reg, np.nan),
-                   np.where(kinds != "player1", -eps_reg, np.nan), groups)
+                   np.where(kinds != "player1", -eps_reg, np.nan),
+                   own[:, :, None] & cols[:, None, :],
+                   np.pad(np.eye(m) * ~own[:, :, None], ((0, 0), (0, 0), (n, 0))))
 
     def failing_sides(self, margin1, margin2) -> np.ndarray | None:
         """Per member, the side whose margin it violates (1 before 2), or 0;
@@ -140,25 +145,20 @@ class _Kinds(NamedTuple):
         return np.where(side1, 1, np.where(side2, 2, 0))
 
 
-def _field(row: CoefficientTable, P: np.ndarray, R_P: np.ndarray,
-           S_P: np.ndarray, groups: list) -> np.ndarray:
-    """dP/dt at one row of a coefficient table for a stack of P, given R_P
-    and S_P there:
+def _field(big: np.ndarray, kinds: _Kinds) -> np.ndarray:
+    """dP/dt for a stack of P from its quadratic blocks (core._assemble):
 
         -[P A + A'P + C'P C + Q - S_k' R_k^{-1} S_k]
 
-    with each member's blocks S_k, R_k (see _Kinds), which must pass their
-    margin checks: that makes every R_k nonsingular."""
-    A, C = row.A, row.C
-    F = P @ A + A.mT @ P + C.mT @ P @ C + row.Q
-    for members, block in groups:
-        S_k = S_P[members, block]
-        F[members] -= S_k.mT @ _solve(R_P[members, block, block], S_k)
-    return sym(-F)
-
-
-def _unchanged(X: np.ndarray) -> np.ndarray:
-    return X
+    with each member's S_k and R_k padded to the whole control block (see
+    _Kinds); every member must pass its margin checks, which makes every
+    R_k nonsingular."""
+    n = big.shape[-1] - kinds.mask.shape[1]
+    lower = np.where(kinds.mask, big[..., n:, :], kinds.fill)
+    S_k = lower[..., :n]
+    F = S_k.mT @ _solve(lower[..., n:], S_k)
+    F -= big[..., :n, :n]
+    return sym(F)
 
 
 def _solve_stack(problems, kinds, config: SolverConfig) -> list:
@@ -176,22 +176,25 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
     """
     problem = problems[0]
     grid = TimeGrid(problem.horizon_T, config.n_steps)
-    nodes, h, eps, m1 = grid.nodes, grid.dt, config.eps_reg, problem.m1
+    nodes, h, eps = grid.nodes, grid.dt, config.eps_reg
+    n, m1, m = problem.n, problem.m1, problem.m1 + problem.m2
 
-    # stage times: node t_k in row 2k, midpoint of [t_k, t_k+1] in row 2k+1
+    # stage times: node t_k in row 2k, midpoint of [t_k, t_k+1] in row 2k+1;
+    # a game whose coefficients are all constant has one row for them all
     times = np.empty(2 * grid.n_steps + 1)
     times[0::2] = nodes
     times[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    constant = not any(getattr(path, "kind", None) == "sampled"
+                       for p in problems for part in (p.dynamics, p.cost)
+                       for path in vars(part).values())
+    table_times = times[:1] if constant else times
     shared = all(p is problem for p in problems)
-    if shared:
-        table = coefficients(problem, times)
-    else:
-        table = CoefficientTable(*(
-            np.stack(a, axis=1)
-            for a in zip(*(coefficients(p, times) for p in problems))))
+    table = coefficients(problem, table_times) if shared else CoefficientTable(
+        *(np.stack(a, axis=1)
+          for a in zip(*(coefficients(p, table_times) for p in problems))))
 
     kinds = np.array(kinds)
-    P_path = np.empty((len(kinds), grid.n_steps + 1, problem.n, problem.n))
+    P_path = np.empty((len(kinds), grid.n_steps + 1, n, n))
     margin_path = np.empty((2, len(kinds), grid.n_steps + 1))
     # outcomes see the paths through read-only views: the memo shares them
     P_out, margin_out = P_path.view(), margin_path.view()
@@ -199,12 +202,20 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
         a.setflags(write=False)
     outcomes = [None] * len(kinds)
     live = np.arange(len(kinds))
-    live_kinds = _Kinds.of(kinds, m1, eps)
+    live_kinds = _Kinds.of(kinds, n, m1, m, eps)
 
-    rows = [table.row(j) for j in range(times.shape[0])]
+    chunk = {}
 
     def row(j):
-        return rows[j] if shared else CoefficientTable(*(a[live] for a in rows[j]))
+        """The operands of _assemble at stage row j for the live members;
+        a chunk of them is formed once the previous one is dropped."""
+        j = 0 if constant else j
+        lo = j - j % _CHUNK_ROWS
+        if lo not in chunk:
+            chunk.clear()
+            chunk[lo] = _assembly_rows(table.chunk(lo))
+        r = [a[j - lo] for a in chunk[lo]]
+        return r if shared else [a[live] for a in r]
 
     def retire(bad, done, error):
         """Take the live members flagged in bad out of the stack; each keeps
@@ -217,7 +228,7 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
                 margin_out[1, i, done:]))
         keep = ~bad
         live = live[keep]
-        live_kinds = _Kinds.of(kinds[live], m1, eps)
+        live_kinds = _Kinds(*(a[keep] for a in live_kinds))
         return keep
 
     def evaluate(j, done, X, *carried, node=None):
@@ -226,8 +237,7 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
         margin fails there (partial path over nodes done..N).  Returns dP/dt
         of the rest, except at node 0 where it is never used, and their rows
         of X and carried."""
-        r = row(j)
-        R_P, S_P, margins = _assemble(r, X, m1)
+        big, margins = _assemble(row(j), X, m1)
         if node is not None:
             P_path[live, node] = X
             margin_path[0, live, node], margin_path[1, live, node] = margins
@@ -235,9 +245,8 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
         if sides is not None:
             keep = retire(sides > 0, done, lambda pos, partial: RegularityError(
                 times[j], int(sides[pos]), margins[sides[pos] - 1][pos], partial))
-            X, R_P, S_P, *carried = (a[keep] for a in (X, R_P, S_P, *carried))
-            r = row(j)
-        slope = None if node == 0 else _field(r, X, R_P, S_P, live_kinds.groups)
+            X, big, *carried = (a[keep] for a in (X, big, *carried))
+        slope = None if node == 0 else _field(big, live_kinds)
         return slope, (X, *carried)
 
     # a node's assembly serves both its margin check and the next step's k1
@@ -245,7 +254,7 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
                         np.array([p.cost.G for p in problems]),
                         node=grid.n_steps)
     # sym returns a stage value P - c k_i, and the step's new P, unchanged
-    # bit for bit once P is exactly symmetric, as every k_i = sym(-F) is,
+    # bit for bit once P is exactly symmetric, as every k_i = sym(F) is,
     # unless an entry above max/2 overflows in its sum.  A P that passed the
     # norm check has entries below sqrt(max), a k_i none above max/2, so
     # that takes a factor c > 1, a step h > 1.  So sym runs on the first
@@ -254,7 +263,7 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
     for k in range(grid.n_steps, 0, -1):
         if not live.size:
             break
-        tidy = sym if k == grid.n_steps or h > 1 else _unchanged
+        tidy = sym if k == grid.n_steps or h > 1 else lambda X: X
         k2, (_, P, k1) = evaluate(2 * k - 1, k, tidy(P - 0.5 * h * k1), P, k1)
         k3, (_, P, k1, k2) = evaluate(2 * k - 1, k, tidy(P - 0.5 * h * k2),
                                       P, k1, k2)
@@ -390,14 +399,15 @@ def comparison_check(game: RiccatiSolution, p1: RiccatiSolution,
 
 def _shift_path(path: CoefficientPath, delta: float) -> CoefficientPath:
     """Add delta * I to every sample of a square coefficient path."""
-    eye = np.eye(path.rows)
-    if path.kind == "constant":
-        return CoefficientPath.constant(path.values + delta * eye)
-    return CoefficientPath.sampled(_sample_stack(path) + delta * eye, path.span)
+    return CoefficientPath(path.kind, path.values + delta * np.eye(path.rows),
+                           path.span)
 
 
 def regularized_problem(problem: GameProblem, lam: float) -> GameProblem:
-    """The problem with R11 + lam*I and R22 - lam*I substituted."""
+    """The problem with R11 + lam*I and R22 - lam*I substituted; raises
+    ContractViolation unless the penalty level lam is finite."""
+    if not np.isfinite(lam):
+        raise ContractViolation(f"penalty level must be finite, got {lam!r}")
     c = problem.cost
     cost = CostWeights(
         G=c.G, Q=c.Q, S1=c.S1, S2=c.S2,
@@ -419,10 +429,10 @@ class RegularizedFamily:
 
 def _checked_levels(lambdas) -> list[float]:
     """The penalty levels as floats; ContractViolation unless all are
-    positive and strictly decreasing."""
+    finite, positive and strictly decreasing."""
     lambdas = [float(l) for l in lambdas]
-    if any(l <= 0 for l in lambdas):
-        raise ContractViolation("all penalty levels must be positive")
+    if not all(0 < l < np.inf for l in lambdas):
+        raise ContractViolation("all penalty levels must be finite and positive")
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         raise ContractViolation("penalty levels must be strictly decreasing")
     return lambdas

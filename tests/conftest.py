@@ -5,6 +5,7 @@ from lqgame import (
     CoefficientPath, CostWeights, GameProblem, SolverConfig, StateDynamics,
     example_problem, random_certified_problem, riccati,
 )
+from lqgame.core import CoefficientTable
 
 
 def scalar_game(*, B1=0.0, B2=0.0, C=0.0, D1=0.0, D2=0.0, G=0.0, Q=0.0,
@@ -15,6 +16,12 @@ def scalar_game(*, B1=0.0, B2=0.0, C=0.0, D1=0.0, D2=0.0, G=0.0, Q=0.0,
     cost = CostWeights(G=np.atleast_2d(float(G)), Q=c(Q), S1=c(0.0), S2=c(0.0),
                        R11=c(R11), R12=c(0.0), R21=c(0.0), R22=c(R22))
     return GameProblem(dynamics=dyn, cost=cost, horizon_T=T)
+
+
+def table_row(table: CoefficientTable, j: int) -> CoefficientTable:
+    """The coefficients at the j-th time of a table alone, without a time
+    axis."""
+    return CoefficientTable(*(a[j] for a in table))
 
 
 def random_game(seed: int, dims=None, noise: bool = True) -> GameProblem:

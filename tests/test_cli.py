@@ -422,7 +422,8 @@ class TestMalformedInput:
         self._exits_2_naming(capsys, ["solve", "--problem", ex4_5_file,
                                       "--lambda", "1.0,half"], "--lambda")
 
-    @pytest.mark.parametrize("value", ["-1", "0.5,0.5", "0.1,0.5"])
+    @pytest.mark.parametrize("value", ["-1", "0.5,0.5", "0.1,0.5", "nan",
+                                       "inf,0.5"])
     def test_refused_penalty_levels(self, capsys, ex4_5_file, value):
         # refused while parsing, before any solve, not as a solver failure
         self._exits_2_naming(capsys, ["solve", "--problem", ex4_5_file,

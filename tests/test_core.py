@@ -11,8 +11,10 @@ from lqgame import (
     SingularBlockError, StateDynamics, TimeGrid, block_inverse,
     check_symmetric, coefficients, sym, sym_eig_extremes,
 )
-from lqgame.core import _eig_extremes, _solve, assemble, interpolate
-from conftest import scalar_game
+from lqgame.core import (
+    _assemble, _assembly_rows, _eig_extremes, _solve, assemble, interpolate,
+)
+from conftest import random_game, scalar_game, table_row
 
 
 def finite_matrices(rows, cols, elements=st.floats(-5, 5)):
@@ -416,8 +418,8 @@ class TestCoefficientTable:
 
 def assemble_at(problem: GameProblem, P, t: float):
     """R_P, S_P and the margins of one P at one time."""
-    return assemble(coefficients(problem, t).row(0), np.atleast_2d(P),
-                    problem.m1)
+    return assemble(table_row(coefficients(problem, t), 0),
+                    np.atleast_2d(P), problem.m1)
 
 
 class TestAssembleBlocks:
@@ -437,15 +439,49 @@ class TestAssembleBlocks:
 
     def test_stack_equals_rows(self):
         p = mixed_game(5, (3, 2, 1), [0, 3, 0, 2, 0, 7, 0, 0, 3, 0, 2, 0], 1.0)
-        times = np.linspace(0.0, 1.0, 9)
+        # more rows than two chunks, which assemble forms one at a time
+        times = np.linspace(0.0, 1.0, 150)
         rng = np.random.default_rng(0)
         P = sym(rng.normal(size=(len(times), 3, 3)))
         table = coefficients(p, times)
         R_P, S_P, (margin1, margin2) = assemble(table, P, 2)
         for j in range(len(times)):
-            r, s, (a, b) = assemble(table.row(j), P[j], 2)
+            r, s, (a, b) = assemble(table_row(table, j), P[j], 2)
             assert bits(R_P[j]) == bits(r) and bits(S_P[j]) == bits(s)
             assert (margin1[j], margin2[j]) == (a, b)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+           m1=st.integers(1, 3), m2=st.integers(1, 3),
+           times=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_assembly_is_the_riccati_field(self, seed, n, m1, m2, times):
+        # random_game draws constant or sampled paths, at several scales
+        problem = random_game(seed, dims=(n, m1, m2))
+        table = coefficients(problem, times)
+        rng = np.random.default_rng(seed)
+        P = sym(rng.normal(scale=rng.choice([0.1, 1.0, 10.0]),
+                           size=(len(times), n, n)))
+        big, _ = _assemble(_assembly_rows(table), P, m1)
+        assert bits(big) == bits(big.mT.copy())
+        A, B, C, D, Q, S, R = table
+        aP = np.abs(P)
+        aA, aB, aC, aD = np.abs(A), np.abs(B), np.abs(C), np.abs(D)
+        # a computed product of inner dimension k is within gamma_k times
+        # the product of absolute values, gamma_k = k u / (1 - k u), u =
+        # eps / 2 (Higham, Accuracy and Stability, 2nd ed., section 3.5).
+        # Big takes P K (k = n), V (P K) (2n), + H and X + X': 3n + 2 deep;
+        # the plain formula C'P C (2n) and three sums, 2n + 3.  The two
+        # differ by gamma_{5n+5} at most, below (5n + 5) eps, times the
+        # bound below
+        tol = (5 * n + 5) * np.finfo(float).eps
+        for got, want, bound in (
+                (big[:, :n, :n], P @ A + A.mT @ P + C.mT @ P @ C + Q,
+                 aP @ aA + aA.mT @ aP + aC.mT @ aP @ aC + np.abs(Q)),
+                (big[:, n:, :n], B.mT @ P + D.mT @ P @ C + S,
+                 aB.mT @ aP + aD.mT @ aP @ aC + np.abs(S)),
+                (big[:, n:, n:], R + D.mT @ P @ D,
+                 np.abs(R) + aD.mT @ aP @ aD)):
+            assert np.all(np.abs(got - want) <= tol * bound)
 
     def test_asymmetric_P_rejected(self, ex4_5):
         with pytest.raises(ContractViolation):

@@ -17,24 +17,31 @@ from lqgame import (
     RegularityError, RepresentationSingularError, RiccatiSolution,
     SimulationDiverged, SingularBlockError, SolverConfig, StateDynamics,
     TimeGrid, certify_A3, coefficients, comparison_check, equivalence_report,
-    example_problem, fundamental_matrix, hamiltonian, regularized_problem,
-    representation, riccati, solve_lambda_family, solve_riccati, sym,
+    example_problem, fundamental_matrix, hamiltonian, random_certified_problem,
+    regularized_problem, representation, riccati, solve_lambda_family,
+    solve_riccati, sym,
 )
-from lqgame.core import _assemble, _solve, assemble
+from lqgame.core import _assemble, _assembly_rows, _solve, assemble
 from lqgame.riccati import KINDS, _field, _Kinds, _solve_stack
-from conftest import random_game, scalar_game
+from conftest import random_game, scalar_game, table_row
 
 
 def reference_solve(problem, config, kind):
     """The backward RK4 loop for one equation alone, stage by stage: the
     reference that every member of a stacked pass must equal bit for bit,
-    error, failure time, side, margin and partial path included."""
+    error, failure time, side, margin and partial path included.  Its
+    quadratic block is core._assemble's, which TestAssembleBlocks checks
+    against the textbook field; its Schur complement pads the kind's control
+    block to the whole one, with zero rows of S_k and identity R_k outside."""
     grid = TimeGrid(problem.horizon_T, config.n_steps)
     nodes, h, eps, m1 = grid.nodes, grid.dt, config.eps_reg, problem.m1
+    n, m = problem.n, problem.m1 + problem.m2
     times = np.empty(2 * grid.n_steps + 1)
     times[0::2] = nodes
     times[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
     table = coefficients(problem, times)
+    own = {"game": np.full(m, True), "player1": np.arange(m) < m1,
+           "player2": np.arange(m) >= m1}[kind]
 
     def check(t, margins):
         margin1, margin2 = margins
@@ -43,38 +50,39 @@ def reference_solve(problem, config, kind):
         if kind in ("game", "player2") and margin2 >= -eps:
             raise RegularityError(t, 2, margin2)
 
-    def field(row, P, R_P, S_P):
-        if kind == "player1":
-            Rk, Sk = R_P[:m1, :m1], S_P[:m1, :]
-        elif kind == "player2":
-            Rk, Sk = R_P[m1:, m1:], S_P[m1:, :]
-        else:
-            Rk, Sk = R_P, S_P
-        A, C, Q = row.A, row.C, row.Q
-        return sym(-(P @ A + A.T @ P + C.T @ P @ C + Q
-                     - Sk.T @ np.linalg.solve(Rk, Sk)))
+    def assemble(row, P):
+        return _assemble(_assembly_rows(row), P, m1)
+
+    def field(big):
+        # [S_k R_k] is the kind's part of [S_P R_P] in [0 I]; both blocks
+        # are read in place, as strides can change the bits of a product
+        lower = np.hstack((np.zeros((m, n)), np.eye(m)))
+        part = np.ix_(own, np.concatenate((np.full(n, True), own)))
+        lower[part] = big[n:][part]
+        S_k, R_k = lower[:, :n], lower[:, n:]
+        return sym(S_k.T @ np.linalg.solve(R_k, S_k) - big[:n, :n])
 
     def rhs(row, t, P):
-        R_P, S_P, margins = assemble(row, P, m1)
+        big, margins = assemble(row, P)
         check(t, margins)
-        return field(row, P, R_P, S_P)
+        return field(big)
 
     P = np.array(problem.cost.G)
-    node = table.row(2 * grid.n_steps)
-    R_P, S_P, margins = assemble(node, P, m1)
+    big, margins = assemble(table_row(table, 2 * grid.n_steps), P)
     done = [(nodes[-1], P, margins)]
 
     def path():
         t, Ps, ms = zip(*done[::-1])
-        return (np.array(t), np.array(Ps), np.array([m[0] for m in ms]),
-                np.array([m[1] for m in ms]))
+        return (np.array(t), np.array(Ps), np.array([a for a, _ in ms]),
+                np.array([b for _, b in ms]))
 
     try:
         check(nodes[-1], margins)
         for k in range(grid.n_steps, 0, -1):
             t0 = nodes[k - 1]
-            mid, prev = table.row(2 * k - 1), table.row(2 * k - 2)
-            k1 = field(node, P, R_P, S_P)
+            mid = table_row(table, 2 * k - 1)
+            prev = table_row(table, 2 * k - 2)
+            k1 = field(big)
             k2 = rhs(mid, times[2 * k - 1], sym(P - 0.5 * h * k1))
             k3 = rhs(mid, times[2 * k - 1], sym(P - 0.5 * h * k2))
             k4 = rhs(prev, t0, sym(P - h * k3))
@@ -82,8 +90,7 @@ def reference_solve(problem, config, kind):
             norm = float(np.linalg.norm(P))
             if not np.isfinite(norm) or norm > config.blowup_cap:
                 raise BlowUpError(t0, norm)
-            node = prev
-            R_P, S_P, margins = assemble(node, P, m1)
+            big, margins = assemble(prev, P)
             check(t0, margins)
             done.append((t0, P, margins))
     except RegularityError as err:
@@ -162,11 +169,12 @@ def assert_same_certificate(report, ref):
 def field_at(problem, t, P, kind="game"):
     """dP/dt of one equation at one time and one P, through the solver's own
     field (no margin check)."""
-    row = coefficients(problem, t).row(0)
+    row = table_row(coefficients(problem, t), 0)
     P = np.asarray(P, dtype=float)[None]
-    R_P, S_P, _ = _assemble(row, P, problem.m1)
-    groups = _Kinds.of(np.array([kind]), problem.m1, 1e-6).groups
-    return _field(row, P, R_P, S_P, groups)[0]
+    big, _ = _assemble(_assembly_rows(row), P, problem.m1)
+    kinds = _Kinds.of(np.array([kind]), problem.n, problem.m1,
+                      problem.m1 + problem.m2, 1e-6)
+    return _field(big, kinds)[0]
 
 
 class TestRhs:
@@ -313,9 +321,7 @@ class TestStackedPass:
     def test_members_match_single_solves(self, seed, members, n_steps, cap):
         # members with a penalty level solve the regularized problem, as the
         # levels of a family do; a stack of one problem shares its table.
-        # Each kind's members are adjacent, as in every stack the library
-        # builds (see _Kinds.of)
-        members = sorted(members, key=lambda member: KINDS.index(member[0]))
+        # Kinds come in any order
         problem = random_game(seed)
         problems = [problem if lam is None else regularized_problem(problem, lam)
                     for _, lam in members]
@@ -325,9 +331,9 @@ class TestStackedPass:
         for outcome, member, kind in zip(outcomes, problems, kinds):
             assert_matches_reference(outcome, member, config, kind)
 
-    def test_player_blocks_not_padded(self):
-        # the player-2 equation at m1 = 1, m2 = 2 changes its last bits in
-        # about one game of five if its block is solved padded to m x m
+    def test_padded_player_blocks_match_single_solves(self):
+        # at m1 = 1, m2 = 2 each player's block is padded to the whole 3 x 3
+        # control block, with the other player's rows zero and the identity
         config = SolverConfig(n_steps=20)
         for seed in range(20):
             problem = random_game(seed, dims=(3, 1, 2))
@@ -335,19 +341,22 @@ class TestStackedPass:
             for outcome, kind in zip(outcomes, KINDS):
                 assert_matches_reference(outcome, problem, config, kind)
 
-    def test_interleaved_kinds_refused(self, ex4_5):
-        kinds = ("player1", "game", "player1")
-        with pytest.raises(ContractViolation, match="adjacent"):
-            _Kinds.of(np.array(kinds), 1, 1e-6)
-        with pytest.raises(ContractViolation, match="adjacent"):
-            _solve_stack([ex4_5] * 3, kinds, SolverConfig(n_steps=10))
-
-    def test_groups_are_slices(self):
-        kinds = _Kinds.of(np.array(["game", "player1", "player1", "player2"]),
-                          2, 1e-6)
-        assert kinds.groups == [(slice(0, 1), slice(None)),
-                                (slice(1, 3), slice(None, 2)),
-                                (slice(3, 4), slice(2, None))]
+    @pytest.mark.parametrize("seed", [1, 15, 34])
+    def test_interleaved_kinds_match_single_solves(self, seed):
+        # no kind's members need to be adjacent: each member's blocks are
+        # padded in place, so the stack has no per-kind slices.  Seed 15's
+        # player-1 members fail at t = 0.425 and leave the stack
+        kinds = ("player1", "game", "player1", "player2")
+        problem = random_game(seed, dims=(3, 1, 2))
+        config = SolverConfig(n_steps=40)
+        outcomes = _solve_stack([problem] * 4, kinds, config)
+        for outcome, kind in zip(outcomes, kinds):
+            alone, = _solve_stack([problem], [kind], config)
+            if isinstance(alone, RiccatiSolution):
+                assert_same_solution(outcome, alone)
+            else:
+                assert_same_error(outcome, alone)
+            assert_matches_reference(outcome, problem, config, kind)
 
     def test_no_solve_sees_a_singular_block(self):
         # at T, G = diag(-1/2, 1/2) makes R11 + D1'GD1 = I - dd'/2 and
@@ -363,7 +372,7 @@ class TestStackedPass:
                            S2=c(zero), R11=c(eye), R12=c(zero), R21=c(zero),
                            R22=c(-eye))
         problem = GameProblem(dynamics=dyn, cost=cost, horizon_T=1.0)
-        R_P, S_P, _ = assemble(coefficients(problem, 1.0).row(0),
+        R_P, S_P, _ = assemble(table_row(coefficients(problem, 1.0), 0),
                                problem.cost.G, problem.m1)
         for block in (slice(None, 2), slice(2, None), slice(None)):
             with pytest.warns(RuntimeWarning):
@@ -627,6 +636,15 @@ class TestRegularization:
         with pytest.raises(ContractViolation):
             solve_lambda_family(ex5_2, [0.5, -0.1], cfg400)
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+    def test_non_finite_levels_refused(self, ex4_5, cfg400, level):
+        # refused by name, not later as a non-finite coefficient path
+        for levels in ([level], [0.5, level]):
+            with pytest.raises(ContractViolation, match="penalty levels"):
+                solve_lambda_family(ex4_5, levels, cfg400)
+        with pytest.raises(ContractViolation, match="penalty level"):
+            regularized_problem(ex4_5, level)
+
     def test_family_levels_match_serial(self, ex5_2, cfg400):
         lambdas = [0.5, 0.25, 1e-9]
         fam = solve_lambda_family(ex5_2, lambdas, cfg400)
@@ -644,3 +662,62 @@ class TestRegularization:
                          (sol.margin1_nodes, ref.margin1_nodes),
                          (sol.margin2_nodes, ref.margin2_nodes)):
                 assert a.tobytes() == b.tobytes()
+
+
+def _negated(path):
+    return CoefficientPath(path.kind, -path.values, path.span)
+
+
+def swapped(problem):
+    """The same game seen from the other side: the players swapped and the
+    cost negated (B1 <-> B2, D1 <-> D2, G, Q -> -G, -Q, S1' = -S2,
+    S2' = -S1, R11' = -R22, R22' = -R11, R12' = -R21)."""
+    d, c = problem.dynamics, problem.cost
+    dyn = StateDynamics(A=d.A, B1=d.B2, B2=d.B1, C=d.C, D1=d.D2, D2=d.D1)
+    cost = CostWeights(
+        G=-c.G, Q=_negated(c.Q), S1=_negated(c.S2), S2=_negated(c.S1),
+        R11=_negated(c.R22), R12=_negated(c.R21), R21=_negated(c.R12),
+        R22=_negated(c.R11))
+    return GameProblem(dynamics=dyn, cost=cost, horizon_T=problem.horizon_T)
+
+
+class TestSwapIdentity:
+    """Swapping the players and negating the cost gives -P, and each
+    companion is minus the swapped game's other one.  The swapped pass puts
+    each player's padded block in the other rows, so its solves pivot in
+    another order and the two agree to rounding, not bit for bit: by at
+    most one unit of eps (1 + max |P|) per stage, 4 N over N steps."""
+
+    @pytest.mark.parametrize("name", ["rg1", "rg11", "rg14", "rg34", "rcp3",
+                                      "rcp7"])
+    def test_solutions_mirror(self, name):
+        # random_game draws at m1 = 1, m2 = 2, constant (11, 34) and sampled
+        # (1, 14), and random_certified_problem draws, all certified
+        seed = int(name[3:] if name.startswith("rcp") else name[2:])
+        problem = (random_certified_problem(seed) if name.startswith("rcp")
+                   else random_game(seed, dims=(3, 1, 2)))
+        mirror = swapped(problem)
+        config = SolverConfig(n_steps=200)
+        assert certify_A3(problem, config).certified
+        assert certify_A3(mirror, config).certified
+        for kind, other in (("game", "game"), ("player1", "player2"),
+                            ("player2", "player1")):
+            sol = solve_riccati(problem, config, kind)
+            twin = solve_riccati(mirror, config, other)
+            tol = (4 * config.n_steps * np.finfo(float).eps
+                   * (1 + np.abs(sol.P_nodes).max()))
+            assert np.abs(sol.P_nodes + twin.P_nodes).max() <= tol, kind
+            if kind == "game":
+                assert np.abs(sol.margin1_nodes
+                              + twin.margin2_nodes).max() <= tol
+                assert np.abs(sol.margin2_nodes
+                              + twin.margin1_nodes).max() <= tol
+
+    def test_ex4_5_refused_on_the_other_side(self, ex4_5, cfg400):
+        assert certify_A3(ex4_5, cfg400).failing_side == 1
+        assert certify_A3(swapped(ex4_5), cfg400).failing_side == 2
+        sol = solve_riccati(ex4_5, cfg400)
+        twin = solve_riccati(swapped(ex4_5), cfg400)
+        tol = (4 * cfg400.n_steps * np.finfo(float).eps
+               * (1 + np.abs(sol.P_nodes).max()))
+        assert np.abs(sol.P_nodes + twin.P_nodes).max() <= tol

@@ -8,6 +8,7 @@ from lqgame import (
     feedback_gain, game_value, mean_state_path, solve_riccati,
 )
 from lqgame.core import assemble
+from conftest import table_row
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ class TestFeedbackGain:
         # (R + D'PD) Theta + (B'P + D'PC + S) = 0 at every node
         table = coefficients(rand_problem, rand_sol.grid.nodes)
         for j in range(0, rand_sol.grid.n_steps + 1, 50):
-            R_P, S_P, _ = assemble(table.row(j), rand_sol.P_nodes[j],
+            R_P, S_P, _ = assemble(table_row(table, j), rand_sol.P_nodes[j],
                                    rand_problem.m1)
             assert np.abs(R_P @ rand_law.theta_nodes[j] + S_P).max() < 1e-10
 
@@ -144,7 +145,7 @@ class TestFbsdeResidual:
         table = coefficients(rand_problem, rand_sol.grid.nodes)
         for j, (P, Th, x) in enumerate(zip(rand_sol.P_nodes,
                                            rand_law.theta_nodes, X)):
-            A, B, C, D, Q, S, R = table.row(j)
+            A, B, C, D, Q, S, R = table_row(table, j)
             u = Th @ x
             Y, Z = P @ x, P @ (C @ x + D @ u)
             assert system.drift_nodes[j].tobytes() == (A + B @ Th).tobytes()
