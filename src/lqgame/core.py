@@ -23,8 +23,6 @@ from numpy.linalg import _umath_linalg
 
 SYM_RTOL = 1e-12
 COND_LIMIT = 1e12
-# table rows whose Riccati assembly operands are formed at a time
-_CHUNK_ROWS = 64
 
 
 class LqgError(Exception):
@@ -366,12 +364,6 @@ class CoefficientTable(NamedTuple):
     S: np.ndarray
     R: np.ndarray
 
-    def chunk(self, lo: int) -> "CoefficientTable":
-        """Rows lo to lo + _CHUNK_ROWS - 1.  The operands of the Riccati
-        assembly outweigh the rows they come from, so they are formed a
-        chunk of rows at a time, never for a whole grid."""
-        return CoefficientTable(*(a[lo:lo + _CHUNK_ROWS] for a in self))
-
 
 def _sample(path: CoefficientPath, times: np.ndarray) -> np.ndarray:
     if path.kind == "constant":
@@ -463,29 +455,6 @@ def block_inverse(M: np.ndarray, L: np.ndarray, N: np.ndarray) -> np.ndarray:
     return np.block([[top_left, top_right], [top_right.mT, Phi_inv]])
 
 
-def assemble(table: CoefficientTable, P: np.ndarray,
-             m1: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Form R_P = R + D^T P D and S_P = B^T P + D^T P C + S from one row of
-    a coefficient table and one P, or from stacks of both of one length.
-
-    Returns (R_P, S_P, margins) where margins = (lambda_min of the player-1
-    diagonal block of R_P, lambda_max of the player-2 diagonal block).
-    Raises ContractViolation unless every P is symmetric.
-    """
-    check_symmetric(P, "P", rtol=1e-10)
-    if table.A.ndim == 2:
-        big, margins = _assemble(_assembly_rows(table), P, m1)
-    else:
-        parts = [_assemble(_assembly_rows(table.chunk(lo)),
-                           P[lo:lo + _CHUNK_ROWS], m1)
-                 for lo in range(0, len(P), _CHUNK_ROWS)]
-        bigs, margins = zip(*parts)
-        big = np.concatenate(bigs)
-        margins = tuple(map(np.concatenate, zip(*margins)))
-    n = P.shape[-1]
-    return big[..., n:, n:], big[..., n:, :n], margins
-
-
 def _assembly_rows(table: CoefficientTable) -> tuple:
     """The operands K = [C D | A B], V and H = [[Q, S'], [S, R]] / 2 of
     ``_assemble`` at each row of a coefficient table; column 2i of V is half
@@ -501,15 +470,17 @@ def _assembly_rows(table: CoefficientTable) -> tuple:
 
 
 def _assemble(rows: tuple, P: np.ndarray, m1: int) -> tuple[np.ndarray, tuple]:
-    """The quadratic block of the Riccati field and the margins of
-    ``assemble``, from the operands (K, V, H) of ``_assembly_rows`` and a P,
-    or a stack of P, symmetric by construction (no check):
+    """The quadratic block of the Riccati field, from the operands (K, V, H)
+    of ``_assembly_rows`` and a P, or a stack of P, symmetric by
+    construction (no check):
 
         Big = [[P A + A'P + C'P C + Q, S_P'], [S_P, R_P]] = X + X',
 
-    X = V (P K) + H = [[P A + C'P C/2 + Q/2, *], [D'P C/2 + S/2, D'P D/2 +
-    R/2]], with P K reshaped to (2n, n+m) to interleave the rows of P [C D]
-    and P [A B].  Big is symmetric bit for bit."""
+    R_P = R + D'P D, S_P = B'P + D'P C + S; X = V (P K) + H = [[P A + C'P C/2
+    + Q/2, *], [D'P C/2 + S/2, D'P D/2 + R/2]], P K reshaped to (2n, n+m) to
+    interleave the rows of P [C D] and P [A B].  Big is symmetric bit for
+    bit.  Returns Big and the margins: lambda_min of R_P's player-1 block,
+    lambda_max of its player-2 block."""
     K, V, H = rows
     n = P.shape[-1]
     PK = P @ K

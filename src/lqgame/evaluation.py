@@ -74,21 +74,15 @@ class ControlLaw:
         return self.value.shape[0]
 
     def as_callable(self, grid: TimeGrid):
-        """(step k, states (n, n_paths), out=None) -> controls (m, n_paths),
-        written into ``out`` when it is given."""
+        """(step k, states (n, n_paths), out): writes the controls at step
+        k, shaped (m, n_paths), into ``out``."""
         if self.kind == "feedback":
             if self.gains.shape[0] != grid.n_steps + 1:
                 raise ContractViolation("feedback gains not sampled on this grid")
             gains = self.gains
-            return lambda k, X, out=None: np.matmul(gains[k], X, out=out)
+            return lambda k, X, out: np.matmul(gains[k], X, out=out)
         value = self.value[:, None]
-
-        def constant(k, X, out=None):
-            if out is None:
-                return np.broadcast_to(value, (value.shape[0], X.shape[1]))
-            out[...] = value
-            return out
-        return constant
+        return lambda k, X, out: np.copyto(out, value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,9 +15,11 @@ grid, each stage once for the whole stack: a single solve is a stack of
 one, a regularized family a stack of its levels, and kinds mix in any
 order.  A stage forms every member's quadratic block in two products
 (core._assemble) and solves every member's Schur complement at once, each
-kind's control block padded to the whole one (_Kinds).  A member that
-fails leaves the stack, keeping the error and partial path a solve of it
-alone raises; every member equals that solve bit for bit.
+kind's control block padded to the whole one (_Kinds).  Each node keeps
+the block's control rows [S_P R_P], whence its margins and the saddle gain
+(synthesis.feedback_gain).  A member that fails leaves the stack, keeping
+the error and partial path a solve of it alone raises; every member equals
+that solve bit for bit.
 
 The outcomes of a problem's equations are kept per problem object and
 solver config while the problem lives (``_outcomes``), and a later
@@ -38,12 +40,14 @@ import numpy as np
 
 from .core import (
     CoefficientPath, CoefficientTable, ContractViolation, CostWeights,
-    GameProblem, LqgError, TimeGrid, coefficients, sym, _CHUNK_ROWS,
-    _assemble, _assembly_rows, _check_integer, _eig_extremes, _fro_norms,
-    _solve,
+    GameProblem, LqgError, TimeGrid, coefficients, sym, _assemble,
+    _assembly_rows, _check_integer, _eig_extremes, _fro_norms, _solve,
 )
 
 KINDS = ("game", "player1", "player2")
+# table rows whose assembly operands, which outweigh the rows, are formed
+# at a time: never for a whole grid
+_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -97,13 +101,14 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSolution:
-    """Symmetric matrix path P(t_k) on a uniform grid plus per-node
-    regularity margins."""
+    """Symmetric matrix path P(t_k) on a uniform grid plus, per node, the
+    regularity margins and the control rows [S_P R_P] they are read from."""
 
     grid: TimeGrid
     P_nodes: np.ndarray          # (n_steps+1, n, n)
     margin1_nodes: np.ndarray    # lambda_min(R11 + D1' P D1) per node
     margin2_nodes: np.ndarray    # lambda_max(R22 + D2' P D2) per node
+    control_nodes: np.ndarray    # S_P = B'P + D'PC + S, R_P = R + D'PD
     kind: str
 
     def P0(self) -> np.ndarray:
@@ -196,9 +201,11 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
     kinds = np.array(kinds)
     P_path = np.empty((len(kinds), grid.n_steps + 1, n, n))
     margin_path = np.empty((2, len(kinds), grid.n_steps + 1))
+    control_path = np.empty((len(kinds), grid.n_steps + 1, m, n + m))
     # outcomes see the paths through read-only views: the memo shares them
-    P_out, margin_out = P_path.view(), margin_path.view()
-    for a in (nodes, P_out, margin_out):
+    P_out, margin_out, control_out = (
+        a.view() for a in (P_path, margin_path, control_path))
+    for a in (nodes, P_out, margin_out, control_out):
         a.setflags(write=False)
     outcomes = [None] * len(kinds)
     live = np.arange(len(kinds))
@@ -213,7 +220,8 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
         lo = j - j % _CHUNK_ROWS
         if lo not in chunk:
             chunk.clear()
-            chunk[lo] = _assembly_rows(table.chunk(lo))
+            chunk[lo] = _assembly_rows(
+                table._make(a[lo:lo + _CHUNK_ROWS] for a in table))
         r = [a[j - lo] for a in chunk[lo]]
         return r if shared else [a[live] for a in r]
 
@@ -241,6 +249,7 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
         if node is not None:
             P_path[live, node] = X
             margin_path[0, live, node], margin_path[1, live, node] = margins
+            control_path[live, node] = big[..., n:, :]
         sides = live_kinds.failing_sides(*margins)
         if sides is not None:
             keep = retire(sides > 0, done, lambda pos, partial: RegularityError(
@@ -280,7 +289,8 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
     for i in live:
         outcomes[i] = RiccatiSolution(
             grid=grid, P_nodes=P_out[i], margin1_nodes=margin_out[0, i],
-            margin2_nodes=margin_out[1, i], kind=str(kinds[i]))
+            margin2_nodes=margin_out[1, i], control_nodes=control_out[i],
+            kind=str(kinds[i]))
     return outcomes
 
 
@@ -384,7 +394,13 @@ class ComparisonReport:
 
 def comparison_check(game: RiccatiSolution, p1: RiccatiSolution,
                      p2: RiccatiSolution) -> ComparisonReport:
-    """Check the sandwich P1 <= P <= P2 node-by-node, to within 1e-8."""
+    """Check the sandwich P1 <= P <= P2 node-by-node, to within 1e-8.
+    Raises ContractViolation, naming the argument, unless game, p1 and p2
+    are of the game, player-1 and player-2 kinds."""
+    for name, sol, kind in zip(("game", "p1", "p2"), (game, p1, p2), KINDS):
+        if sol.kind != kind:
+            raise ContractViolation(f"comparison_check argument {name} must "
+                                    f"be a {kind}-kind solution, got {sol.kind!r}")
     if not (game.grid.same_as(p1.grid) and game.grid.same_as(p2.grid)):
         raise ContractViolation("comparison_check requires a common grid")
     lower = _eig_extremes(sym(game.P_nodes - p1.P_nodes))[0]

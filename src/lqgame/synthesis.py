@@ -1,7 +1,7 @@
 """Saddle feedback synthesis from a game Riccati solution, plus the
-algebraic stationarity checks that verify it.  Each function applies the
-stacked kernels of ``core`` to all grid nodes at once; only the mean state
-path is integrated step by step."""
+algebraic stationarity checks that verify it.  The gain is solved from the
+control rows the backward pass keeps; each function works on all grid nodes
+at once, and only the mean state path is integrated step by step."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ContractViolation, GameProblem, TimeGrid, assemble, block_inverse,
-    coefficients, linear_flow, _start_state,
+    ContractViolation, GameProblem, TimeGrid, block_inverse, coefficients,
+    linear_flow, _start_state,
 )
 from .riccati import RiccatiSolution
 
@@ -42,18 +42,30 @@ class ClosedLoopSystem:
     diffusion_nodes: np.ndarray
 
 
+def _check_shapes(problem: GameProblem, *checks) -> None:
+    """Refuse, naming it, each (name, shape, expected shape) that differs."""
+    for name, got, want in checks:
+        if got != want:
+            raise ContractViolation(
+                f"{name} has shape {got}, expected {want} for the problem's "
+                f"(n, m1, m2) = {(problem.n, problem.m1, problem.m2)}")
+
+
 def feedback_gain(problem: GameProblem, sol: RiccatiSolution) -> FeedbackLaw:
-    """Theta(t_k) = -(R + D'PD)^{-1} (B'P + D'PC + S) at every node."""
+    """Theta(t_k) = -(R + D'PD)^{-1} (B'P + D'PC + S) at every node, from the
+    solution's control rows.  Raises ContractViolation unless sol is a
+    regular game-kind solution whose rows fit the problem's n and m1 + m2."""
     if sol.kind != "game":
         raise ContractViolation("feedback synthesis needs a game-kind solution")
+    n, m1, m = problem.n, problem.m1, problem.m1 + problem.m2
+    _check_shapes(problem, ("Riccati solution's control rows",
+                            sol.control_nodes.shape[1:], (m, n + m)))
     if sol.margin1_nodes.min() <= 0 or sol.margin2_nodes.max() >= 0:
         raise ContractViolation("Riccati solution has non-regular nodes")
-    m1 = problem.m1
-    table = coefficients(problem, sol.grid.nodes)
-    R_P, S_P, _ = assemble(table, sol.P_nodes, m1)
+    S_P, R_P = sol.control_nodes[..., :n], sol.control_nodes[..., n:]
     R_inv = block_inverse(R_P[:, :m1, :m1], R_P[:, :m1, m1:], R_P[:, m1:, m1:])
     return FeedbackLaw(grid=sol.grid, theta_nodes=-R_inv @ S_P,
-                       m1=problem.m1, m2=problem.m2)
+                       m1=m1, m2=problem.m2)
 
 
 def game_value(sol: RiccatiSolution, x) -> float:
@@ -69,6 +81,8 @@ def game_value(sol: RiccatiSolution, x) -> float:
 
 def closed_loop(problem: GameProblem, law: FeedbackLaw) -> ClosedLoopSystem:
     """Form A + B Theta and C + D Theta at every node of the law's grid."""
+    _check_shapes(problem, ("feedback law's gains", law.theta_nodes.shape[1:],
+                            (problem.m1 + problem.m2, problem.n)))
     table = coefficients(problem, law.grid.nodes)
     return ClosedLoopSystem(grid=law.grid,
                             drift_nodes=table.A + table.B @ law.theta_nodes,
@@ -92,9 +106,13 @@ def fbsde_residual(problem: GameProblem, sol: RiccatiSolution,
     rounding for the synthesized saddle law."""
     if not sol.grid.same_as(law.grid):
         raise ContractViolation("solution and law grids differ")
-    X = np.atleast_2d(np.asarray(X_path, dtype=float))[:, :, None]
-    if X.shape[0] != sol.grid.n_steps + 1:
-        raise ContractViolation("state path must live on the solution grid")
+    n, m = problem.n, problem.m1 + problem.m2
+    X = np.atleast_2d(np.asarray(X_path, dtype=float))
+    _check_shapes(
+        problem, ("state path", X.shape, (sol.grid.n_steps + 1, n)),
+        ("feedback law's gains", law.theta_nodes.shape[1:], (m, n)),
+        ("Riccati solution's control rows", sol.control_nodes.shape[1:], (m, n + m)))
+    X = X[:, :, None]
     table = coefficients(problem, sol.grid.nodes)
     u = law.theta_nodes @ X
     Y = sol.P_nodes @ X

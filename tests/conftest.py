@@ -5,7 +5,7 @@ from lqgame import (
     CoefficientPath, CostWeights, GameProblem, SolverConfig, StateDynamics,
     example_problem, random_certified_problem, riccati,
 )
-from lqgame.core import CoefficientTable
+from lqgame.core import CoefficientTable, _assemble, _assembly_rows
 
 
 def scalar_game(*, B1=0.0, B2=0.0, C=0.0, D1=0.0, D2=0.0, G=0.0, Q=0.0,
@@ -22,6 +22,17 @@ def table_row(table: CoefficientTable, j: int) -> CoefficientTable:
     """The coefficients at the j-th time of a table alone, without a time
     axis."""
     return CoefficientTable(*(a[j] for a in table))
+
+
+def control_blocks(table: CoefficientTable, P, m1: int):
+    """R_P = R + D'P D, S_P = B'P + D'P C + S and the margins of the
+    quadratic block that the backward pass forms (core._assemble), for one
+    row of a coefficient table and one P, or for stacks of both of one
+    length."""
+    P = np.asarray(P, dtype=float)
+    big, margins = _assemble(_assembly_rows(table), P, m1)
+    n = P.shape[-1]
+    return big[..., n:, n:], big[..., n:, :n], margins
 
 
 def random_game(seed: int, dims=None, noise: bool = True) -> GameProblem:

@@ -12,9 +12,9 @@ from lqgame import (
     check_symmetric, coefficients, sym, sym_eig_extremes,
 )
 from lqgame.core import (
-    _assemble, _assembly_rows, _eig_extremes, _solve, assemble, interpolate,
+    _assemble, _assembly_rows, _eig_extremes, _solve, interpolate,
 )
-from conftest import random_game, scalar_game, table_row
+from conftest import control_blocks, random_game, scalar_game, table_row
 
 
 def finite_matrices(rows, cols, elements=st.floats(-5, 5)):
@@ -418,8 +418,8 @@ class TestCoefficientTable:
 
 def assemble_at(problem: GameProblem, P, t: float):
     """R_P, S_P and the margins of one P at one time."""
-    return assemble(table_row(coefficients(problem, t), 0),
-                    np.atleast_2d(P), problem.m1)
+    return control_blocks(table_row(coefficients(problem, t), 0),
+                          np.atleast_2d(P), problem.m1)
 
 
 class TestAssembleBlocks:
@@ -436,19 +436,6 @@ class TestAssembleBlocks:
         _, _, (m1, m2) = assemble_at(p, [[0.5]], 0.0)
         assert m1 == pytest.approx(1.5)
         assert m2 == pytest.approx(-0.5)
-
-    def test_stack_equals_rows(self):
-        p = mixed_game(5, (3, 2, 1), [0, 3, 0, 2, 0, 7, 0, 0, 3, 0, 2, 0], 1.0)
-        # more rows than two chunks, which assemble forms one at a time
-        times = np.linspace(0.0, 1.0, 150)
-        rng = np.random.default_rng(0)
-        P = sym(rng.normal(size=(len(times), 3, 3)))
-        table = coefficients(p, times)
-        R_P, S_P, (margin1, margin2) = assemble(table, P, 2)
-        for j in range(len(times)):
-            r, s, (a, b) = assemble(table_row(table, j), P[j], 2)
-            assert bits(R_P[j]) == bits(r) and bits(S_P[j]) == bits(s)
-            assert (margin1[j], margin2[j]) == (a, b)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
            m1=st.integers(1, 3), m2=st.integers(1, 3),
@@ -482,7 +469,3 @@ class TestAssembleBlocks:
                 (big[:, n:, n:], R + D.mT @ P @ D,
                  np.abs(R) + aD.mT @ aP @ aD)):
             assert np.all(np.abs(got - want) <= tol * bound)
-
-    def test_asymmetric_P_rejected(self, ex4_5):
-        with pytest.raises(ContractViolation):
-            assemble_at(ex4_5, [[0.0, 1.0], [0.0, 0.0]], 0.0)

@@ -248,7 +248,8 @@ class TestSimulate:
         u1 = ControlLaw.from_feedback(law, 1, grid)
         assert u1.dim() == rand_problem.m1
         X = np.ones((rand_problem.n, 3))
-        out = u1.as_callable(grid)(0, X)
+        out = np.empty((rand_problem.m1, 3))
+        u1.as_callable(grid)(0, X, out)
         assert np.allclose(out, law.theta_nodes[0][:rand_problem.m1] @ X)
 
     @pytest.mark.parametrize("n_paths", [1, 64, 500])

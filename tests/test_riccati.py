@@ -21,18 +21,19 @@ from lqgame import (
     regularized_problem, representation, riccati, solve_lambda_family,
     solve_riccati, sym,
 )
-from lqgame.core import _assemble, _assembly_rows, _solve, assemble
+from lqgame.core import _assemble, _assembly_rows, _solve
 from lqgame.riccati import KINDS, _field, _Kinds, _solve_stack
-from conftest import random_game, scalar_game, table_row
+from conftest import control_blocks, random_game, scalar_game, table_row
 
 
 def reference_solve(problem, config, kind):
     """The backward RK4 loop for one equation alone, stage by stage: the
     reference that every member of a stacked pass must equal bit for bit,
-    error, failure time, side, margin and partial path included.  Its
-    quadratic block is core._assemble's, which TestAssembleBlocks checks
-    against the textbook field; its Schur complement pads the kind's control
-    block to the whole one, with zero rows of S_k and identity R_k outside."""
+    error, failure time, side, margin and partial path included, and each
+    node's control rows.  Its quadratic block is core._assemble's, which
+    TestAssembleBlocks checks against the textbook field; its Schur
+    complement pads the kind's control block to the whole one, with zero
+    rows of S_k and identity R_k outside."""
     grid = TimeGrid(problem.horizon_T, config.n_steps)
     nodes, h, eps, m1 = grid.nodes, grid.dt, config.eps_reg, problem.m1
     n, m = problem.n, problem.m1 + problem.m2
@@ -69,12 +70,12 @@ def reference_solve(problem, config, kind):
 
     P = np.array(problem.cost.G)
     big, margins = assemble(table_row(table, 2 * grid.n_steps), P)
-    done = [(nodes[-1], P, margins)]
+    done = [(nodes[-1], P, margins, big[n:])]
 
     def path():
-        t, Ps, ms = zip(*done[::-1])
+        t, Ps, ms, rows = zip(*done[::-1])
         return (np.array(t), np.array(Ps), np.array([a for a, _ in ms]),
-                np.array([b for _, b in ms]))
+                np.array([b for _, b in ms]), np.array(rows))
 
     try:
         check(nodes[-1], margins)
@@ -92,15 +93,17 @@ def reference_solve(problem, config, kind):
                 raise BlowUpError(t0, norm)
             big, margins = assemble(prev, P)
             check(t0, margins)
-            done.append((t0, P, margins))
+            done.append((t0, P, margins, big[n:]))
     except RegularityError as err:
         raise RegularityError(err.time, err.side, err.margin,
-                              PartialPath(*path())) from None
+                              PartialPath(*path()[:4])) from None
     except BlowUpError as err:
-        raise BlowUpError(err.time, err.norm, PartialPath(*path())) from None
-    _, P_nodes, margin1, margin2 = path()
+        raise BlowUpError(err.time, err.norm,
+                          PartialPath(*path()[:4])) from None
+    _, P_nodes, margin1, margin2, rows = path()
     return RiccatiSolution(grid=grid, P_nodes=P_nodes, margin1_nodes=margin1,
-                           margin2_nodes=margin2, kind=kind)
+                           margin2_nodes=margin2, control_nodes=rows,
+                           kind=kind)
 
 
 def _bits(x) -> bytes:
@@ -111,7 +114,8 @@ def _bits(x) -> bytes:
 def assert_same_solution(sol, ref):
     assert isinstance(sol, RiccatiSolution) and sol.kind == ref.kind
     assert sol.grid.same_as(ref.grid)
-    for field in ("P_nodes", "margin1_nodes", "margin2_nodes"):
+    for field in ("P_nodes", "margin1_nodes", "margin2_nodes",
+                  "control_nodes"):
         assert _bits(getattr(sol, field)) == _bits(getattr(ref, field)), field
 
 
@@ -309,6 +313,15 @@ class TestCertificate:
         lo, hi = cmp.worst_margins()
         assert lo >= -1e-8 and hi >= -1e-8
 
+    def test_comparison_refuses_wrong_kinds(self, rand_problem, cfg400):
+        # (game, game, game) would pass and (p1, game, p2) blame the game
+        report = certify_A3(rand_problem, cfg400)
+        game, p1, p2 = solve_riccati(rand_problem, cfg400), report.p1, report.p2
+        for args, name in (((game, game, game), "p1"), ((p1, game, p2), "game"),
+                           ((game, p1, p1), "p2"), ((game, p2, p1), "p1")):
+            with pytest.raises(ContractViolation, match=f"argument {name} "):
+                comparison_check(*args)
+
 
 class TestStackedPass:
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -358,6 +371,21 @@ class TestStackedPass:
                 assert_same_error(outcome, alone)
             assert_matches_reference(outcome, problem, config, kind)
 
+    @pytest.mark.parametrize("seed", [9, 11])
+    def test_margins_are_the_stored_rows_extremes(self, seed):
+        # every kind keeps the whole control rows [S_P R_P] of each node,
+        # and its margins are the extreme eigenvalues of their player
+        # blocks; both draws are certified, 9 sampled and 11 constant
+        problem = random_game(seed, dims=(3, 2, 2))
+        n, m1 = problem.n, problem.m1
+        for sol in _solve_stack([problem] * 3, KINDS, SolverConfig(n_steps=40)):
+            assert sol.control_nodes.shape == (41, 4, 7)
+            R_P = sol.control_nodes[..., n:]
+            for margin, block, pick in ((sol.margin1_nodes, slice(None, m1), 0),
+                                        (sol.margin2_nodes, slice(m1, None), -1)):
+                extreme = np.linalg.eigvalsh(R_P[:, block, block])[:, pick]
+                assert _bits(extreme) == _bits(margin)
+
     def test_no_solve_sees_a_singular_block(self):
         # at T, G = diag(-1/2, 1/2) makes R11 + D1'GD1 = I - dd'/2 and
         # R22 + D2'GD2 = -I + dd'/2, d = (1, 1), exactly singular, and so the
@@ -372,8 +400,9 @@ class TestStackedPass:
                            S2=c(zero), R11=c(eye), R12=c(zero), R21=c(zero),
                            R22=c(-eye))
         problem = GameProblem(dynamics=dyn, cost=cost, horizon_T=1.0)
-        R_P, S_P, _ = assemble(table_row(coefficients(problem, 1.0), 0),
-                               problem.cost.G, problem.m1)
+        R_P, S_P, _ = control_blocks(
+            table_row(coefficients(problem, 1.0), 0), problem.cost.G,
+            problem.m1)
         for block in (slice(None, 2), slice(2, None), slice(None)):
             with pytest.warns(RuntimeWarning):
                 assert np.isnan(_solve(R_P[block, block], S_P[block])).all()
@@ -583,7 +612,7 @@ class TestMemo:
         sol = solve_riccati(problem, cfg400, "game")
         err = solve_or_error(problem, cfg400, "player1")
         for a in (sol.P_nodes, sol.margin1_nodes, sol.margin2_nodes,
-                  err.partial.times, err.partial.P_nodes,
+                  sol.control_nodes, err.partial.times, err.partial.P_nodes,
                   err.partial.margin1_nodes, err.partial.margin2_nodes):
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -660,7 +689,8 @@ class TestRegularization:
             assert failure is None
             for a, b in ((sol.P_nodes, ref.P_nodes), (P0, ref.P0()),
                          (sol.margin1_nodes, ref.margin1_nodes),
-                         (sol.margin2_nodes, ref.margin2_nodes)):
+                         (sol.margin2_nodes, ref.margin2_nodes),
+                         (sol.control_nodes, ref.control_nodes)):
                 assert a.tobytes() == b.tobytes()
 
 

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqgame import (
-    ContractViolation, SolverConfig, closed_loop, coefficients, fbsde_residual,
-    feedback_gain, game_value, mean_state_path, solve_riccati,
+    ContractViolation, SolverConfig, block_inverse, certify_A3,
+    closed_loop, coefficients, fbsde_residual, feedback_gain, game_value,
+    mean_state_path, random_certified_problem, solve_riccati,
 )
-from lqgame.core import assemble
-from conftest import table_row
+from conftest import control_blocks, random_game, table_row
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +44,72 @@ class TestFeedbackGain:
         # (R + D'PD) Theta + (B'P + D'PC + S) = 0 at every node
         table = coefficients(rand_problem, rand_sol.grid.nodes)
         for j in range(0, rand_sol.grid.n_steps + 1, 50):
-            R_P, S_P, _ = assemble(table_row(table, j), rand_sol.P_nodes[j],
-                                   rand_problem.m1)
+            R_P, S_P, _ = control_blocks(table_row(table, j),
+                                         rand_sol.P_nodes[j], rand_problem.m1)
             assert np.abs(R_P @ rand_law.theta_nodes[j] + S_P).max() < 1e-10
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+           m1=st.integers(1, 3), m2=st.integers(1, 3),
+           n_steps=st.integers(2, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_gain_is_the_formula_on_the_node_table(self, seed, n, m1, m2,
+                                                   n_steps):
+        # the gain solved from the pass's stored rows equals the one from
+        # rows assembled afresh on the whole node table, bit for bit; the
+        # draws are constant or sampled, and from 32 steps on, 65 stage
+        # rows, a sampled game's pass forms its operands in two chunks
+        config = SolverConfig(n_steps=n_steps)
+        problem = next(p for p in (random_game(seed + i, dims=(n, m1, m2))
+                                   for i in range(100))
+                       if certify_A3(p, config).certified)
+        sol = solve_riccati(problem, config)
+        R_P, S_P, _ = control_blocks(
+            coefficients(problem, sol.grid.nodes), sol.P_nodes, m1)
+        theta = -block_inverse(R_P[:, :m1, :m1], R_P[:, :m1, m1:],
+                               R_P[:, m1:, m1:]) @ S_P
+        law = feedback_gain(problem, sol)
+        assert law.theta_nodes.tobytes() == theta.tobytes()
 
     def test_rejects_single_player_solution(self, rand_problem, cfg400):
         p2 = solve_riccati(rand_problem, cfg400, "player2")
         with pytest.raises(ContractViolation):
             feedback_gain(rand_problem, p2)
+
+
+class TestDimensions:
+    """A solution, law or state path that does not fit the problem is
+    refused by name, not left to a NumPy shape error:
+    random_certified_problem(3) has (n, m1, m2) = (4, 1, 1), rand_problem
+    (4, 2, 2)."""
+
+    @pytest.fixture(scope="class")
+    def other(self):
+        return random_certified_problem(seed=3)
+
+    def test_feedback_gain(self, other, rand_sol):
+        with pytest.raises(ContractViolation, match="Riccati solution"):
+            feedback_gain(other, rand_sol)
+
+    def test_closed_loop(self, other, rand_law):
+        with pytest.raises(ContractViolation, match="feedback law"):
+            closed_loop(other, rand_law)
+
+    def test_fbsde_residual(self, other, rand_problem, rand_sol, rand_law,
+                            cfg400):
+        X = mean_state_path(closed_loop(rand_problem, rand_law),
+                            np.ones(rand_problem.n))
+        other_sol = solve_riccati(other, cfg400)
+        other_law = feedback_gain(other, other_sol)
+        for args, name in (
+                ((other, rand_sol, other_law, X), "Riccati solution"),
+                ((rand_problem, other_sol, rand_law, X), "Riccati solution"),
+                ((rand_problem, rand_sol, rand_law, X[:-1]), "state path"),
+                ((rand_problem, rand_sol, other_law, X), "feedback law"),
+                ((rand_problem, rand_sol, rand_law, X[:, :3]), "state path"),
+                ((rand_problem, rand_sol, rand_law, X[:, :, None, None]),
+                 "state path")):
+            with pytest.raises(ContractViolation, match=name):
+                fbsde_residual(*args)
 
 
 class TestGameValue:
