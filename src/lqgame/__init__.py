@@ -6,8 +6,7 @@ algebraic residuals, a discrete-time oracle, and Monte-Carlo simulation."""
 from .core import (
     COND_LIMIT, SYM_RTOL, CoefficientPath, ContractViolation, CostWeights,
     DomainError, GameProblem, LqgError, SingularBlockError, StateDynamics,
-    TimeGrid, block_inverse, check_symmetric, coefficients, sym,
-    sym_eig_extremes,
+    TimeGrid, check_symmetric, coefficients, sym,
 )
 from .riccati import (
     BlowUpError, CertificateReport, ComparisonReport, PartialPath,

@@ -66,12 +66,14 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
-def check_symmetric(M: np.ndarray, name: str, rtol: float = SYM_RTOL) -> None:
+def check_symmetric(M: np.ndarray, name: str) -> None:
     """Raise ContractViolation unless M, or every matrix of a stack, is
-    symmetric within rtol relative to its own largest entry."""
+    symmetric within SYM_RTOL relative to its own largest entry."""
     scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1), initial=0.0))
-    if np.any(np.abs(M - M.mT).max(axis=(-2, -1), initial=0.0) > rtol * scale):
-        raise ContractViolation(f"{name} is not symmetric within {rtol:g} relative")
+    if np.any(np.abs(M - M.mT).max(axis=(-2, -1), initial=0.0)
+              > SYM_RTOL * scale):
+        raise ContractViolation(
+            f"{name} is not symmetric within {SYM_RTOL:g} relative")
 
 
 def _check_integer(value, name: str, least: int) -> None:
@@ -414,45 +416,15 @@ def _eig_extremes(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., 0][()], w[..., -1][()]
 
 
-def sym_eig_extremes(M: np.ndarray):
-    """Smallest and largest eigenvalue of a symmetric matrix, or of each
-    matrix of a stack as arrays over its leading axes."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    check_symmetric(M, "sym_eig_extremes argument")
-    return _eig_extremes(sym(M))
-
-
-def block_inverse(M: np.ndarray, L: np.ndarray, N: np.ndarray) -> np.ndarray:
-    """Inverse of the 2x2 block matrix [[M, L], [L^T, N]], or of each one in
-    a stack (M, L and N share their leading axes).
-
-    Uses the Schur complement Phi = N - L^T M^-1 L:
-
-        [[M^-1 + (M^-1 L) Phi^-1 (M^-1 L)^T,  -(M^-1 L) Phi^-1],
-         [-Phi^-1 (M^-1 L)^T,                  Phi^-1          ]]
-
-    Raises SingularBlockError naming the failing block ("M" or "Phi") of the
-    first matrix of the stack where M or Phi has condition above COND_LIMIT.
-    """
-    M, L, N = np.atleast_2d(M), np.atleast_2d(L), np.atleast_2d(N)
-    cond_M = np.ravel(np.linalg.cond(M))
-    bad = np.flatnonzero(cond_M > COND_LIMIT)
+def _solve_regular(R: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_solve(R, b) for a stack of control blocks R; raises
+    SingularBlockError naming block "R" at the first matrix of the stack
+    whose condition exceeds COND_LIMIT."""
+    cond = np.linalg.cond(R)
+    bad = np.flatnonzero(cond > COND_LIMIT)
     if bad.size:
-        # a singular Phi in a matrix before the first singular M fails first
-        j = bad[0]
-        block_inverse(*(X.reshape((-1,) + X.shape[-2:])[:j] for X in (M, L, N)))
-        raise SingularBlockError("M", float(cond_M[j]))
-    Minv_L = np.linalg.solve(M, L)
-    Phi = N - L.mT @ Minv_L
-    cond_Phi = np.ravel(np.linalg.cond(Phi))
-    bad = np.flatnonzero(cond_Phi > COND_LIMIT)
-    if bad.size:
-        raise SingularBlockError("Phi", float(cond_Phi[bad[0]]))
-    Phi_inv = np.linalg.inv(Phi)
-    M_inv = np.linalg.inv(M)
-    top_left = M_inv + Minv_L @ Phi_inv @ Minv_L.mT
-    top_right = -Minv_L @ Phi_inv
-    return np.block([[top_left, top_right], [top_right.mT, Phi_inv]])
+        raise SingularBlockError("R", float(cond[bad[0]]))
+    return _solve(R, b)
 
 
 def _assembly_rows(table: CoefficientTable) -> tuple:

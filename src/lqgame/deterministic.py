@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    GameProblem, LqgError, TimeGrid, block_inverse, coefficients, linear_flow,
-    sym, sym_eig_extremes, _fro_norms,
+    GameProblem, LqgError, SingularBlockError, TimeGrid, coefficients,
+    linear_flow, sym, _eig_extremes, _fro_norms, _solve_regular,
 )
 from .riccati import (
     BlowUpError, CertificateReport, RegularityError, RiccatiSolution,
@@ -53,28 +53,29 @@ def hamiltonian(problem: GameProblem, n_steps: int = 2000) -> np.ndarray:
 
     Requires C = D1 = D2 = 0, R11 positive definite and R22 negative
     definite at every node; raises RegularityError at the first node where
-    either fails (player 1 when both do).
+    either fails (player 1 when both do), and SingularBlockError (block
+    "R") at the first node where R has condition above COND_LIMIT.
     """
     if not problem.is_deterministic():
         raise NotDeterministicError("problem has nonzero C or D coefficients")
     grid = TimeGrid(problem.horizon_T, n_steps)
     table = coefficients(problem, grid.nodes)
-    m1 = problem.m1
+    n, m1 = problem.n, problem.m1
     A, B, Q, S, R = table.A, table.B, table.Q, table.S, table.R
-    R11, R12, R22 = R[:, :m1, :m1], R[:, :m1, m1:], R[:, m1:, m1:]
-    lo = sym_eig_extremes(R11)[0]
-    hi = sym_eig_extremes(R22)[1]
+    lo = _eig_extremes(sym(R[:, :m1, :m1]))[0]
+    hi = _eig_extremes(sym(R[:, m1:, m1:]))[1]
     bad = np.flatnonzero((lo <= 0) | (hi >= 0))
     if bad.size:
         j = bad[0]
         if lo[j] <= 0:
             raise RegularityError(grid.nodes[j], 1, float(lo[j]))
         raise RegularityError(grid.nodes[j], 2, float(hi[j]))
-    R_inv = block_inverse(R11, R12, R22)
-    Adj = A - B @ R_inv @ S
+    X = _solve_regular(R, np.concatenate((S, B.mT), axis=-1))
+    Rinv_S, Rinv_Bt = X[..., :n], X[..., n:]
+    Adj = A - B @ Rinv_S
     H = np.block([
-        [Adj, -B @ R_inv @ B.mT],
-        [-(Q - S.mT @ R_inv @ S), -Adj.mT],
+        [Adj, -B @ Rinv_Bt],
+        [-(Q - S.mT @ Rinv_S), -Adj.mT],
     ])
     return H
 
@@ -166,7 +167,8 @@ def equivalence_report(problem: GameProblem,
     try:
         rep = representation(problem, fundamental_matrix(
             hamiltonian(problem, config.n_steps), problem.horizon_T))
-    except (RegularityError, BlowUpError, RepresentationSingularError) as err:
+    except (RegularityError, SingularBlockError, BlowUpError,
+            RepresentationSingularError) as err:
         rep_failure = f"{type(err).__name__}: {err}"
 
     cross = None

@@ -108,24 +108,28 @@ class CostEstimate:
     n_paths: int
 
 
+# standard errors within which SaddleReport's checks pass
+_N_SIGMA = 3.0
+
+
 @dataclass
 class SaddleReport:
-    """Empirical check of the two saddle inequalities plus the value match."""
+    """Empirical check of the two saddle inequalities plus the value match,
+    each to within _N_SIGMA standard errors."""
 
     value_analytic: float
     value_mc: CostEstimate
     gaps_player1: list[CostEstimate]
     gaps_player2: list[CostEstimate]
-    n_sigma: float = 3.0
     verdict: str = field(init=False)
 
     def __post_init__(self):
         ok = abs(self.value_mc.mean - self.value_analytic) \
-            <= self.n_sigma * self.value_mc.std_error
+            <= _N_SIGMA * self.value_mc.std_error
         for g in self.gaps_player1:
-            ok = ok and g.mean >= -self.n_sigma * g.std_error
+            ok = ok and g.mean >= -_N_SIGMA * g.std_error
         for g in self.gaps_player2:
-            ok = ok and g.mean <= self.n_sigma * g.std_error
+            ok = ok and g.mean <= _N_SIGMA * g.std_error
         self.verdict = "PASS" if ok else "FAIL"
 
 

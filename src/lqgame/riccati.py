@@ -102,7 +102,8 @@ class SolverConfig:
 @dataclass(frozen=True, eq=False)
 class RiccatiSolution:
     """Symmetric matrix path P(t_k) on a uniform grid plus, per node, the
-    regularity margins and the control rows [S_P R_P] they are read from."""
+    regularity margins and the control rows [S_P R_P] they are read from;
+    the first m1 of the m1 + m2 controls are player 1's."""
 
     grid: TimeGrid
     P_nodes: np.ndarray          # (n_steps+1, n, n)
@@ -110,6 +111,7 @@ class RiccatiSolution:
     margin2_nodes: np.ndarray    # lambda_max(R22 + D2' P D2) per node
     control_nodes: np.ndarray    # S_P = B'P + D'PC + S, R_P = R + D'PD
     kind: str
+    m1: int
 
     def P0(self) -> np.ndarray:
         return self.P_nodes[0]
@@ -290,7 +292,7 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
         outcomes[i] = RiccatiSolution(
             grid=grid, P_nodes=P_out[i], margin1_nodes=margin_out[0, i],
             margin2_nodes=margin_out[1, i], control_nodes=control_out[i],
-            kind=str(kinds[i]))
+            kind=str(kinds[i]), m1=m1)
     return outcomes
 
 
@@ -396,11 +398,16 @@ def comparison_check(game: RiccatiSolution, p1: RiccatiSolution,
                      p2: RiccatiSolution) -> ComparisonReport:
     """Check the sandwich P1 <= P <= P2 node-by-node, to within 1e-8.
     Raises ContractViolation, naming the argument, unless game, p1 and p2
-    are of the game, player-1 and player-2 kinds."""
+    are of the game, player-1 and player-2 kinds and share game's n."""
+    n = game.P_nodes.shape[-1]
     for name, sol, kind in zip(("game", "p1", "p2"), (game, p1, p2), KINDS):
         if sol.kind != kind:
             raise ContractViolation(f"comparison_check argument {name} must "
                                     f"be a {kind}-kind solution, got {sol.kind!r}")
+        if sol.P_nodes.shape[-1] != n:
+            raise ContractViolation(
+                f"comparison_check argument {name} has n = "
+                f"{sol.P_nodes.shape[-1]}, game has n = {n}")
     if not (game.grid.same_as(p1.grid) and game.grid.same_as(p2.grid)):
         raise ContractViolation("comparison_check requires a common grid")
     lower = _eig_extremes(sym(game.P_nodes - p1.P_nodes))[0]

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ContractViolation, GameProblem, TimeGrid, block_inverse, coefficients,
-    linear_flow, _start_state,
+    ContractViolation, GameProblem, TimeGrid, coefficients, linear_flow,
+    _solve_regular, _start_state,
 )
 from .riccati import RiccatiSolution
 
@@ -52,19 +52,24 @@ def _check_shapes(problem: GameProblem, *checks) -> None:
 
 
 def feedback_gain(problem: GameProblem, sol: RiccatiSolution) -> FeedbackLaw:
-    """Theta(t_k) = -(R + D'PD)^{-1} (B'P + D'PC + S) at every node, from the
-    solution's control rows.  Raises ContractViolation unless sol is a
-    regular game-kind solution whose rows fit the problem's n and m1 + m2."""
+    """Theta(t_k) = -(R + D'PD)^{-1} (B'P + D'PC + S) at every node, solved
+    from the solution's control rows.  Raises ContractViolation unless sol
+    is a regular game-kind solution of the problem's (n, m1, m2), and
+    SingularBlockError (block "R") at the first node where R + D'PD has
+    condition above COND_LIMIT."""
     if sol.kind != "game":
         raise ContractViolation("feedback synthesis needs a game-kind solution")
     n, m1, m = problem.n, problem.m1, problem.m1 + problem.m2
     _check_shapes(problem, ("Riccati solution's control rows",
                             sol.control_nodes.shape[1:], (m, n + m)))
+    if sol.m1 != m1:
+        raise ContractViolation(
+            f"Riccati solution has m1 = {sol.m1}, expected {m1} for the "
+            f"problem's (n, m1, m2) = {(n, m1, problem.m2)}")
     if sol.margin1_nodes.min() <= 0 or sol.margin2_nodes.max() >= 0:
         raise ContractViolation("Riccati solution has non-regular nodes")
     S_P, R_P = sol.control_nodes[..., :n], sol.control_nodes[..., n:]
-    R_inv = block_inverse(R_P[:, :m1, :m1], R_P[:, :m1, m1:], R_P[:, m1:, m1:])
-    return FeedbackLaw(grid=sol.grid, theta_nodes=-R_inv @ S_P,
+    return FeedbackLaw(grid=sol.grid, theta_nodes=-_solve_regular(R_P, S_P),
                        m1=m1, m2=problem.m2)
 
 

@@ -4,21 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from lqgame import (
     CoefficientPath, ContractViolation, CostWeights, DomainError, GameProblem,
-    SingularBlockError, StateDynamics, TimeGrid, block_inverse,
-    check_symmetric, coefficients, sym, sym_eig_extremes,
+    StateDynamics, TimeGrid, check_symmetric, coefficients, sym,
 )
 from lqgame.core import (
     _assemble, _assembly_rows, _eig_extremes, _solve, interpolate,
 )
 from conftest import control_blocks, random_game, scalar_game, table_row
-
-
-def finite_matrices(rows, cols, elements=st.floats(-5, 5)):
-    return arrays(np.float64, (rows, cols), elements=elements)
 
 
 class TestTimeGrid:
@@ -178,32 +172,6 @@ class TestNonFiniteInput:
             TimeGrid(bad, 10)
 
 
-class TestEigExtremes:
-    def test_scalar_shortcut(self):
-        assert sym_eig_extremes(np.array([[-3.0]])) == (-3.0, -3.0)
-
-    def test_diagonal(self):
-        lo, hi = sym_eig_extremes(np.diag([2.0, -1.0, 5.0]))
-        assert (lo, hi) == (-1.0, 5.0)
-
-    @given(M=finite_matrices(3, 3))
-    @settings(max_examples=50)
-    def test_extremes_bound_rayleigh_quotient(self, M):
-        S = sym(M)
-        lo, hi = sym_eig_extremes(S)
-        v = np.ones(3) / np.sqrt(3)
-        q = v @ S @ v
-        assert lo - 1e-9 <= q <= hi + 1e-9
-
-    @pytest.mark.parametrize("dim", [1, 3])
-    def test_stack_equals_each_matrix(self, dim):
-        stack = sym(np.random.default_rng(dim).normal(size=(5, dim, dim)))
-        lo, hi = sym_eig_extremes(stack)
-        assert lo.shape == hi.shape == (5,)
-        for j, M in enumerate(stack):
-            assert (lo[j], hi[j]) == sym_eig_extremes(M)
-
-
 def lapack_operands(seed, lead, m, cols, view):
     """A stack (leading axes lead) of symmetric m x m matrices and one of
     m x cols right-hand sides.  With view, both are strided blocks of larger
@@ -237,89 +205,6 @@ class TestLapackHelpers:
         w = np.linalg.eigvalsh(a)
         lo, hi = _eig_extremes(a)
         assert (bits(lo), bits(hi)) == (bits(w[..., 0]), bits(w[..., -1]))
-
-
-class TestBlockInverse:
-    @given(M=finite_matrices(2, 2), L=finite_matrices(2, 2),
-           N=finite_matrices(2, 2))
-    @settings(max_examples=80)
-    def test_multiplies_back_to_identity(self, M, L, N):
-        # entries in [-5, 5] keep the eigenvalues of sym(.) in [-10, 10],
-        # so M > 0 and N < 0 (hence the Schur complement < 0) for every draw
-        M = sym(M) + 11.0 * np.eye(2)
-        N = sym(N) - 11.0 * np.eye(2)
-        full = np.block([[M, L], [L.T, N]])
-        inv = block_inverse(M, L, N)
-        assert np.abs(full @ inv - np.eye(4)).max() < 1e-10
-
-    def test_singular_leading_block_named(self):
-        with pytest.raises(SingularBlockError) as exc:
-            block_inverse(np.zeros((1, 1)), np.zeros((1, 1)), -np.eye(1))
-        assert exc.value.block == "M"
-
-    def test_singular_schur_complement_named(self):
-        # N = L' M^-1 L makes the Schur complement exactly zero
-        M = np.eye(2)
-        L = np.eye(2)
-        with pytest.raises(SingularBlockError) as exc:
-            block_inverse(M, L, L.T @ L)
-        assert exc.value.block == "Phi"
-
-    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 6),
-           m=st.integers(1, 3), k=st.integers(1, 3))
-    @settings(max_examples=40, deadline=None)
-    def test_stack_equals_each_matrix(self, seed, size, m, k):
-        rng = np.random.default_rng(seed)
-        M = sym(rng.normal(size=(size, m, m))) + 3 * m * np.eye(m)
-        L = rng.normal(size=(size, m, k))
-        N = sym(rng.normal(size=(size, k, k))) - 3 * k * np.eye(k)
-        stacked = block_inverse(M, L, N)
-        for j in range(size):
-            assert bits(stacked[j]) == bits(block_inverse(M[j], L[j], N[j]))
-
-    @staticmethod
-    def saddle_stack(size=5):
-        M = np.stack([np.eye(2)] * size)
-        L = np.stack([np.eye(2)] * size)
-        N = np.stack([-np.eye(2)] * size)
-        return M, L, N
-
-    def test_singular_M_in_stack_named(self):
-        M, L, N = self.saddle_stack()
-        M[3] = 0.0
-        with pytest.raises(SingularBlockError) as exc:
-            block_inverse(M, L, N)
-        assert exc.value.block == "M"
-
-    def test_singular_schur_complement_in_stack_named(self):
-        M, L, N = self.saddle_stack()
-        N[2] = np.eye(2)        # Phi = N - L' M^-1 L = 0
-        with pytest.raises(SingularBlockError) as exc:
-            block_inverse(M, L, N)
-        assert exc.value.block == "Phi"
-
-    def test_first_failing_matrix_of_stack_wins(self):
-        # matrix 1 has a singular Schur complement, matrix 3 a singular M
-        M, L, N = self.saddle_stack()
-        N[1] = np.eye(2)
-        M[3] = 0.0
-        with pytest.raises(SingularBlockError) as exc:
-            block_inverse(M, L, N)
-        assert exc.value.block == "Phi"
-        N[1] = -np.eye(2)
-        N[4] = np.eye(2)
-        with pytest.raises(SingularBlockError) as exc:
-            block_inverse(M, L, N)
-        assert exc.value.block == "M"
-
-    def test_indefinite_saddle_block(self):
-        # definite M > 0 and N < 0 always invert (Schur complement < 0)
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            L = rng.normal(size=(2, 2))
-            inv = block_inverse(np.eye(2), L, -np.eye(2) - L.T @ L)
-            full = np.block([[np.eye(2), L], [L.T, -np.eye(2) - L.T @ L]])
-            assert np.abs(full @ inv - np.eye(4)).max() < 1e-10
 
 
 def eval_reference(path: CoefficientPath, t: float) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -5,10 +7,10 @@ from scipy.linalg import expm
 from lqgame import (
     BlowUpError, CoefficientPath, CostWeights, GameProblem,
     NotDeterministicError, RegularityError, RepresentationSingularError,
-    SolverConfig, StateDynamics, TimeGrid, equivalence_report,
+    SolverConfig, StateDynamics, TimeGrid, coefficients, equivalence_report,
     fundamental_matrix, hamiltonian, representation, solve_riccati,
 )
-from conftest import scalar_game
+from conftest import random_game, scalar_game
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,25 @@ class TestHamiltonian:
             hamiltonian(self.sampled_R_game([1.0, -1.0], [-1.0, 3.0]), 10)
         assert (exc.value.time, exc.value.side) == (nodes[3], 2)
         assert exc.value.margin == pytest.approx(0.2)
+
+    def test_ill_conditioned_player_block_accepted(self):
+        # cond(R11) = 1e13, but R itself is well conditioned (cond ~ 2.6):
+        # H solves with R alone and matches the solve at every node
+        c = CoefficientPath.constant
+        problem = random_game(3, dims=(2, 2, 1), noise=False)
+        problem = dataclasses.replace(problem, cost=dataclasses.replace(
+            problem.cost, R11=c(np.diag([1.0, 1e-13])), R12=c([[0.0], [1.0]]),
+            R21=c([[0.0, 1.0]]), R22=c(-1.0)))
+        H = hamiltonian(problem, 20)
+        table = coefficients(problem, TimeGrid(1.0, 20).nodes)
+        assert np.linalg.cond(table.R[0]) < 3.0
+        for k, (A, B, Q, S, R) in enumerate(zip(
+                table.A, table.B, table.Q, table.S, table.R)):
+            X = np.linalg.solve(R, np.hstack((S, B.T)))
+            Adj = A - B @ X[:, :2]
+            want = np.block([[Adj, -B @ X[:, 2:]],
+                             [-(Q - S.T @ X[:, :2]), -Adj.T]])
+            assert H[k].tobytes() == want.tobytes(), k
 
 
 class TestFundamentalMatrix:
@@ -139,6 +160,14 @@ class TestEquivalenceReport:
         assert report.riccati is None and report.riccati_failure
         assert report.rep is None and report.rep_failure
         assert report.cross_error is None
+
+    def test_singular_R_is_a_representation_failure(self):
+        # cond(R) = 1e13 at every node: the Riccati pass solves (the margins
+        # hold and P stays 0), while the Hamiltonian refuses R
+        p = scalar_game(R11=1e-5, R22=-1e8)
+        report = equivalence_report(p, SolverConfig(n_steps=20))
+        assert report.riccati is not None and report.rep is None
+        assert report.rep_failure.startswith("SingularBlockError: block 'R'")
 
     def test_rejects_noisy_problem(self, ex5_2):
         with pytest.raises(NotDeterministicError):

@@ -8,8 +8,8 @@ EXPORTS = {
     # containers, errors and kernels of the problem
     "COND_LIMIT", "SYM_RTOL", "CoefficientPath", "ContractViolation",
     "CostWeights", "DomainError", "GameProblem", "LqgError",
-    "SingularBlockError", "StateDynamics", "TimeGrid", "block_inverse",
-    "check_symmetric", "coefficients", "sym", "sym_eig_extremes",
+    "SingularBlockError", "StateDynamics", "TimeGrid", "check_symmetric",
+    "coefficients", "sym",
     # certify and solve
     "BlowUpError", "CertificateReport", "ComparisonReport", "PartialPath",
     "RegularityError", "RegularizedFamily", "RiccatiSolution", "SolverConfig",

@@ -103,7 +103,7 @@ def reference_solve(problem, config, kind):
     _, P_nodes, margin1, margin2, rows = path()
     return RiccatiSolution(grid=grid, P_nodes=P_nodes, margin1_nodes=margin1,
                            margin2_nodes=margin2, control_nodes=rows,
-                           kind=kind)
+                           kind=kind, m1=m1)
 
 
 def _bits(x) -> bytes:
@@ -113,6 +113,7 @@ def _bits(x) -> bytes:
 
 def assert_same_solution(sol, ref):
     assert isinstance(sol, RiccatiSolution) and sol.kind == ref.kind
+    assert sol.m1 == ref.m1
     assert sol.grid.same_as(ref.grid)
     for field in ("P_nodes", "margin1_nodes", "margin2_nodes",
                   "control_nodes"):
@@ -320,6 +321,22 @@ class TestCertificate:
         for args, name in (((game, game, game), "p1"), ((p1, game, p2), "game"),
                            ((game, p1, p1), "p2"), ((game, p2, p1), "p1")):
             with pytest.raises(ContractViolation, match=f"argument {name} "):
+                comparison_check(*args)
+
+    def test_comparison_refuses_another_n(self, rand_problem):
+        # rand_problem has n = 4, the certified draw n = 3
+        config = SolverConfig(n_steps=40)
+        small = random_game(34, dims=(3, 1, 2))
+        four, three = (certify_A3(p, config) for p in (rand_problem, small))
+        assert four.certified and three.certified
+        game = solve_riccati(rand_problem, config)
+        for args, name, got, want in (
+                ((game, three.p1, four.p2), "p1", 3, 4),
+                ((game, four.p1, three.p2), "p2", 3, 4),
+                ((solve_riccati(small, config), four.p1, four.p2), "p1", 4, 3)):
+            with pytest.raises(ContractViolation,
+                               match=f"argument {name} has n = {got}, game "
+                                     f"has n = {want}"):
                 comparison_check(*args)
 
 

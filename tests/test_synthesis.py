@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqgame import (
-    ContractViolation, SolverConfig, block_inverse, certify_A3,
+    CoefficientPath, ContractViolation, CostWeights, GameProblem,
+    SingularBlockError, SolverConfig, StateDynamics, certify_A3,
     closed_loop, coefficients, fbsde_residual, feedback_gain, game_value,
-    mean_state_path, random_certified_problem, solve_riccati,
+    hamiltonian, mean_state_path, random_certified_problem, solve_riccati,
 )
+from lqgame.core import _solve
+from lqgame.riccati import _solve_stack
 from conftest import control_blocks, random_game, table_row
 
 
@@ -65,10 +68,46 @@ class TestFeedbackGain:
         sol = solve_riccati(problem, config)
         R_P, S_P, _ = control_blocks(
             coefficients(problem, sol.grid.nodes), sol.P_nodes, m1)
-        theta = -block_inverse(R_P[:, :m1, :m1], R_P[:, :m1, m1:],
-                               R_P[:, m1:, m1:]) @ S_P
         law = feedback_gain(problem, sol)
-        assert law.theta_nodes.tobytes() == theta.tobytes()
+        assert law.theta_nodes.tobytes() == (-_solve(R_P, S_P)).tobytes()
+
+    @pytest.mark.parametrize("seed", [9, 11])
+    def test_gain_is_the_solve_on_stacked_rows(self, seed):
+        # in a pass that mixes kinds, each game member's gain is the solve
+        # on its own stored rows, bit for bit at every node; both draws are
+        # certified, 9 sampled and 11 constant
+        problem = random_game(seed, dims=(3, 2, 2))
+        n = problem.n
+        kinds = ("player1", "game", "player2", "game")
+        outcomes = _solve_stack([problem] * 4, kinds, SolverConfig(n_steps=40))
+        for sol in (o for o, kind in zip(outcomes, kinds) if kind == "game"):
+            rows = sol.control_nodes
+            theta = -np.linalg.solve(rows[..., n:], rows[..., :n])
+            law = feedback_gain(problem, sol)
+            assert law.theta_nodes.tobytes() == theta.tobytes()
+
+    def test_ill_conditioned_R_refused(self):
+        # P stays 0, so R + D'PD = R = diag(R11, -1e8) with R11 falling from
+        # 1 to 2e-5 at t = 0.5 and 1e-5 at T: the margins hold, and node 5
+        # of 10 is the first with condition above 1e12.  Both the gain and
+        # the noise-free Hamiltonian refuse R there
+        c = CoefficientPath.constant
+        dyn = StateDynamics(A=c(0.0), B1=c(1.0), B2=c(1.0), C=c(0.0),
+                            D1=c(0.0), D2=c(0.0))
+        R11 = CoefficientPath.sampled(np.reshape([1.0, 2e-5, 1e-5],
+                                                 (3, 1, 1)), 1.0)
+        cost = CostWeights(G=np.zeros((1, 1)), Q=c(0.0), S1=c(0.0),
+                           S2=c(0.0), R11=R11, R12=c(0.0), R21=c(0.0),
+                           R22=c(-1e8))
+        problem = GameProblem(dynamics=dyn, cost=cost, horizon_T=1.0)
+        sol = solve_riccati(problem, SolverConfig(n_steps=10))
+        assert not sol.P_nodes.any()
+        cond = float(np.linalg.cond(np.diag([2e-5, -1e8])))
+        for call in (lambda: feedback_gain(problem, sol),
+                     lambda: hamiltonian(problem, 10)):
+            with pytest.raises(SingularBlockError) as exc:
+                call()
+            assert (exc.value.block, exc.value.cond) == ("R", cond)
 
     def test_rejects_single_player_solution(self, rand_problem, cfg400):
         p2 = solve_riccati(rand_problem, cfg400, "player2")
@@ -110,6 +149,21 @@ class TestDimensions:
                  "state path")):
             with pytest.raises(ContractViolation, match=name):
                 fbsde_residual(*args)
+
+    def test_feedback_gain_other_control_split(self, cfg400):
+        # a certified (3, 1, 2) and a (3, 2, 1) game: their control rows have
+        # one shape, and each solution is refused for the other's problem
+        one_two = random_game(34, dims=(3, 1, 2))
+        two_one = random_game(34, dims=(3, 2, 1))
+        assert certify_A3(one_two, cfg400).certified
+        for problem, sol, got, want in (
+                (two_one, solve_riccati(one_two, cfg400), 1, 2),
+                (one_two, solve_riccati(two_one, cfg400), 2, 1)):
+            assert sol.control_nodes.shape[1:] == (3, 6)
+            with pytest.raises(ContractViolation,
+                               match=rf"m1 = {got}, expected {want} .*"
+                                     rf"\(n, m1, m2\) = \(3, {want}, {got}\)"):
+                feedback_gain(problem, sol)
 
 
 class TestGameValue:
