@@ -145,10 +145,9 @@ def load_problem(path: str) -> GameProblem:
         if type(value) is not int:      # not a float, a bool or a string
             raise ProblemFormatError(
                 f"dims.{key}: expected a JSON integer, got {value!r}")
-    if declared != (problem.n, problem.m1, problem.m2):
-        raise ProblemFormatError(
-            f"dims: declared {declared}, coefficients imply "
-            f"{(problem.n, problem.m1, problem.m2)}")
+    if declared != problem.fit[:3]:
+        raise ProblemFormatError(f"dims: declared {declared}, coefficients "
+                                 f"imply {problem.fit[:3]}")
     return problem
 
 

@@ -84,6 +84,16 @@ def _check_integer(value, name: str, least: int) -> None:
             f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_fit(name: str, got, want) -> None:
+    """Refuse, naming it and both values, an artifact whose fit (n, m1, m2,
+    T, n_steps) differs from ``want`` in an entry both give, not None."""
+    i = [k for k, g in enumerate(got[:len(want)]) if g is not None]
+    if any(got[k] != want[k] for k in i):
+        fit, has, wanted = (f"({', '.join(str(v[k]) for k in i)})" for v in
+                            (("n", "m1", "m2", "T", "n_steps"), got, want))
+        raise ContractViolation(f"{name} has {fit} = {has}, expected {wanted}")
+
+
 def _start_state(x, n: int) -> np.ndarray:
     """A copy of the start state ``x`` as a float vector; raises
     ContractViolation unless it is a finite vector of length n."""
@@ -122,9 +132,6 @@ class TimeGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon_T, self.n_steps + 1)
-
-    def same_as(self, other: "TimeGrid") -> bool:
-        return self.n_steps == other.n_steps and self.horizon_T == other.horizon_T
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,10 +318,7 @@ class GameProblem:
     def __post_init__(self):
         object.__setattr__(self, "horizon_T", _check_horizon(self.horizon_T))
         dyn, cost = self.dynamics, self.cost
-        if (dyn.n, dyn.m1, dyn.m2) != (cost.n, cost.m1, cost.m2):
-            raise ContractViolation(
-                f"dynamics dims {(dyn.n, dyn.m1, dyn.m2)} disagree with "
-                f"cost dims {(cost.n, cost.m1, cost.m2)}")
+        _check_fit("cost", (cost.n, cost.m1, cost.m2), (dyn.n, dyn.m1, dyn.m2))
         expected = {
             "cost.Q": (dyn.n, dyn.n), "cost.S1": (dyn.m1, dyn.n),
             "cost.S2": (dyn.m2, dyn.n), "cost.R11": (dyn.m1, dyn.m1),
@@ -344,6 +348,10 @@ class GameProblem:
     @property
     def m2(self) -> int:
         return self.dynamics.m2
+
+    @property
+    def fit(self) -> tuple:
+        return (self.n, self.m1, self.m2, self.horizon_T)
 
     def is_deterministic(self) -> bool:
         dyn = self.dynamics

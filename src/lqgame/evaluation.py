@@ -15,7 +15,8 @@ import numpy as np
 
 from .core import (
     ContractViolation, GameProblem, LqgError, TimeGrid, coefficients,
-    interpolate, sym, _check_integer, _eig_extremes, _solve, _start_state,
+    interpolate, sym, _check_fit, _check_integer, _eig_extremes, _solve,
+    _start_state,
 )
 from .riccati import RiccatiSolution
 from .synthesis import FeedbackLaw, game_value
@@ -43,29 +44,35 @@ class OracleRegularityError(LqgError):
 
 @dataclass(frozen=True, eq=False)
 class ControlLaw:
-    """One player's control: state feedback rows or a constant vector."""
+    """One player's control: finite feedback rows or a finite constant."""
 
     kind: str                      # feedback | constant
     gains: np.ndarray | None = None    # (n_nodes, m, n) for feedback
     value: np.ndarray | None = None    # (m,) for constant
 
+    def __post_init__(self):
+        if self.kind not in ("feedback", "constant"):
+            raise ContractViolation(f"unknown control law kind {self.kind!r}")
+        name, ndim = ("gains", 3) if self.kind == "feedback" else ("value", 1)
+        a = np.atleast_1d(np.asarray(getattr(self, name), float))
+        if a.ndim != ndim or not np.isfinite(a).all():
+            raise ContractViolation(f"{name} must be a finite "
+                                    f"{'3-d array' if ndim == 3 else 'vector'}")
+        object.__setattr__(self, name, a)
+
     @classmethod
     def from_feedback(cls, law: FeedbackLaw, player: int,
                       grid: TimeGrid) -> "ControlLaw":
-        """Extract one player's rows, resampled onto the simulation grid."""
+        """Extract one player's rows, resampled onto a grid of its horizon."""
         if player not in (1, 2):
             raise ContractViolation("player must be 1 or 2")
+        _check_fit("grid", (None,) * 3 + (grid.horizon_T,), law.fit)
         gains = interpolate(law.theta_nodes, law.grid.horizon_T, grid.nodes)
         rows = gains[:, :law.m1, :] if player == 1 else gains[:, law.m1:, :]
         return cls(kind="feedback", gains=rows)
 
     @classmethod
     def constant(cls, value) -> "ControlLaw":
-        """Raises ContractViolation unless value is a scalar or a vector
-        with finite entries."""
-        value = np.atleast_1d(np.asarray(value, float))
-        if value.ndim != 1 or not np.isfinite(value).all():
-            raise ContractViolation("value must be a finite vector")
         return cls(kind="constant", value=value)
 
     def dim(self) -> int:
@@ -367,15 +374,17 @@ def _all_finite(X: np.ndarray) -> bool:
 
 
 def _checked(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
-             n_paths: int, seed: int) -> np.ndarray:
-    """Check an ensemble's control dimensions, start state, seed and size;
-    returns the start state as a vector."""
-    if u1.dim() != problem.m1 or u2.dim() != problem.m2:
-        raise ContractViolation("control dimensions do not match the problem")
+             grid: TimeGrid, n_paths: int, seed: int) -> tuple:
+    """Check each player's rows and n of feedback gains, the grid's horizon,
+    the start state, seed and size; returns x and the control callables."""
+    for i, u in enumerate((u1, u2), 1):
+        n = u.gains.shape[2] if u.kind == "feedback" else None
+        _check_fit(f"u{i}", (n, None)[:i] + (u.dim(),), problem.fit)
+    _check_fit("grid", (None,) * 3 + (grid.horizon_T,), problem.fit)
     x = _start_state(x, problem.n)
     _check_integer(seed, "seed", 0)
     _check_integer(n_paths, "n_paths", 1)
-    return x
+    return x, [u.as_callable(grid) for u in (u1, u2)]
 
 
 def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
@@ -389,9 +398,8 @@ def simulate(problem: GameProblem, u1: ControlLaw, u2: ControlLaw, x,
     the start state ``x`` a finite vector of length n, and
     SimulationDiverged naming the first step and, at that step, the lowest
     path whose state is not finite."""
-    x = _checked(problem, u1, u2, x, n_paths, seed)
-    costs = _Stepper(problem, grid, seed, n_paths, u1.as_callable(grid),
-                     u2.as_callable(grid)).run(x)[0]
+    x, fns = _checked(problem, u1, u2, x, grid, n_paths, seed)
+    costs = _Stepper(problem, grid, seed, n_paths, *fns).run(x)[0]
     return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed, costs=costs,
                         u1=u1, u2=u2)
 
@@ -404,6 +412,8 @@ def _estimate(values: np.ndarray) -> CostEstimate:
 
 def estimate_cost(problem: GameProblem, ensemble: PathEnsemble) -> CostEstimate:
     """Sample mean and standard error of the quadratic payoff."""
+    _check_fit("ensemble", (None, ensemble.u1.dim(), ensemble.u2.dim(),
+                            ensemble.grid.horizon_T), problem.fit)
     return _estimate(ensemble.costs)
 
 
@@ -443,16 +453,16 @@ def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
     drawn."""
     _check_integer(n_perturbations, "n_perturbations", 1)
     _check_integer(sim_steps, "sim_steps", 2)
+    _check_fit("sol", sol.fit, problem.fit)
+    _check_fit("law", law.fit, problem.fit)
     value = game_value(sol, x)
     grid = TimeGrid(problem.horizon_T, sim_steps)
     feedback = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
-    x0 = _checked(problem, *feedback, x, n_paths, seed)
+    x0, fns = _checked(problem, *feedback, x, grid, n_paths, seed)
     directions = [np.stack(perturbation_directions(
         seed + 1 + player, n_perturbations, grid, m), axis=2)
         for player, m in enumerate((problem.m1, problem.m2))]
-    costs = _Stepper(problem, grid, seed, n_paths,
-                     *(c.as_callable(grid) for c in feedback),
-                     directions).run(x0)
+    costs = _Stepper(problem, grid, seed, n_paths, *fns, directions).run(x0)
     gaps = [[_estimate(cost - costs[0]) for cost in block]
             for block in np.split(costs[1:], 2)]
     return SaddleReport(value_analytic=value, value_mc=_estimate(costs[0]),
@@ -476,9 +486,7 @@ def discrete_oracle(problem: GameProblem, x, N: int):
     evaluation; each sum keeps its left-to-right order.
     """
     n, m1 = problem.n, problem.m1
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
-        raise ContractViolation(f"step count N must be a positive integer, "
-                                f"got {N!r}")
+    _check_integer(N, "N", 1)
     x = _start_state(x, n)
     T = problem.horizon_T
     dt = T / N
@@ -530,13 +538,12 @@ def _constant_sweep(problem: GameProblem, x, grid: TimeGrid, n_paths: int,
     once; returns (base, [player 1's], [player 2's])."""
     zeros = [ControlLaw.constant(np.zeros(m))
              for m in (problem.m1, problem.m2)]
-    x = _checked(problem, *zeros, x, n_paths, seed)
+    x, fns = _checked(problem, *zeros, x, grid, n_paths, seed)
     directions = [np.broadcast_to(np.asarray(levels, float),
                                   (grid.n_steps + 1, m, len(levels)))
                   for levels, m in ((levels1, problem.m1),
                                     (levels2, problem.m2))]
-    costs = _Stepper(problem, grid, seed, n_paths,
-                     *(u.as_callable(grid) for u in zeros), directions).run(x)
+    costs = _Stepper(problem, grid, seed, n_paths, *fns, directions).run(x)
     estimates = [_estimate(c) for c in costs]
     J1 = len(levels1)
     return estimates[0], estimates[1:1 + J1], estimates[1 + J1:]

@@ -41,7 +41,8 @@ import numpy as np
 from .core import (
     CoefficientPath, CoefficientTable, ContractViolation, CostWeights,
     GameProblem, LqgError, TimeGrid, coefficients, sym, _assemble,
-    _assembly_rows, _check_integer, _eig_extremes, _fro_norms, _solve,
+    _assembly_rows, _check_fit, _check_integer, _eig_extremes, _fro_norms,
+    _solve,
 )
 
 KINDS = ("game", "player1", "player2")
@@ -115,6 +116,11 @@ class RiccatiSolution:
 
     def P0(self) -> np.ndarray:
         return self.P_nodes[0]
+
+    @property
+    def fit(self) -> tuple:
+        n, m = self.P_nodes.shape[-1], len(self.control_nodes[0])
+        return (n, self.m1, m - self.m1, self.grid.horizon_T, self.grid.n_steps)
 
 
 class _Kinds(NamedTuple):
@@ -398,18 +404,13 @@ def comparison_check(game: RiccatiSolution, p1: RiccatiSolution,
                      p2: RiccatiSolution) -> ComparisonReport:
     """Check the sandwich P1 <= P <= P2 node-by-node, to within 1e-8.
     Raises ContractViolation, naming the argument, unless game, p1 and p2
-    are of the game, player-1 and player-2 kinds and share game's n."""
-    n = game.P_nodes.shape[-1]
+    are of the game, player-1 and player-2 kinds and p1 and p2 have game's
+    (n, m1, m2) and grid."""
     for name, sol, kind in zip(("game", "p1", "p2"), (game, p1, p2), KINDS):
         if sol.kind != kind:
             raise ContractViolation(f"comparison_check argument {name} must "
                                     f"be a {kind}-kind solution, got {sol.kind!r}")
-        if sol.P_nodes.shape[-1] != n:
-            raise ContractViolation(
-                f"comparison_check argument {name} has n = "
-                f"{sol.P_nodes.shape[-1]}, game has n = {n}")
-    if not (game.grid.same_as(p1.grid) and game.grid.same_as(p2.grid)):
-        raise ContractViolation("comparison_check requires a common grid")
+        _check_fit(name, sol.fit, game.fit)
     lower = _eig_extremes(sym(game.P_nodes - p1.P_nodes))[0]
     upper = _eig_extremes(sym(p2.P_nodes - game.P_nodes))[0]
     tol = 1e-8

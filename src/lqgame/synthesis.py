@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import (
     ContractViolation, GameProblem, TimeGrid, coefficients, linear_flow,
-    _solve_regular, _start_state,
+    _check_fit, _solve_regular, _start_state,
 )
 from .riccati import RiccatiSolution
 
@@ -27,10 +27,17 @@ class FeedbackLaw:
     m2: int
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.theta_nodes)):
-            raise ContractViolation("feedback gains must be finite")
-        if self.theta_nodes.shape[0] != self.grid.n_steps + 1:
-            raise ContractViolation("one gain per grid node required")
+        shape = np.shape(self.theta_nodes)
+        want = (self.grid.n_steps + 1, self.m1 + self.m2)
+        if (len(shape) != 3 or shape[:2] != want
+                or not np.isfinite(self.theta_nodes).all()):
+            raise ContractViolation(f"feedback gains must be finite and "
+                                    f"shaped {want} + (n,), got {shape}")
+
+    @property
+    def fit(self) -> tuple:
+        return (self.theta_nodes.shape[-1], self.m1, self.m2,
+                self.grid.horizon_T, self.grid.n_steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,15 +49,6 @@ class ClosedLoopSystem:
     diffusion_nodes: np.ndarray
 
 
-def _check_shapes(problem: GameProblem, *checks) -> None:
-    """Refuse, naming it, each (name, shape, expected shape) that differs."""
-    for name, got, want in checks:
-        if got != want:
-            raise ContractViolation(
-                f"{name} has shape {got}, expected {want} for the problem's "
-                f"(n, m1, m2) = {(problem.n, problem.m1, problem.m2)}")
-
-
 def feedback_gain(problem: GameProblem, sol: RiccatiSolution) -> FeedbackLaw:
     """Theta(t_k) = -(R + D'PD)^{-1} (B'P + D'PC + S) at every node, solved
     from the solution's control rows.  Raises ContractViolation unless sol
@@ -59,18 +57,12 @@ def feedback_gain(problem: GameProblem, sol: RiccatiSolution) -> FeedbackLaw:
     condition above COND_LIMIT."""
     if sol.kind != "game":
         raise ContractViolation("feedback synthesis needs a game-kind solution")
-    n, m1, m = problem.n, problem.m1, problem.m1 + problem.m2
-    _check_shapes(problem, ("Riccati solution's control rows",
-                            sol.control_nodes.shape[1:], (m, n + m)))
-    if sol.m1 != m1:
-        raise ContractViolation(
-            f"Riccati solution has m1 = {sol.m1}, expected {m1} for the "
-            f"problem's (n, m1, m2) = {(n, m1, problem.m2)}")
+    _check_fit("sol", sol.fit, problem.fit)
     if sol.margin1_nodes.min() <= 0 or sol.margin2_nodes.max() >= 0:
         raise ContractViolation("Riccati solution has non-regular nodes")
-    S_P, R_P = sol.control_nodes[..., :n], sol.control_nodes[..., n:]
+    S_P, R_P = np.split(sol.control_nodes, [problem.n], axis=-1)
     return FeedbackLaw(grid=sol.grid, theta_nodes=-_solve_regular(R_P, S_P),
-                       m1=m1, m2=problem.m2)
+                       m1=problem.m1, m2=problem.m2)
 
 
 def game_value(sol: RiccatiSolution, x) -> float:
@@ -86,8 +78,7 @@ def game_value(sol: RiccatiSolution, x) -> float:
 
 def closed_loop(problem: GameProblem, law: FeedbackLaw) -> ClosedLoopSystem:
     """Form A + B Theta and C + D Theta at every node of the law's grid."""
-    _check_shapes(problem, ("feedback law's gains", law.theta_nodes.shape[1:],
-                            (problem.m1 + problem.m2, problem.n)))
+    _check_fit("law", law.fit, problem.fit)
     table = coefficients(problem, law.grid.nodes)
     return ClosedLoopSystem(grid=law.grid,
                             drift_nodes=table.A + table.B @ law.theta_nodes,
@@ -109,14 +100,12 @@ def fbsde_residual(problem: GameProblem, sol: RiccatiSolution,
     a state path on the solution grid, with u = Theta X and the adjoint
     pair Y = P X, Z = P (C X + D u) reconstructed from P.  Vanishes up to
     rounding for the synthesized saddle law."""
-    if not sol.grid.same_as(law.grid):
-        raise ContractViolation("solution and law grids differ")
-    n, m = problem.n, problem.m1 + problem.m2
+    _check_fit("sol", sol.fit, problem.fit)
+    _check_fit("law", law.fit, sol.fit)
     X = np.atleast_2d(np.asarray(X_path, dtype=float))
-    _check_shapes(
-        problem, ("state path", X.shape, (sol.grid.n_steps + 1, n)),
-        ("feedback law's gains", law.theta_nodes.shape[1:], (m, n)),
-        ("Riccati solution's control rows", sol.control_nodes.shape[1:], (m, n + m)))
+    if X.shape != (sol.grid.n_steps + 1, problem.n):
+        raise ContractViolation(f"state path has shape {X.shape}, expected "
+                                f"{(sol.grid.n_steps + 1, problem.n)}")
     X = X[:, :, None]
     table = coefficients(problem, sol.grid.nodes)
     u = law.theta_nodes @ X

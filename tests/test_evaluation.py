@@ -288,6 +288,30 @@ class TestSimulate:
                            match="value must be a finite vector"):
             ControlLaw.constant(value)
 
+    @pytest.mark.parametrize("args,message", [
+        (("bogus",), "unknown control law kind 'bogus'"),
+        (("bogus", None, np.zeros(1)), "unknown control law kind 'bogus'"),
+        (("feedback",), "gains must be a finite 3-d array"),
+        (("feedback", np.full((201, 1, 1), np.nan)),
+         "gains must be a finite 3-d array"),
+        (("feedback", np.ones((201, 1))), "gains must be a finite 3-d array"),
+        (("constant",), "value must be a finite vector")],
+        ids=["bogus", "bogus-value", "feedback-no-gains", "feedback-nan",
+             "feedback-2d", "constant-no-value"])
+    def test_bad_law_refused_where_built(self, args, message):
+        # a law the stepper would run as a constant, fail on with an
+        # AttributeError or report as SimulationDiverged is refused here
+        with pytest.raises(ContractViolation, match=f"^{message}$"):
+            ControlLaw(*args)
+
+    def test_nan_gains_refused_not_simulated(self, ex3_4, grid):
+        gains = np.zeros((grid.n_steps + 1, 1, 1))
+        gains[7] = np.nan
+        with pytest.raises(ContractViolation,
+                           match="gains must be a finite 3-d array"):
+            simulate(ex3_4, ControlLaw("feedback", gains),
+                     ControlLaw.constant([0.0]), [1.0], grid, 2, 0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_state_refused(self, rand_problem, cfg400, grid,
                                             monkeypatch, bad):
@@ -885,7 +909,8 @@ class TestDiscreteOracle:
 
     @pytest.mark.parametrize("N", [0, -3, 2.5, 4.0, "8", None, True])
     def test_bad_step_count_refused(self, rand_problem, N):
-        with pytest.raises(ContractViolation, match="N must be a positive"):
+        with pytest.raises(ContractViolation,
+                           match="N must be an integer >= 1, got "):
             discrete_oracle(rand_problem, np.ones(rand_problem.n), N)
 
     def test_numpy_step_count_accepted(self, rand_problem):

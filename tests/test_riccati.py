@@ -114,7 +114,7 @@ def _bits(x) -> bytes:
 def assert_same_solution(sol, ref):
     assert isinstance(sol, RiccatiSolution) and sol.kind == ref.kind
     assert sol.m1 == ref.m1
-    assert sol.grid.same_as(ref.grid)
+    assert sol.fit == ref.fit
     for field in ("P_nodes", "margin1_nodes", "margin2_nodes",
                   "control_nodes"):
         assert _bits(getattr(sol, field)) == _bits(getattr(ref, field)), field
@@ -331,12 +331,14 @@ class TestCertificate:
         assert four.certified and three.certified
         game = solve_riccati(rand_problem, config)
         for args, name, got, want in (
-                ((game, three.p1, four.p2), "p1", 3, 4),
-                ((game, four.p1, three.p2), "p2", 3, 4),
-                ((solve_riccati(small, config), four.p1, four.p2), "p1", 4, 3)):
+                ((game, three.p1, four.p2), "p1", "3, 1, 2", "4, 2, 2"),
+                ((game, four.p1, three.p2), "p2", "3, 1, 2", "4, 2, 2"),
+                ((solve_riccati(small, config), four.p1, four.p2), "p1",
+                 "4, 2, 2", "3, 1, 2")):
             with pytest.raises(ContractViolation,
-                               match=f"argument {name} has n = {got}, game "
-                                     f"has n = {want}"):
+                               match=rf"^{name} has \(n, m1, m2, T, n_steps\) "
+                                     rf"= \({got}, 1.0, 40\), expected "
+                                     rf"\({want}, 1.0, 40\)$"):
                 comparison_check(*args)
 
 

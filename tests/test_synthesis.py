@@ -1,13 +1,19 @@
+import dataclasses
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqgame import (
-    CoefficientPath, ContractViolation, CostWeights, GameProblem,
-    SingularBlockError, SolverConfig, StateDynamics, certify_A3,
-    closed_loop, coefficients, fbsde_residual, feedback_gain, game_value,
-    hamiltonian, mean_state_path, random_certified_problem, solve_riccati,
+    CoefficientPath, ContractViolation, ControlLaw, CostWeights, FeedbackLaw,
+    GameProblem, LqgError, SingularBlockError, SolverConfig, StateDynamics,
+    TimeGrid, certify_A3, closed_loop, coefficients, comparison_check,
+    estimate_cost, fbsde_residual, feedback_gain, game_value, hamiltonian,
+    mean_state_path, random_certified_problem, simulate, solve_riccati,
+    verify_saddle,
 )
 from lqgame.core import _solve
 from lqgame.riccati import _solve_stack
@@ -115,22 +121,137 @@ class TestFeedbackGain:
             feedback_gain(rand_problem, p2)
 
 
+# what each draw of the fit table below fixes: (n, m1, m2, T, n_steps);
+# each is certified at 40 steps but "T1.2", whose player-2 equation loses
+# its margin at t = 0.045 and so has no p2
+FIT = ("n", "m1", "m2", "T", "n_steps")
+DRAWS = {
+    "312": ((3, 1, 2, 1.0, 40), lambda: random_game(34, dims=(3, 1, 2))),
+    "321": ((3, 2, 1, 1.0, 40), lambda: random_game(34, dims=(3, 2, 1))),
+    "412": ((4, 1, 2, 1.0, 40), lambda: random_game(6, dims=(4, 1, 2))),
+    "T1.0": ((4, 1, 1, 1.0, 40), lambda: random_certified_problem(3)),
+    "T1.2": ((4, 1, 1, 1.2, 40), lambda: dataclasses.replace(
+        random_certified_problem(3), horizon_T=1.2)),
+}
+# (the problem's draw, the draw of what is paired with it): a control split
+# swap, an n mismatch and a horizon mismatch, each both ways
+PAIRS = [("312", "321"), ("321", "312"), ("412", "312"), ("312", "412"),
+         ("T1.0", "T1.2"), ("T1.2", "T1.0")]
+ALL, GRID = (0, 1, 2, 3), (3,)
+# each entry point, called with the problem's draw ``a`` and the other's
+# ``b``, and the (argument, compared fields) it checks in order: the first
+# whose fields differ between the draws is refused
+ENTRIES = {
+    "feedback_gain": (lambda a, b: feedback_gain(a.problem, b.sol),
+                      [("sol", ALL)]),
+    "closed_loop": (lambda a, b: closed_loop(a.problem, b.law),
+                    [("law", ALL)]),
+    "fbsde_residual-sol": (
+        lambda a, b: fbsde_residual(a.problem, b.sol, a.law, a.X),
+        [("sol", ALL)]),
+    "fbsde_residual-law": (
+        lambda a, b: fbsde_residual(a.problem, a.sol, b.law, a.X),
+        [("law", ALL + (4,))]),
+    "comparison_check-p1": (
+        lambda a, b: comparison_check(a.sol, b.p1, a.p2),
+        [("p1", ALL + (4,))]),
+    "comparison_check-p2": (
+        lambda a, b: comparison_check(a.sol, a.p1, b.p2),
+        [("p2", ALL + (4,))]),
+    "verify_saddle-sol": (
+        lambda a, b: verify_saddle(a.problem, b.sol, a.law, np.ones(a.n), 1,
+                                   4, 0), [("sol", ALL)]),
+    "verify_saddle-law": (
+        lambda a, b: verify_saddle(a.problem, a.sol, b.law, np.ones(a.n), 1,
+                                   4, 0), [("law", ALL)]),
+    "simulate": (
+        lambda a, b: simulate(a.problem, *b.controls, np.ones(a.n), b.grid,
+                              4, 0),
+        [("u1", (0, 1)), ("u2", (0, 2)), ("grid", GRID)]),
+    "estimate_cost": (
+        lambda a, b: estimate_cost(a.problem, b.ensemble),
+        [("ensemble", (1, 2, 3))]),
+    "from_feedback": (
+        lambda a, b: ControlLaw.from_feedback(a.law, 1, b.grid),
+        [("grid", GRID)]),
+}
+
+
+def refused(entry, a, b):
+    """The (argument, fields) that ``entry`` refuses for draws a and b, or
+    None if they fit."""
+    return next(((name, fields) for name, fields in ENTRIES[entry][1]
+                 if any(DRAWS[a][0][i] != DRAWS[b][0][i] for i in fields)),
+                None)
+
+
+# every pair an entry point refuses, except the comparison_check calls
+# that would need the p2 that "T1.2" lacks
+FIT_CASES = [(entry, a, b) for entry in ENTRIES for a, b in PAIRS
+             if refused(entry, a, b)
+             and not (entry == "comparison_check-p1" and a == "T1.2")
+             and not (entry == "comparison_check-p2" and b == "T1.2")]
+
+
 class TestDimensions:
-    """A solution, law or state path that does not fit the problem is
-    refused by name, not left to a NumPy shape error:
-    random_certified_problem(3) has (n, m1, m2) = (4, 1, 1), rand_problem
-    (4, 2, 2)."""
+    """A solution, law, ensemble, grid or state path that does not fit the
+    problem is refused by name, with both values, not left to a NumPy
+    shape error or a wrong number: random_certified_problem(3) has (n, m1,
+    m2) = (4, 1, 1), rand_problem (4, 2, 2)."""
 
     @pytest.fixture(scope="class")
     def other(self):
         return random_certified_problem(seed=3)
 
+    @pytest.fixture(scope="class")
+    def draws(self):
+        config, out = SolverConfig(n_steps=40), {}
+        for key, (_, make) in DRAWS.items():
+            p = make()
+            sol = solve_riccati(p, config)
+            kinds = {}
+            for kind in ("player1", "player2"):
+                try:
+                    kinds[kind] = solve_riccati(p, config, kind)
+                except LqgError:
+                    kinds[kind] = None
+            law = feedback_gain(p, sol)
+            grid = TimeGrid(p.horizon_T, 40)
+            controls = [ControlLaw.from_feedback(law, i, grid) for i in (1, 2)]
+            out[key] = SimpleNamespace(
+                problem=p, n=p.n, sol=sol, law=law, p1=kinds["player1"],
+                p2=kinds["player2"], grid=grid, controls=controls,
+                X=mean_state_path(closed_loop(p, law), np.ones(p.n)),
+                ensemble=simulate(p, *controls, np.ones(p.n), grid, 4, 0))
+        return out
+
+    def test_draws(self, draws):
+        # each draw has the fit the table gives it
+        for key, (fit, _) in DRAWS.items():
+            assert draws[key].sol.fit == draws[key].law.fit == fit
+            assert draws[key].problem.fit == fit[:4]
+            assert (draws[key].p2 is None) == (key == "T1.2")
+
+    @pytest.mark.parametrize("entry,a,b", FIT_CASES)
+    def test_refused_where_it_enters(self, draws, entry, a, b):
+        name, fields = refused(entry, a, b)
+        got, want = (f"({', '.join(str(v[i]) for i in fields)})"
+                     for v in (DRAWS[b][0], DRAWS[a][0]))
+        what = f"({', '.join(FIT[i] for i in fields)})"
+        with pytest.raises(ContractViolation) as err:
+            ENTRIES[entry][0](draws[a], draws[b])
+        assert str(err.value) == f"{name} has {what} = {got}, expected {want}"
+
     def test_feedback_gain(self, other, rand_sol):
-        with pytest.raises(ContractViolation, match="Riccati solution"):
+        with pytest.raises(ContractViolation,
+                           match=r"^sol has \(n, m1, m2, T\) = \(4, 2, 2, "
+                                 r"1.0\), expected \(4, 1, 1, 1.0\)$"):
             feedback_gain(other, rand_sol)
 
     def test_closed_loop(self, other, rand_law):
-        with pytest.raises(ContractViolation, match="feedback law"):
+        with pytest.raises(ContractViolation,
+                           match=r"^law has \(n, m1, m2, T\) = \(4, 2, 2, "
+                                 r"1.0\), expected \(4, 1, 1, 1.0\)$"):
             closed_loop(other, rand_law)
 
     def test_fbsde_residual(self, other, rand_problem, rand_sol, rand_law,
@@ -139,11 +260,17 @@ class TestDimensions:
                             np.ones(rand_problem.n))
         other_sol = solve_riccati(other, cfg400)
         other_law = feedback_gain(other, other_sol)
+        big, small = "4, 2, 2, 1.0", "4, 1, 1, 1.0"
+        fit = r"\(n, m1, m2, T\)"
         for args, name in (
-                ((other, rand_sol, other_law, X), "Riccati solution"),
-                ((rand_problem, other_sol, rand_law, X), "Riccati solution"),
+                ((other, rand_sol, other_law, X),
+                 rf"^sol has {fit} = \({big}\), expected \({small}\)$"),
+                ((rand_problem, other_sol, rand_law, X),
+                 rf"^sol has {fit} = \({small}\), expected \({big}\)$"),
                 ((rand_problem, rand_sol, rand_law, X[:-1]), "state path"),
-                ((rand_problem, rand_sol, other_law, X), "feedback law"),
+                ((rand_problem, rand_sol, other_law, X),
+                 rf"^law has \(n, m1, m2, T, n_steps\) = \({small}, 400\), "
+                 rf"expected \({big}, 400\)$"),
                 ((rand_problem, rand_sol, rand_law, X[:, :3]), "state path"),
                 ((rand_problem, rand_sol, rand_law, X[:, :, None, None]),
                  "state path")):
@@ -161,9 +288,20 @@ class TestDimensions:
                 (one_two, solve_riccati(two_one, cfg400), 2, 1)):
             assert sol.control_nodes.shape[1:] == (3, 6)
             with pytest.raises(ContractViolation,
-                               match=rf"m1 = {got}, expected {want} .*"
-                                     rf"\(n, m1, m2\) = \(3, {want}, {got}\)"):
+                               match=rf"^sol has \(n, m1, m2, T\) = "
+                                     rf"\(3, {got}, {want}, 1.0\), expected "
+                                     rf"\(3, {want}, {got}, 1.0\)$"):
                 feedback_gain(problem, sol)
+
+    @pytest.mark.parametrize("shape", [(401, 3, 4), (401, 5, 4), (401, 4),
+                                       (400, 4, 4)])
+    def test_law_gains_need_a_row_per_control_and_node(self, rand_law,
+                                                       shape):
+        # rand_law is of (n, m1, m2) = (4, 2, 2) on 400 steps
+        with pytest.raises(ContractViolation,
+                           match=re.escape(f"shaped (401, 4) + (n,), got "
+                                           f"{shape}")):
+            FeedbackLaw(rand_law.grid, np.zeros(shape), 2, 2)
 
 
 class TestGameValue:
