@@ -23,6 +23,10 @@ from numpy.linalg import _umath_linalg
 
 SYM_RTOL = 1e-12
 COND_LIMIT = 1e12
+# coefficient table rows whose operands (of a Riccati stage, or of a step of
+# the discrete oracle), which outweigh the rows, are formed at a time: never
+# for a whole grid
+_CHUNK_ROWS = 64
 
 
 class LqgError(Exception):
@@ -358,6 +362,14 @@ class GameProblem:
         return dyn.C.is_zero() and dyn.D1.is_zero() and dyn.D2.is_zero()
 
 
+def _constant_in_time(problem: GameProblem) -> bool:
+    """Whether every coefficient path of a problem is constant, so that one
+    row of a coefficient table serves every time."""
+    return not any(getattr(path, "kind", None) == "sampled"
+                   for part in (problem.dynamics, problem.cost)
+                   for path in vars(part).values())
+
+
 class CoefficientTable(NamedTuple):
     """Every coefficient of a game sampled at an array of times, stacked on
     a leading time axis (m = m1 + m2):
@@ -449,7 +461,7 @@ def _assembly_rows(table: CoefficientTable) -> tuple:
     return K, V, H
 
 
-def _assemble(rows: tuple, P: np.ndarray, m1: int) -> tuple[np.ndarray, tuple]:
+def _assemble(rows: tuple, P: np.ndarray, out=None) -> np.ndarray:
     """The quadratic block of the Riccati field, from the operands (K, V, H)
     of ``_assembly_rows`` and a P, or a stack of P, symmetric by
     construction (no check):
@@ -459,16 +471,21 @@ def _assemble(rows: tuple, P: np.ndarray, m1: int) -> tuple[np.ndarray, tuple]:
     R_P = R + D'P D, S_P = B'P + D'P C + S; X = V (P K) + H = [[P A + C'P C/2
     + Q/2, *], [D'P C/2 + S/2, D'P D/2 + R/2]], P K reshaped to (2n, n+m) to
     interleave the rows of P [C D] and P [A B].  Big is symmetric bit for
-    bit.  Returns Big and the margins: lambda_min of R_P's player-1 block,
-    lambda_max of its player-2 block."""
+    bit; it is written into ``out`` when given."""
     K, V, H = rows
     n = P.shape[-1]
     PK = P @ K
     X = V @ PK.reshape(PK.shape[:-2] + (2 * n, K.shape[-1] // 2))
     X += H
-    big = X + X.mT
-    return big, (_eig_extremes(big[..., n:n + m1, n:n + m1])[0],
-                 _eig_extremes(big[..., n + m1:, n + m1:])[1])
+    return np.add(X, X.mT, out=out)
+
+
+def _margins(R_P: np.ndarray, m1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The regularity margins of a control block R_P, or of each of a stack,
+    symmetric by construction (no check): lambda_min of its player-1 block
+    (the first m1 rows and columns), lambda_max of its player-2 block."""
+    return (_eig_extremes(R_P[..., :m1, :m1])[0],
+            _eig_extremes(R_P[..., m1:, m1:])[1])
 
 
 def _fro_norms(M: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    GameProblem, LqgError, SingularBlockError, TimeGrid, coefficients,
-    linear_flow, sym, _eig_extremes, _fro_norms, _solve_regular,
+    ContractViolation, GameProblem, LqgError, SingularBlockError, TimeGrid,
+    coefficients, linear_flow, sym, _fro_norms, _margins, _solve_regular,
 )
 from .riccati import (
     BlowUpError, CertificateReport, RegularityError, RiccatiSolution,
@@ -62,8 +62,7 @@ def hamiltonian(problem: GameProblem, n_steps: int = 2000) -> np.ndarray:
     table = coefficients(problem, grid.nodes)
     n, m1 = problem.n, problem.m1
     A, B, Q, S, R = table.A, table.B, table.Q, table.S, table.R
-    lo = _eig_extremes(sym(R[:, :m1, :m1]))[0]
-    hi = _eig_extremes(sym(R[:, m1:, m1:]))[1]
+    lo, hi = _margins(sym(R), m1)
     bad = np.flatnonzero((lo <= 0) | (hi >= 0))
     if bad.size:
         j = bad[0]
@@ -104,8 +103,21 @@ def representation(problem: GameProblem,
 
     P is symmetrized after its symmetry defect is recorded.  A node whose
     solve for P has condition above 1e10 raises RepresentationSingularError.
+
+    Psi_nodes is a bare array: it carries no horizon, so the caller must
+    integrate Psi over the problem's own horizon, as ``fundamental_matrix(
+    hamiltonian(problem, k), problem.horizon_T)`` does; its k steps set the
+    grid.  Raises ContractViolation, naming Psi_nodes, unless it is a finite
+    (k+1, 2n, 2n) stack with k >= 2 for the problem's n.
     """
     n = problem.n
+    Psi_nodes = np.asarray(Psi_nodes, dtype=float)
+    if (Psi_nodes.ndim != 3 or len(Psi_nodes) < 3
+            or Psi_nodes.shape[1:] != (2 * n, 2 * n)
+            or not np.isfinite(Psi_nodes).all()):
+        raise ContractViolation(
+            f"Psi_nodes must be a finite (k+1, {2 * n}, {2 * n}) stack with "
+            f"k >= 2, got shape {Psi_nodes.shape}")
     grid = TimeGrid(problem.horizon_T, len(Psi_nodes) - 1)
     Psi_T = Psi_nodes[-1]
     GI = np.hstack([problem.cost.G, -np.eye(n)])

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ContractViolation, GameProblem, LqgError, TimeGrid, coefficients,
-    interpolate, sym, _check_fit, _check_integer, _eig_extremes, _solve,
-    _start_state,
+    CoefficientTable, ContractViolation, GameProblem, LqgError, TimeGrid,
+    coefficients, interpolate, sym, _CHUNK_ROWS, _check_fit, _check_integer,
+    _constant_in_time, _eig_extremes, _solve, _start_state,
 )
 from .riccati import RiccatiSolution
 from .synthesis import FeedbackLaw, game_value
@@ -469,6 +469,28 @@ def verify_saddle(problem: GameProblem, sol: RiccatiSolution, law: FeedbackLaw,
                         gaps_player1=gaps[0], gaps_player2=gaps[1])
 
 
+def _step_operands(table: CoefficientTable, dt: float):
+    """The operands E, Et, F of `discrete_oracle`'s step from row i of a
+    coefficient table to row i + 1, for every row but the last, and dt/2 Q
+    at every row."""
+    A, B, C, D, Q, S, R = table
+    n, m = B.shape[-2:]
+    M, Nu = np.eye(n) + dt * A[:-1], dt * B[:-1]
+    E = np.concatenate((M, Nu, C[:-1], D[:-1]), axis=-1)
+    Et = np.empty(E.shape[:-2] + (n + m, 2 * n))
+    Et[..., 0::2] = E[..., :n + m].mT
+    np.multiply(E[..., n + m:].mT, dt, out=Et[..., 1::2])
+    halfQ = 0.5 * dt * Q
+    F = np.empty(E.shape[:-2] + (n + m, n + m))
+    F[..., :n, :n] = halfQ[:-1]
+    S1 = S[1:]
+    St_fixed = np.add(0.5 * dt * S[:-1], 0.5 * dt * S1 @ M, out=F[..., n:, :n])
+    F[..., :n, n:] = St_fixed.mT
+    F[..., n:, n:] = 0.5 * dt * R[:-1] + 0.5 * dt * (R[1:] + S1 @ Nu
+                                                     + Nu.mT @ S1.mT)
+    return E, Et, F, halfQ
+
+
 def discrete_oracle(problem: GameProblem, x, N: int):
     """Exact value of the time-discretized game: piecewise-constant controls
     on N steps, Euler transition, trapezoid cost, solved by backward
@@ -477,54 +499,65 @@ def discrete_oracle(problem: GameProblem, x, N: int):
     Returns (value, gains) where gains[k] maps state to the step-k saddle
     control.  Entirely independent of the continuous Riccati solver.  Raises
     ContractViolation for a step count N that is not a positive integer and
-    for a start state ``x`` that is not a finite vector of length n.
+    for a start state ``x`` that is not a finite vector of length n, and
+    OracleRegularityError at the first step of the backward recursion whose
+    player-1 block is not positive definite or whose Schur complement for
+    player 2 is not negative definite.
 
-    Every term that does not involve the value matrix P is formed once for
-    the whole grid before the recursion, by the expression a step would use
-    applied to the stacked coefficients, so each step's operands keep the
-    values and memory layout (and with them the BLAS bits) of a per-step
-    evaluation; each sum keeps its left-to-right order.
+    Step k's quadratic form in (x, u), x'Qt x + 2 u'St x + u'Rt u, is the
+    (n + m) block [[Qt, St'], [St, Rt]] = sym(Et (W E) + F), in the layout
+    of core._assemble: W = P + dt/2 Q at the step's far node, E = [I + dt
+    A, dt B | C, D] its transition and noise row blocks side by side, W E
+    reshaped to (2n, n + m) to interleave their rows, Et the matching
+    interleaved transpose with the noise columns times dt, and F the part
+    free of W.  E, Et and F are formed for a chunk of steps at a time (one
+    step's for a game whose coefficients are all constant), by the
+    expression a step would use, so a step's operands keep the values and
+    memory layout, and with them the BLAS bits, of a per-step evaluation.
+    The recursion runs every step untested; the definiteness tests then run
+    once over all steps' Rt.
     """
     n, m1 = problem.n, problem.m1
+    m = m1 + problem.m2
     _check_integer(N, "N", 1)
     x = _start_state(x, n)
-    T = problem.horizon_T
-    dt = T / N
-    A, B, C, D, Q, S, R = coefficients(problem, np.linspace(0.0, T, N + 1))
-
-    # one step's quadratic form in (x, u) is x'Qt x + 2 u'St x + u'Rt u, with
-    # M = I + dt A at the step's near node and W = P + dt/2 Q at its far
-    # one; St_fixed and Rt_fixed are the parts of St and Rt free of W
-    M = np.eye(n) + dt * A
-    Nu = dt * B
-    halfQ = 0.5 * dt * Q
-    dtCT, dtDT = dt * C.mT, dt * D.mT
-    S1, R1 = S[1:], R[1:]
-    St_fixed = 0.5 * dt * S[:-1] + 0.5 * dt * S1 @ M[:-1]
-    Rt_fixed = 0.5 * dt * R[:-1] + 0.5 * dt * (R1 + S1 @ Nu[:-1]
-                                                + Nu[:-1].mT @ S1.mT)
+    dt = problem.horizon_T / N
+    # a game whose coefficients are all constant has one step's rows for
+    # every step
+    constant = _constant_in_time(problem)
+    nodes = np.linspace(0.0, problem.horizon_T, N + 1)
+    table = coefficients(problem, nodes[:2] if constant else nodes)
+    size = N if constant else _CHUNK_ROWS
 
     P = np.array(problem.cost.G)
     gains: list[np.ndarray] = [None] * N
-    for k in range(N - 1, -1, -1):
-        Mk, Nk = M[k], Nu[k]
-        W = P + halfQ[k + 1]
-        NuW, DW = Nk.T @ W, dtDT[k] @ W
-        Qt = halfQ[k] + Mk.T @ W @ Mk + dtCT[k] @ W @ C[k]
-        St = St_fixed[k] + NuW @ Mk + DW @ C[k]
-        Rt = sym(Rt_fixed[k] + NuW @ Nk + DW @ D[k])
-        # Rt and sym(Phi) are symmetric by construction (no check), and
-        # lo > 0, then hi < 0, make the matrices solved below nonsingular
-        lo = _eig_extremes(Rt[:m1, :m1])[0]
-        if lo <= 0:
-            raise OracleRegularityError(k, lo)
-        Phi = Rt[m1:, m1:] - Rt[m1:, :m1] @ _solve(Rt[:m1, :m1], Rt[:m1, m1:])
+    Rt = np.empty((N, m, m))
+    # a step past one that fails its tests may solve a singular Rt
+    with np.errstate(all="ignore"):
+        for top in range(N, 0, -size):
+            low = max(top - size, 0)
+            E, Et, F, halfQ = _step_operands(
+                table._make(a[low:top + 1] for a in table), dt)
+            for k in range(top - 1, low - 1, -1):
+                i = 0 if constant else k - low
+                W = P + halfQ[i + 1]
+                big = sym(Et[i] @ (W @ E[i]).reshape(2 * n, n + m) + F[i])
+                St = big[n:, :n]
+                Rt[k] = big[n:, n:]
+                RinvS = _solve(big[n:, n:], St)
+                gains[k] = -RinvS
+                P = sym(big[:n, :n] - St.T @ RinvS)
+            # the next chunk's operands take the place of these
+            del E, Et, F, halfQ
+        # Rt and sym(Phi) are symmetric bit for bit (no check)
+        lo = _eig_extremes(Rt[:, :m1, :m1])[0]
+        Phi = Rt[:, m1:, m1:] - Rt[:, m1:, :m1] @ _solve(Rt[:, :m1, :m1],
+                                                         Rt[:, :m1, m1:])
         hi = _eig_extremes(sym(Phi))[1]
-        if hi >= 0:
-            raise OracleRegularityError(k, hi)
-        RinvS = _solve(Rt, St)
-        gains[k] = -RinvS
-        P = sym(Qt - St.T @ RinvS)
+    bad = np.flatnonzero((lo <= 0) | (hi >= 0))
+    if bad.size:
+        k = bad[-1]
+        raise OracleRegularityError(int(k), lo[k] if lo[k] <= 0 else hi[k])
     return float(x @ P @ x), gains
 
 

@@ -7,8 +7,11 @@ the first step, where G may be symmetric only to within check_symmetric's
 tolerance, every stage value and node is symmetric bit for bit, so it is
 not symmetrized again (see _solve_stack).
 Regularity margins (lambda_min of the player-1 control block, lambda_max of
-the player-2 block) are checked at every stage, not only at nodes, so a sign
-loss between nodes is caught at the stage time.
+the player-2 block) are read at every stage, not only at nodes, so a sign
+loss between nodes is caught at the stage time.  They are tested once per
+step: a step runs its three stages and its new node untested, then tests
+the margins of all four blocks and the new P's norm at once, and only a
+step in which a member fails is walked again with a test per stage.
 
 One backward pass (``_solve_stack``) integrates a stack of equations on one
 grid, each stage once for the whole stack: a single solve is a stack of
@@ -32,6 +35,7 @@ companions, so a game solve after it is a lookup.
 from __future__ import annotations
 
 import copy
+import functools
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -40,15 +44,12 @@ import numpy as np
 
 from .core import (
     CoefficientPath, CoefficientTable, ContractViolation, CostWeights,
-    GameProblem, LqgError, TimeGrid, coefficients, sym, _assemble,
-    _assembly_rows, _check_fit, _check_integer, _eig_extremes, _fro_norms,
-    _solve,
+    GameProblem, LqgError, TimeGrid, coefficients, sym, _CHUNK_ROWS,
+    _assemble, _assembly_rows, _check_fit, _check_integer, _constant_in_time,
+    _eig_extremes, _fro_norms, _margins, _solve,
 )
 
 KINDS = ("game", "player1", "player2")
-# table rows whose assembly operands, which outweigh the rows, are formed
-# at a time: never for a whole grid
-_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -197,9 +198,7 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
     times = np.empty(2 * grid.n_steps + 1)
     times[0::2] = nodes
     times[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
-    constant = not any(getattr(path, "kind", None) == "sampled"
-                       for p in problems for part in (p.dynamics, p.cost)
-                       for path in vars(part).values())
+    constant = all(_constant_in_time(p) for p in problems)
     table_times = times[:1] if constant else times
     shared = all(p is problem for p in problems)
     table = coefficients(problem, table_times) if shared else CoefficientTable(
@@ -247,17 +246,24 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
         live_kinds = _Kinds(*(a[keep] for a in live_kinds))
         return keep
 
-    def evaluate(j, done, X, *carried, node=None):
+    def record(node, X, big, margins):
+        """Keep the live members' P, margins and control rows at a node."""
+        # while no member has left, all are live, and a slice writes faster
+        at = live if live.size < len(kinds) else slice(None)
+        P_path[at, node] = X
+        margin_path[0, at, node], margin_path[1, at, node] = margins
+        control_path[at, node] = big[..., n:, :]
+
+    def evaluate(done, j, X, *carried, node=None):
         """Assemble at stage row j for the live members' stage values X,
         recorded as node ``node`` when given, and retire the members whose
         margin fails there (partial path over nodes done..N).  Returns dP/dt
         of the rest, except at node 0 where it is never used, and their rows
         of X and carried."""
-        big, margins = _assemble(row(j), X, m1)
+        big = _assemble(row(j), X)
+        margins = _margins(big[..., n:, n:], m1)
         if node is not None:
-            P_path[live, node] = X
-            margin_path[0, live, node], margin_path[1, live, node] = margins
-            control_path[live, node] = big[..., n:, :]
+            record(node, X, big, margins)
         sides = live_kinds.failing_sides(*margins)
         if sides is not None:
             keep = retire(sides > 0, done, lambda pos, partial: RegularityError(
@@ -266,10 +272,19 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
         slope = None if node == 0 else _field(big, live_kinds)
         return slope, (X, *carried)
 
-    # a node's assembly serves both its margin check and the next step's k1
-    k1, (P,) = evaluate(2 * grid.n_steps, grid.n_steps,
-                        np.array([p.cost.G for p in problems]),
-                        node=grid.n_steps)
+    def blown_up(norms):
+        return ~np.isfinite(norms) | (norms > config.blowup_cap)
+
+    # the blocks of a step's three stages and its new node, formed untested:
+    # each step takes its slots, the live members' rows, in turn
+    blocks = np.empty((4, len(kinds), n + m, n + m))
+
+    def untested(j, X, *carried):
+        """A stage of ``step`` that forms its block in the next of slots and
+        retires no member."""
+        big = _assemble(row(j), X, next(slots))
+        return _field(big, live_kinds), (X, *carried)
+
     # sym returns a stage value P - c k_i, and the step's new P, unchanged
     # bit for bit once P is exactly symmetric, as every k_i = sym(F) is,
     # unless an entry above max/2 overflows in its sum.  A P that passed the
@@ -277,22 +292,50 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
     # that takes a factor c > 1, a step h > 1.  So sym runs on the first
     # step, whose P is G, symmetric only within check_symmetric's rtol, and
     # on every step of a grid with h > 1.
+    def step(k, P, k1, stage):
+        """The new P of an RK4 step from node k, for the live members' P and
+        slope k1 there; ``stage(j, X, *carried)`` returns the slope at stage
+        row j and (X, *carried), both of the members it leaves live."""
+        tidy = sym if k == grid.n_steps or h > 1 else lambda X: X
+        k2, (_, P, k1) = stage(2 * k - 1, tidy(P - 0.5 * h * k1), P, k1)
+        k3, (_, P, k1, k2) = stage(2 * k - 1, tidy(P - 0.5 * h * k2), P, k1,
+                                   k2)
+        k4, (_, P, k1, k2, k3) = stage(2 * k - 2, tidy(P - h * k3), P, k1, k2,
+                                       k3)
+        return tidy(P - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+
+    # a node's assembly serves both its margin check and the next step's k1
+    k1, (P,) = evaluate(grid.n_steps, 2 * grid.n_steps,
+                        np.array([p.cost.G for p in problems]),
+                        node=grid.n_steps)
     for k in range(grid.n_steps, 0, -1):
         if not live.size:
             break
-        tidy = sym if k == grid.n_steps or h > 1 else lambda X: X
-        k2, (_, P, k1) = evaluate(2 * k - 1, k, tidy(P - 0.5 * h * k1), P, k1)
-        k3, (_, P, k1, k2) = evaluate(2 * k - 1, k, tidy(P - 0.5 * h * k2),
-                                      P, k1, k2)
-        k4, (_, P, k1, k2, k3) = evaluate(2 * k - 2, k, tidy(P - h * k3),
-                                          P, k1, k2, k3)
-        P = tidy(P - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        # the step and its new node untested, then one test of the margins
+        # of all four blocks and of the new P's norm.  A member that fails
+        # in the step goes on with it here, past a singular solve or an
+        # overflow, hence the errstate; per member, every value is the one
+        # the tested walk computes
+        big = blocks[:, :live.size]
+        slots = iter(big)
+        with np.errstate(all="ignore"):
+            P_next = step(k, P, k1, untested)
+            _assemble(row(2 * k - 2), P_next, next(slots))
+            margins = _margins(big[..., n:, n:], m1)
+            norms = _fro_norms(P_next)
+        if (live_kinds.failing_sides(*margins) is None
+                and not blown_up(norms).any()):
+            record(k - 1, P_next, big[3], (margins[0][3], margins[1][3]))
+            P, k1 = P_next, _field(big[3], live_kinds) if k > 1 else None
+            continue
+        # a member fails in this step: walk it again, testing every stage
+        P = step(k, P, k1, functools.partial(evaluate, k))
         norms = _fro_norms(P)
-        bad = ~np.isfinite(norms) | (norms > config.blowup_cap)
+        bad = blown_up(norms)
         if bad.any():
             P = P[retire(bad, k, lambda pos, partial: BlowUpError(
                 nodes[k - 1], float(norms[pos]), partial))]
-        k1, (P,) = evaluate(2 * k - 2, k, P, node=k - 1)
+        k1, (P,) = evaluate(k, 2 * k - 2, P, node=k - 1)
 
     for i in live:
         outcomes[i] = RiccatiSolution(

@@ -5,7 +5,7 @@ from lqgame import (
     CoefficientPath, CostWeights, GameProblem, SolverConfig, StateDynamics,
     example_problem, random_certified_problem, riccati,
 )
-from lqgame.core import CoefficientTable, _assemble, _assembly_rows
+from lqgame.core import CoefficientTable, _assemble, _assembly_rows, _margins
 
 
 def scalar_game(*, B1=0.0, B2=0.0, C=0.0, D1=0.0, D2=0.0, G=0.0, Q=0.0,
@@ -30,9 +30,9 @@ def control_blocks(table: CoefficientTable, P, m1: int):
     row of a coefficient table and one P, or for stacks of both of one
     length."""
     P = np.asarray(P, dtype=float)
-    big, margins = _assemble(_assembly_rows(table), P, m1)
+    big = _assemble(_assembly_rows(table), P)
     n = P.shape[-1]
-    return big[..., n:, n:], big[..., n:, :n], margins
+    return big[..., n:, n:], big[..., n:, :n], _margins(big[..., n:, n:], m1)
 
 
 def random_game(seed: int, dims=None, noise: bool = True) -> GameProblem:

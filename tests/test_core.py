@@ -333,7 +333,7 @@ class TestAssembleBlocks:
         rng = np.random.default_rng(seed)
         P = sym(rng.normal(scale=rng.choice([0.1, 1.0, 10.0]),
                            size=(len(times), n, n)))
-        big, _ = _assemble(_assembly_rows(table), P, m1)
+        big = _assemble(_assembly_rows(table), P)
         assert bits(big) == bits(big.mT.copy())
         A, B, C, D, Q, S, R = table
         aP = np.abs(P)

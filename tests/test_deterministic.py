@@ -1,11 +1,12 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from lqgame import (
-    BlowUpError, CoefficientPath, CostWeights, GameProblem,
+    BlowUpError, CoefficientPath, ContractViolation, CostWeights, GameProblem,
     NotDeterministicError, RegularityError, RepresentationSingularError,
     SolverConfig, StateDynamics, TimeGrid, coefficients, equivalence_report,
     fundamental_matrix, hamiltonian, representation, solve_riccati,
@@ -145,6 +146,29 @@ class TestRepresentation:
         with pytest.raises(RepresentationSingularError) as exc:
             representation(p, psi)
         assert exc.value.time == pytest.approx(0.5, abs=0.05)
+
+
+    @pytest.mark.parametrize("case", ["another n", "2 nodes", "one matrix",
+                                      "nan", "inf"])
+    def test_psi_of_another_shape_or_not_finite_refused(
+            self, rand_det_problem, det_psi, case):
+        # rand_det_problem has n = 1; the Psi of an n = 3 game has 6 x 6
+        # nodes, and one of 2 nodes has no grid of >= 2 steps
+        other = random_game(1, dims=(3, 1, 2), noise=False)
+        psi = {"another n": lambda: fundamental_matrix(
+                   hamiltonian(other, 40), other.horizon_T),
+               "2 nodes": lambda: det_psi[:2],
+               "one matrix": lambda: det_psi[-1],
+               "nan": lambda: np.where(np.arange(len(det_psi))[:, None, None]
+                                       == 7, np.nan, det_psi),
+               "inf": lambda: np.where(np.arange(len(det_psi))[:, None, None]
+                                       == len(det_psi) - 1, np.inf, det_psi),
+               }[case]()
+        with pytest.raises(ContractViolation,
+                           match=r"^Psi_nodes must be a finite \(k\+1, 2, 2\) "
+                                 r"stack with k >= 2, got shape "
+                                 rf"{re.escape(str(np.shape(psi)))}$"):
+            representation(rand_det_problem, psi)
 
 
 class TestEquivalenceReport:

@@ -21,7 +21,7 @@ from lqgame import (
     regularized_problem, representation, riccati, solve_lambda_family,
     solve_riccati, sym,
 )
-from lqgame.core import _assemble, _assembly_rows, _solve
+from lqgame.core import _assemble, _assembly_rows, _margins, _solve
 from lqgame.riccati import KINDS, _field, _Kinds, _solve_stack
 from conftest import control_blocks, random_game, scalar_game, table_row
 
@@ -52,7 +52,8 @@ def reference_solve(problem, config, kind):
             raise RegularityError(t, 2, margin2)
 
     def assemble(row, P):
-        return _assemble(_assembly_rows(row), P, m1)
+        big = _assemble(_assembly_rows(row), P)
+        return big, _margins(big[n:, n:], m1)
 
     def field(big):
         # [S_k R_k] is the kind's part of [S_P R_P] in [0 I]; both blocks
@@ -77,6 +78,9 @@ def reference_solve(problem, config, kind):
         return (np.array(t), np.array(Ps), np.array([a for a, _ in ms]),
                 np.array([b for _, b in ms]), np.array(rows))
 
+    # the evaluation being tested, kept on the error as its stage: "T", "k2",
+    # "k3" or "k4" of a step, "norm" after it, or "node" at its new node
+    stage = "T"
     try:
         check(nodes[-1], margins)
         for k in range(grid.n_steps, 0, -1):
@@ -84,26 +88,33 @@ def reference_solve(problem, config, kind):
             mid = table_row(table, 2 * k - 1)
             prev = table_row(table, 2 * k - 2)
             k1 = field(big)
+            stage = "k2"
             k2 = rhs(mid, times[2 * k - 1], sym(P - 0.5 * h * k1))
+            stage = "k3"
             k3 = rhs(mid, times[2 * k - 1], sym(P - 0.5 * h * k2))
+            stage = "k4"
             k4 = rhs(prev, t0, sym(P - h * k3))
             P = sym(P - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+            stage = "norm"
             norm = float(np.linalg.norm(P))
             if not np.isfinite(norm) or norm > config.blowup_cap:
                 raise BlowUpError(t0, norm)
+            stage = "node"
             big, margins = assemble(prev, P)
             check(t0, margins)
             done.append((t0, P, margins, big[n:]))
     except RegularityError as err:
-        raise RegularityError(err.time, err.side, err.margin,
-                              PartialPath(*path()[:4])) from None
+        error = RegularityError(err.time, err.side, err.margin,
+                                PartialPath(*path()[:4]))
     except BlowUpError as err:
-        raise BlowUpError(err.time, err.norm,
-                          PartialPath(*path()[:4])) from None
-    _, P_nodes, margin1, margin2, rows = path()
-    return RiccatiSolution(grid=grid, P_nodes=P_nodes, margin1_nodes=margin1,
-                           margin2_nodes=margin2, control_nodes=rows,
-                           kind=kind, m1=m1)
+        error = BlowUpError(err.time, err.norm, PartialPath(*path()[:4]))
+    else:
+        _, P_nodes, margin1, margin2, rows = path()
+        return RiccatiSolution(grid=grid, P_nodes=P_nodes,
+                               margin1_nodes=margin1, margin2_nodes=margin2,
+                               control_nodes=rows, kind=kind, m1=m1)
+    error.stage = stage
+    raise error
 
 
 def _bits(x) -> bytes:
@@ -176,7 +187,7 @@ def field_at(problem, t, P, kind="game"):
     field (no margin check)."""
     row = table_row(coefficients(problem, t), 0)
     P = np.asarray(P, dtype=float)[None]
-    big, _ = _assemble(_assembly_rows(row), P, problem.m1)
+    big = _assemble(_assembly_rows(row), P)
     kinds = _Kinds.of(np.array([kind]), problem.n, problem.m1,
                       problem.m1 + problem.m2, 1e-6)
     return _field(big, kinds)[0]
@@ -359,9 +370,37 @@ class TestStackedPass:
                     for _, lam in members]
         kinds = [kind for kind, _ in members]
         config = SolverConfig(n_steps=n_steps, blowup_cap=cap)
-        outcomes = _solve_stack(problems, kinds, config)
+        # a step runs untested first, members that fail in it included, so
+        # no warning of theirs may escape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = _solve_stack(problems, kinds, config)
         for outcome, member, kind in zip(outcomes, problems, kinds):
             assert_matches_reference(outcome, member, config, kind)
+
+    @pytest.mark.parametrize("stage, seed, cap, kind", [
+        ("k2", 42, 1e8, "game"), ("k3", 6, 1e8, "player1"),
+        ("k4", 4, 1e8, "game"), ("node", 34, 1e8, "player1"),
+        ("norm", 52, 4.0, "game")])
+    def test_failures_inside_a_step(self, stage, seed, cap, kind):
+        # a step runs untested, then a step in which a member fails is
+        # walked again with a test per stage: each draw fails at the named
+        # evaluation of reference_solve (a midpoint stage at times[2k - 1],
+        # the k4 stage or the new node at t_k-1, the norm test after the
+        # step), and every member must equal the reference there
+        problem = random_game(seed)
+        config = SolverConfig(n_steps=10, blowup_cap=cap)
+        with pytest.raises((RegularityError, BlowUpError)) as exc:
+            reference_solve(problem, config, kind)
+        assert exc.value.stage == stage
+        at_node = np.isin(exc.value.time, TimeGrid(1.0, 10).nodes)
+        assert at_node == (stage not in ("k2", "k3"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = _solve_stack([problem] * 3, KINDS, config)
+        for outcome, each in zip(outcomes, KINDS):
+            assert_matches_reference(outcome, problem, config, each)
+        assert isinstance(outcomes[KINDS.index(kind)], type(exc.value))
 
     def test_padded_player_blocks_match_single_solves(self):
         # at m1 = 1, m2 = 2 each player's block is padded to the whole 3 x 3
@@ -432,6 +471,34 @@ class TestStackedPass:
         for outcome, side in zip(outcomes, (1, 1, 2)):
             assert isinstance(outcome, RegularityError)
             assert (outcome.time, outcome.side) == (1.0, side)
+
+    def test_no_solve_sees_a_singular_block_inside_a_step(self):
+        # R11(t) = t - 0.45, sampled at the 11 nodes, is exactly 0 at the
+        # midpoint 0.45 of the step from t = 0.5, where its samples are -a
+        # and a; with G = Q = S = 0 and no noise P stays 0, so the game's
+        # and player 1's blocks are singular at that k2 stage.  The step
+        # runs untested first, and its solves there must stay silent
+        c = CoefficientPath.constant
+        R11 = CoefficientPath.sampled(
+            (np.linspace(0.0, 1.0, 11) - 0.45).reshape(-1, 1, 1), 1.0)
+        dyn = StateDynamics(A=c(0.0), B1=c(1.0), B2=c(1.0), C=c(0.0),
+                            D1=c(0.0), D2=c(0.0))
+        cost = CostWeights(G=[[0.0]], Q=c(0.0), S1=c(0.0), S2=c(0.0),
+                           R11=R11, R12=c(0.0), R21=c(0.0), R22=c(-1.0))
+        problem = GameProblem(dynamics=dyn, cost=cost, horizon_T=1.0)
+        config = SolverConfig(n_steps=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = _solve_stack([problem] * 3, KINDS, config)
+        for outcome, kind in zip(outcomes, KINDS):
+            assert_matches_reference(outcome, problem, config, kind)
+            if kind == "player2":
+                assert isinstance(outcome, RiccatiSolution)
+            else:
+                assert isinstance(outcome, RegularityError)
+                assert (outcome.time, outcome.side, outcome.margin) == (
+                    0.45, 1, 0.0)
+                assert outcome.partial.times[0] == 0.5
 
     @pytest.mark.parametrize("name", ["ex4_5", "ex5_2", "certified"])
     def test_certificate_matches_serial(self, name, ex4_5, ex5_2, cfg400):
