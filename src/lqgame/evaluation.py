@@ -514,8 +514,9 @@ def discrete_oracle(problem: GameProblem, x, N: int):
     step's for a game whose coefficients are all constant), by the
     expression a step would use, so a step's operands keep the values and
     memory layout, and with them the BLAS bits, of a per-step evaluation.
-    The recursion runs every step untested; the definiteness tests then run
-    once over all steps' Rt.
+    The recursion runs a chunk's steps untested, then tests definiteness
+    once over their Rt, so a refused game runs at most the rest of the
+    chunk past its failing step.
     """
     n, m1 = problem.n, problem.m1
     m = m1 + problem.m2
@@ -527,37 +528,41 @@ def discrete_oracle(problem: GameProblem, x, N: int):
     constant = _constant_in_time(problem)
     nodes = np.linspace(0.0, problem.horizon_T, N + 1)
     table = coefficients(problem, nodes[:2] if constant else nodes)
-    size = N if constant else _CHUNK_ROWS
+    operands = _step_operands(table, dt) if constant else None
 
     P = np.array(problem.cost.G)
     gains: list[np.ndarray] = [None] * N
-    Rt = np.empty((N, m, m))
+    Rt = np.empty((_CHUNK_ROWS, m, m))
     # a step past one that fails its tests may solve a singular Rt
     with np.errstate(all="ignore"):
-        for top in range(N, 0, -size):
-            low = max(top - size, 0)
-            E, Et, F, halfQ = _step_operands(
+        for top in range(N, 0, -_CHUNK_ROWS):
+            low = max(top - _CHUNK_ROWS, 0)
+            E, Et, F, halfQ = operands or _step_operands(
                 table._make(a[low:top + 1] for a in table), dt)
             for k in range(top - 1, low - 1, -1):
                 i = 0 if constant else k - low
                 W = P + halfQ[i + 1]
                 big = sym(Et[i] @ (W @ E[i]).reshape(2 * n, n + m) + F[i])
                 St = big[n:, :n]
-                Rt[k] = big[n:, n:]
+                Rt[k - low] = big[n:, n:]
                 RinvS = _solve(big[n:, n:], St)
                 gains[k] = -RinvS
                 P = sym(big[:n, :n] - St.T @ RinvS)
             # the next chunk's operands take the place of these
             del E, Et, F, halfQ
-        # Rt and sym(Phi) are symmetric bit for bit (no check)
-        lo = _eig_extremes(Rt[:, :m1, :m1])[0]
-        Phi = Rt[:, m1:, m1:] - Rt[:, m1:, :m1] @ _solve(Rt[:, :m1, :m1],
-                                                         Rt[:, :m1, m1:])
-        hi = _eig_extremes(sym(Phi))[1]
-    bad = np.flatnonzero((lo <= 0) | (hi >= 0))
-    if bad.size:
-        k = bad[-1]
-        raise OracleRegularityError(int(k), lo[k] if lo[k] <= 0 else hi[k])
+            # the chunk's steps tested at once, Rt and sym(Phi) symmetric
+            # bit for bit (no check); the first failing step of the backward
+            # order is the last
+            R = Rt[:top - low]
+            lo = _eig_extremes(R[:, :m1, :m1])[0]
+            Phi = R[:, m1:, m1:] - R[:, m1:, :m1] @ _solve(R[:, :m1, :m1],
+                                                           R[:, :m1, m1:])
+            hi = _eig_extremes(sym(Phi))[1]
+            bad = np.flatnonzero((lo <= 0) | (hi >= 0))
+            if bad.size:
+                k = bad[-1]
+                raise OracleRegularityError(
+                    int(low + k), lo[k] if lo[k] <= 0 else hi[k])
     return float(x @ P @ x), gains
 
 

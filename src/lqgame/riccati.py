@@ -10,8 +10,9 @@ Regularity margins (lambda_min of the player-1 control block, lambda_max of
 the player-2 block) are read at every stage, not only at nodes, so a sign
 loss between nodes is caught at the stage time.  They are tested once per
 step: a step runs its three stages and its new node untested, then tests
-the margins of all four blocks and the new P's norm at once, and only a
-step in which a member fails is walked again with a test per stage.
+the margins of all four blocks and the new P's norm at once, and a member
+that fails leaves at the first test it fails, in the order a walk testing
+each evaluation in turn makes them.
 
 One backward pass (``_solve_stack``) integrates a stack of equations on one
 grid, each stage once for the whole stack: a single solve is a stack of
@@ -35,7 +36,6 @@ companions, so a game solve after it is a lookup.
 from __future__ import annotations
 
 import copy
-import functools
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -246,45 +246,58 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
         live_kinds = _Kinds(*(a[keep] for a in live_kinds))
         return keep
 
-    def record(node, X, big, margins):
-        """Keep the live members' P, margins and control rows at a node."""
-        # while no member has left, all are live, and a slice writes faster
-        at = live if live.size < len(kinds) else slice(None)
-        P_path[at, node] = X
-        margin_path[0, at, node], margin_path[1, at, node] = margins
-        control_path[at, node] = big[..., n:, :]
-
-    def evaluate(done, j, X, *carried, node=None):
-        """Assemble at stage row j for the live members' stage values X,
-        recorded as node ``node`` when given, and retire the members whose
-        margin fails there (partial path over nodes done..N).  Returns dP/dt
-        of the rest, except at node 0 where it is never used, and their rows
-        of X and carried."""
-        big = _assemble(row(j), X)
-        margins = _margins(big[..., n:, n:], m1)
-        if node is not None:
-            record(node, X, big, margins)
-        sides = live_kinds.failing_sides(*margins)
-        if sides is not None:
-            keep = retire(sides > 0, done, lambda pos, partial: RegularityError(
-                times[j], int(sides[pos]), margins[sides[pos] - 1][pos], partial))
-            X, big, *carried = (a[keep] for a in (X, big, *carried))
-        slope = None if node == 0 else _field(big, live_kinds)
-        return slope, (X, *carried)
-
     def blown_up(norms):
         return ~np.isfinite(norms) | (norms > config.blowup_cap)
 
-    # the blocks of a step's three stages and its new node, formed untested:
-    # each step takes its slots, the live members' rows, in turn
+    def settle(node, done, js, P, big, margins, norms=None):
+        """Record node ``node`` of the live members from their P there and
+        the last of big, the blocks they formed at stage rows js (the
+        node's block last) with their margins; then retire the members that
+        fail a test (partial path over nodes done..N) and return P and
+        dP/dt of the rest, the slope None at node 0 where it is never used.
+
+        A member leaves at the first test it fails in the order a walk
+        testing each evaluation in turn makes them: the margins of each
+        block, and the norm of the new P (unless norms is None) just before
+        the node's block.  A member's values up to that test are those of
+        such a walk; those past it reach no outcome."""
+        P_path[live, node] = P
+        margin_path[0, live, node] = margins[0][-1]
+        margin_path[1, live, node] = margins[1][-1]
+        control_path[live, node] = big[-1, ..., n:, :]
+        sides = live_kinds.failing_sides(*margins)
+        blown = (np.zeros(live.size, bool) if norms is None
+                 else blown_up(norms))
+        last = big[-1]
+        if sides is not None or blown.any():
+            # per test, in the walk's order, and member: the side whose
+            # margin fails, 3 for the norm, or 0
+            sides = np.zeros(big.shape[:2], int) if sides is None else sides
+            tests = np.concatenate((sides[:-1], 3 * blown[None], sides[-1:]))
+            first = (tests > 0).argmax(0)
+
+            def error(pos, partial):
+                test = first[pos]
+                side = tests[test, pos]
+                if side == 3:
+                    return BlowUpError(nodes[node], float(norms[pos]), partial)
+                # the tests past the norm's are of the node's block
+                block = min(test, len(js) - 1)
+                return RegularityError(times[js[block]], int(side),
+                                       margins[side - 1][block, pos], partial)
+
+            keep = retire(tests.any(0), done, error)
+            P, last = P[keep], last[keep]
+        return P, _field(last, live_kinds) if node else None
+
+    # a node's block serves both its margin test and the next step's k1
+    P = np.array([p.cost.G for p in problems])
+    big = _assemble(row(2 * grid.n_steps), P)[None]
+    P, k1 = settle(grid.n_steps, grid.n_steps, (2 * grid.n_steps,), P, big,
+                   _margins(big[..., n:, n:], m1))
+    # the blocks of a step's three stages and its new node, formed untested
+    # into the live members' rows and then tested at once
     blocks = np.empty((4, len(kinds), n + m, n + m))
-
-    def untested(j, X, *carried):
-        """A stage of ``step`` that forms its block in the next of slots and
-        retires no member."""
-        big = _assemble(row(j), X, next(slots))
-        return _field(big, live_kinds), (X, *carried)
-
     # sym returns a stage value P - c k_i, and the step's new P, unchanged
     # bit for bit once P is exactly symmetric, as every k_i = sym(F) is,
     # unless an entry above max/2 overflows in its sum.  A P that passed the
@@ -292,50 +305,26 @@ def _solve_stack(problems, kinds, config: SolverConfig) -> list:
     # that takes a factor c > 1, a step h > 1.  So sym runs on the first
     # step, whose P is G, symmetric only within check_symmetric's rtol, and
     # on every step of a grid with h > 1.
-    def step(k, P, k1, stage):
-        """The new P of an RK4 step from node k, for the live members' P and
-        slope k1 there; ``stage(j, X, *carried)`` returns the slope at stage
-        row j and (X, *carried), both of the members it leaves live."""
-        tidy = sym if k == grid.n_steps or h > 1 else lambda X: X
-        k2, (_, P, k1) = stage(2 * k - 1, tidy(P - 0.5 * h * k1), P, k1)
-        k3, (_, P, k1, k2) = stage(2 * k - 1, tidy(P - 0.5 * h * k2), P, k1,
-                                   k2)
-        k4, (_, P, k1, k2, k3) = stage(2 * k - 2, tidy(P - h * k3), P, k1, k2,
-                                       k3)
-        return tidy(P - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-
-    # a node's assembly serves both its margin check and the next step's k1
-    k1, (P,) = evaluate(grid.n_steps, 2 * grid.n_steps,
-                        np.array([p.cost.G for p in problems]),
-                        node=grid.n_steps)
     for k in range(grid.n_steps, 0, -1):
         if not live.size:
             break
-        # the step and its new node untested, then one test of the margins
-        # of all four blocks and of the new P's norm.  A member that fails
-        # in the step goes on with it here, past a singular solve or an
-        # overflow, hence the errstate; per member, every value is the one
-        # the tested walk computes
+        tidy = sym if k == grid.n_steps or h > 1 else lambda X: X
         big = blocks[:, :live.size]
-        slots = iter(big)
+        # a member that fails in the step goes on with it here, past a
+        # singular solve or an overflow, until settle tests it
         with np.errstate(all="ignore"):
-            P_next = step(k, P, k1, untested)
-            _assemble(row(2 * k - 2), P_next, next(slots))
+            k2 = _field(_assemble(row(2 * k - 1), tidy(P - 0.5 * h * k1),
+                                  big[0]), live_kinds)
+            k3 = _field(_assemble(row(2 * k - 1), tidy(P - 0.5 * h * k2),
+                                  big[1]), live_kinds)
+            k4 = _field(_assemble(row(2 * k - 2), tidy(P - h * k3), big[2]),
+                        live_kinds)
+            P = tidy(P - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+            _assemble(row(2 * k - 2), P, big[3])
             margins = _margins(big[..., n:, n:], m1)
-            norms = _fro_norms(P_next)
-        if (live_kinds.failing_sides(*margins) is None
-                and not blown_up(norms).any()):
-            record(k - 1, P_next, big[3], (margins[0][3], margins[1][3]))
-            P, k1 = P_next, _field(big[3], live_kinds) if k > 1 else None
-            continue
-        # a member fails in this step: walk it again, testing every stage
-        P = step(k, P, k1, functools.partial(evaluate, k))
-        norms = _fro_norms(P)
-        bad = blown_up(norms)
-        if bad.any():
-            P = P[retire(bad, k, lambda pos, partial: BlowUpError(
-                nodes[k - 1], float(norms[pos]), partial))]
-        k1, (P,) = evaluate(k, 2 * k - 2, P, node=k - 1)
+            norms = _fro_norms(P)
+        P, k1 = settle(k - 1, k, (2 * k - 1, 2 * k - 1, 2 * k - 2, 2 * k - 2),
+                       P, big, margins, norms)
 
     for i in live:
         outcomes[i] = RiccatiSolution(

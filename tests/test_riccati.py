@@ -383,9 +383,9 @@ class TestStackedPass:
         ("k4", 4, 1e8, "game"), ("node", 34, 1e8, "player1"),
         ("norm", 52, 4.0, "game")])
     def test_failures_inside_a_step(self, stage, seed, cap, kind):
-        # a step runs untested, then a step in which a member fails is
-        # walked again with a test per stage: each draw fails at the named
-        # evaluation of reference_solve (a midpoint stage at times[2k - 1],
+        # a step runs untested, then a member that fails leaves at its
+        # first failing test in the order reference_solve makes them: each
+        # draw fails at the named evaluation of reference_solve (a midpoint stage at times[2k - 1],
         # the k4 stage or the new node at t_k-1, the norm test after the
         # step), and every member must equal the reference there
         problem = random_game(seed)
